@@ -2,7 +2,7 @@
 
 The rows below were recorded independently of the generator in `algebra` (and
 hand-spot-checked against the doubling recursion), so any regression in the
-recursion or the structure tensor shows up as a table mismatch instead of
+recursion or the product index tables shows up as a table mismatch instead of
 silently propagating.  Row = left factor, column = right factor, `1` means e0.
 """
 

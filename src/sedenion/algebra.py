@@ -11,10 +11,15 @@ where an element of level n is split into two level n-1 halves (a, b) and e is
 the unit adjoined at level n, together with conj(a + b*e) = conj(a) - b*e.
 The recursion fixes the basis labelling: e_{m + 2**n} = e_m * e_{2**n}.
 
-The recursion is the ground truth.  For speed, module import builds the
-16x16x16 structure tensor (and its restrictions to lower levels) by running
-the recursion on integer basis vectors; `cd_mul` then evaluates products with
-one einsum.  Running the recursion on Python ints keeps basis products, the
+The recursion is the ground truth.  Every basis product is a single signed
+basis element, e_m * e_n = +-e_k, so the structure tensor is a signed
+permutation (256 nonzeros out of 16**3).  Module import runs the recursion on
+integer basis vectors once and keeps only two 16x16 index tables with their
+signs: for each m and k the n with e_m * e_n = +-e_k, and for each k and n the
+matching m.  `cd_mul`, `mul_batch` and the multiplication matrices gather
+coefficients through these tables instead of contracting a dense tensor;
+lower levels use the top-left corner of each table, which maps into itself.
+Running the recursion on Python ints keeps basis products, the
 multiplication table, and the small worked examples exact.
 
 Level 3 (octonions) is the last normed division algebra; level 4 (sedenions)
@@ -106,18 +111,33 @@ def _basis_product(m: int, n: int) -> tuple[int, int]:
     return (1 if v > 0 else -1, k)
 
 
-def _build_tensor() -> tuple[NDArray[np.float64], list[list[tuple[int, int]]]]:
-    """Structure tensor T[m, k, n] with (e_m * e_n)_k = T[m, k, n], plus the
-    exact signed-index table it came from."""
-    table = [[_basis_product(m, n) for n in range(DIM)] for m in range(DIM)]
-    tensor = np.zeros((DIM, DIM, DIM))
+_TABLE = [[_basis_product(m, n) for n in range(DIM)] for m in range(DIM)]
+
+
+def _index_tables() -> tuple[NDArray[np.intp], NDArray[np.float64],
+                             NDArray[np.intp], NDArray[np.float64]]:
+    """Gather tables of the signed-permutation structure tensor.
+
+    For e_m * e_n = sign * e_k: inv[m, k] = n and sgn[m, k] = sign, so
+    (a*b)_k = sum_m a_m * b_inv[m, k] * sgn[m, k]; lidx[k, n] = m and
+    lsgn[k, n] = sign, so the matrix of x -> s*x is s[lidx] * lsgn.
+    """
+    inv = np.zeros((DIM, DIM), dtype=np.intp)
+    sgn = np.zeros((DIM, DIM))
+    lidx = np.zeros((DIM, DIM), dtype=np.intp)
+    lsgn = np.zeros((DIM, DIM))
     for m in range(DIM):
         for n in range(DIM):
-            sign, k = table[m][n]
-            tensor[m, k, n] = sign
-    return tensor, table
+            sign, k = _TABLE[m][n]
+            inv[m, k], sgn[m, k] = n, sign
+            lidx[k, n], lsgn[k, n] = m, sign
+    return inv, sgn, lidx, lsgn
 
-_TENSOR, _TABLE = _build_tensor()
+
+_INV, _SGN, _LIDX, _LSGN = _index_tables()
+
+# Rows per block in `mul_batch`: keeps each temporary to a few hundred KB.
+_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +328,8 @@ def cd_mul(a: CDElement, b: CDElement) -> CDElement:
         raise ValueError(
             f"level mismatch: {a.level} vs {b.level}; promote the lower one first")
     n = a.dim
-    t = _TENSOR[:n, :n, :n]
-    return CDElement(np.einsum("m,mkn,n->k", a.coeffs, t, b.coeffs))
+    return CDElement(np.einsum("m,mk,mk->k", a.coeffs, b.coeffs[_INV[:n, :n]],
+                               _SGN[:n, :n]))
 
 
 def cd_mul_recursive(a: CDElement, b: CDElement) -> CDElement:
@@ -320,7 +340,12 @@ def cd_mul_recursive(a: CDElement, b: CDElement) -> CDElement:
 
 
 def mul_batch(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Row-wise products of two (N, 2**level) coefficient arrays."""
+    """Row-wise products of two (N, 2**level) coefficient arrays.
+
+    Each output coefficient is summed over m = 0, 1, ... in order, in blocks
+    of rows laid out coefficient-major, so every row comes out bitwise equal
+    to `cd_mul` on that row whatever the row count.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 2:
@@ -328,8 +353,15 @@ def mul_batch(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.floa
     n = a.shape[1]
     if n & (n - 1) or n > DIM:
         raise ValueError(f"bad dimension {n}")
-    t = _TENSOR[:n, :n, :n]
-    return np.einsum("im,mkn,in->ik", a, t, b, optimize=True)
+    inv, sgn = _INV[:n, :n], _SGN[:n, :n, None]
+    out = np.empty(a.shape)
+    for i in range(0, len(a), _BLOCK):
+        at, bt = a[i:i + _BLOCK].T.copy(), b[i:i + _BLOCK].T.copy()
+        acc = np.zeros_like(at)
+        for m in range(n):
+            acc += at[m] * (bt[inv[m]] * sgn[m])
+        out[i:i + _BLOCK] = acc.T
+    return out
 
 
 def conjugate(a: CDElement) -> CDElement:
@@ -412,13 +444,14 @@ def verify_table(reference: Sequence[Sequence[tuple[int, int]]] | None = None,
 def left_mult_matrix(s: CDElement) -> NDArray[np.float64]:
     """Matrix of x -> s*x on the level-4 coefficient space (16x16)."""
     v = s.promote(MAX_LEVEL).coeffs
-    return np.tensordot(v, _TENSOR, axes=(0, 0))
+    # + 0.0 turns -0.0 entries into +0.0, the zero a sum of products gives.
+    return v[_LIDX] * _LSGN + 0.0
 
 
 def right_mult_matrix(s: CDElement) -> NDArray[np.float64]:
     """Matrix of x -> x*s on the level-4 coefficient space (16x16)."""
     v = s.promote(MAX_LEVEL).coeffs
-    return np.einsum("mkn,n->km", _TENSOR, v)
+    return v[_INV.T] * _SGN.T + 0.0
 
 
 def _axis_vector(axis) -> NDArray[np.float64]:

@@ -83,9 +83,20 @@ def _outdir() -> str:
     return os.environ.get("SEDENION_OUTDIR", ".")
 
 
+def _json_safe(obj):
+    """Payload copy with every non-finite float written as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
+
+
 def _emit(args, text_lines, payload) -> None:
     if getattr(args, "format", "csv") == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(_json_safe(payload), sort_keys=True, allow_nan=False))
     else:
         for line in text_lines:
             print(line)

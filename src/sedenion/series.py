@@ -31,6 +31,7 @@ table radii are windowed estimates and explicitly flagged approximate.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -179,17 +180,27 @@ def demo_sequence() -> GeometricSum:
     return GeometricSum.of([("1", 3.0), ("e4+e15", 2.0)])
 
 
+def _field(obj, name: str, what: str):
+    """obj[name] from parsed sequence JSON; ValueError naming a missing field."""
+    if not isinstance(obj, dict) or name not in obj:
+        raise ValueError(f"{what} needs a {name!r} field")
+    return obj[name]
+
+
 def seq_from_json(data) -> SeqSpec:
     """Parse `{"kind": "geometric"|"lacunary"|"table", ...}` (dict or JSON text)."""
     if isinstance(data, str):
         data = json.loads(data)
-    kind = data.get("kind")
+    kind = _field(data, "kind", "sequence JSON")
     if kind == "geometric":
-        return GeometricSum.of((t["coeff"], t["ratio"]) for t in data["terms"])
+        return GeometricSum.of(
+            (_field(t, "coeff", "geometric term"), _field(t, "ratio", "geometric term"))
+            for t in _field(data, "terms", "geometric sequence"))
     if kind == "lacunary":
-        return Lacunary.of(data["coeff"], data["ratio"])
+        return Lacunary.of(_field(data, "coeff", "lacunary sequence"),
+                           _field(data, "ratio", "lacunary sequence"))
     if kind == "table":
-        return TableSeq.of(data["values"])
+        return TableSeq.of(_field(data, "values", "table sequence"))
     raise ValueError(f"unknown sequence kind: {kind!r}")
 
 
@@ -358,15 +369,14 @@ def radius_RapJ(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
     return _table_radius(a, lambda v: _perp_size(v, ker))
 
 
-_rapj_cache: dict[tuple, float] = {}
+# Bound of the radius memos: far above the few dozen (center, sequence) keys a
+# figure or scan uses, small enough that a stream of fresh centers stays flat.
+_CACHE_SIZE = 1024
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _radius_RapJ_cached(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
-    key = (a, p.key, j.key)
-    hit = _rapj_cache.get(key)
-    if hit is None:
-        hit = _rapj_cache[key] = radius_RapJ(a, p, j)
-    return hit
+    return radius_RapJ(a, p, j)
 
 
 def radius_Rap(a: SeqSpec, p: WPoint) -> tuple[float, SliceUnit | None]:
@@ -456,14 +466,8 @@ class DomainReport:
     approximate: bool = False
 
 
-_report_cache: dict[tuple, DomainReport] = {}
-
-
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def domain_report(p: WPoint, a: SeqSpec) -> DomainReport:
-    key = (a, p.key)
-    hit = _report_cache.get(key)
-    if hit is not None:
-        return hit
     ra = radius_Ra(a)
     rap, witness = radius_Rap(a, p)
     if p.is_real:
@@ -475,10 +479,8 @@ def domain_report(p: WPoint, a: SeqSpec) -> DomainReport:
         rap = max(rap, ra)
     else:
         case = DomainCase.HYPER_INTERSECTION
-    report = DomainReport(r_a=ra, r_ap=rap, witness=witness, case=case,
-                          approximate=is_approximate(a))
-    _report_cache[key] = report
-    return report
+    return DomainReport(r_a=ra, r_ap=rap, witness=witness, case=case,
+                        approximate=is_approximate(a))
 
 
 def _disk_state(dist: float, radius: float, band: float) -> int:

@@ -26,6 +26,7 @@ from sedenion import (
     zero,
 )
 
+from sedenion.algebra import _BLOCK
 from util import random_element
 
 int16 = st.lists(st.integers(-9, 9), min_size=16, max_size=16)
@@ -177,13 +178,26 @@ def test_mult_matrices_realize_products(rng):
                            cd_mul(x, s).coeffs, atol=1e-12)
 
 
-def test_mul_batch_matches_scalar_products(rng):
-    A = rng.normal(size=(40, 16))
-    B = rng.normal(size=(40, 16))
+def test_mult_matrices_match_recursion_column_by_column(rng):
+    for _ in range(20):
+        s = CDElement(rng.integers(-9, 10, size=16).astype(float))
+        cols = [basis(n, level=4) for n in range(16)]
+        left = np.column_stack([cd_mul_recursive(s, e).coeffs for e in cols])
+        right = np.column_stack([cd_mul_recursive(e, s).coeffs for e in cols])
+        assert np.array_equal(left_mult_matrix(s), left)
+        assert np.array_equal(right_mult_matrix(s), right)
+
+
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+@pytest.mark.parametrize("level", range(5))
+def test_mul_batch_matches_scalar_products(rng, level, rows):
+    A = rng.normal(size=(rows, 1 << level))
+    B = rng.normal(size=(rows, 1 << level))
     got = mul_batch(A, B)
-    for i in range(40):
+    assert got.shape == A.shape
+    for i in range(rows):
         want = cd_mul(CDElement(A[i]), CDElement(B[i]))
-        assert np.allclose(got[i], want.coeffs, atol=1e-12)
+        assert got[i].tobytes() == want.coeffs.tobytes()
 
 
 def test_inner_is_euclidean(rng):

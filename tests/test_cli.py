@@ -278,6 +278,30 @@ def test_parse_errors_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("seq, field", [
+    ('{"kind": "geometric"}', "terms"),
+    ('{"kind": "geometric", "terms": [{"coeff": "1"}]}', "ratio"),
+    ('{"kind": "lacunary", "coeff": "e1"}', "ratio"),
+    ('{"ratio": 2.0}', "kind"),
+], ids=["geometric-terms", "term-ratio", "lacunary-ratio", "kind"])
+def test_malformed_sequence_json_exits_2(capsys, seq, field):
+    rc, out, err = run(capsys, ["radii", "--seq", seq])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and f"'{field}'" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_json_output_writes_non_finite_as_null(capsys):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    seq = json.dumps({"kind": "table", "values": ["1"]})
+    rc, out, _ = run(capsys, ["radii", "--format", "json", "--seq", seq])
+    assert rc == 0
+    data = json.loads(out, parse_constant=reject)
+    assert data["R_a"] is None and data["R_ap"] is None
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -291,5 +315,14 @@ def test_global_seed_flag_is_accepted(capsys):
 
 def test_installed_entry_point_runs():
     proc = subprocess.run(["sedenion", "radii"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == "R_a=2 R_a^p=3 witness=e10"
+
+
+def test_python_m_sedenion_runs():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "sedenion", "radii"],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "R_a=2 R_a^p=3 witness=e10"

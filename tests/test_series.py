@@ -401,6 +401,15 @@ def test_domain_report_cases_and_caching():
     assert domain_report(center(), table).approximate
 
 
+def test_domain_report_cache_stays_bounded():
+    a = GeometricSum.of([("1", 2.0)])
+    maxsize = domain_report.cache_parameters()["maxsize"]
+    for k in range(2 * maxsize):
+        rep = domain_report(wpoint_from(1.0, 1.0 + k / maxsize, E1), a)
+        assert domain_report.cache_info().currsize <= maxsize
+    assert domain_report(wpoint_from(1.0, 1.0 + k / maxsize, E1), a) is rep
+
+
 def test_sigma_ball_membership_fixtures():
     p = center()
     q_in = wpoint_from(0.0, 1.8, E10)       # dists 0.8 and 2.8
