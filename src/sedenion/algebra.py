@@ -574,11 +574,18 @@ def element_to_json(a: CDElement) -> list[float]:
 
 
 def element_from_json(data) -> CDElement:
-    """Accept sedenion text or a coefficient array (length a power of two <= 16)."""
+    """Accept sedenion text or a coefficient array (length a power of two <= 16).
+
+    Array coefficients must be finite: JSON input may spell NaN or Infinity,
+    and one such coordinate would poison every radius, distance and sum.
+    """
     if isinstance(data, str):
         return parse_element(data)
     if isinstance(data, (list, tuple)):
-        return CDElement([float(v) for v in data])
+        values = [float(v) for v in data]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"coefficients must be finite: {values}")
+        return CDElement(values)
     raise ValueError(f"cannot build an element from {type(data).__name__}")
 
 

@@ -35,10 +35,9 @@ from .zerodiv import (
 )
 from .slices import (
     SliceUnit,
+    axis_sign,
     cker_curve_point,
     cker_membership,
-    find_companion,
-    hyper_solution,
     iota_frame,
     is_hyper_solution,
     from_polar,
@@ -47,16 +46,17 @@ from .slices import (
     wpoint_from,
 )
 from .series import (
-    Membership,
     convergence_scan,
     demo_sequence,
     domain_contains,
     domain_report,
     evaluate_series,
+    radius_RapJ,
     seq_from_json,
 )
 
-DEFAULT_SEED = 20210
+# Most points a scan or figure grid may request; checked before the grid is built.
+_MAX_GRID_POINTS = 10**6
 
 
 def _fmt(x: float) -> str:
@@ -65,6 +65,12 @@ def _fmt(x: float) -> str:
 
 def _coeff_list(vec) -> list[float]:
     return [float(v) for v in np.asarray(vec, dtype=float)]
+
+
+def _check_grid_size(points: float) -> None:
+    if points > _MAX_GRID_POINTS:
+        raise ValueError(f"grid of {points:.3g} points exceeds the limit "
+                         f"of {_MAX_GRID_POINTS}")
 
 
 def _load_seq(args):
@@ -292,8 +298,7 @@ def _default_slices(p, a) -> list[tuple[str, SliceUnit]]:
     out.append((format_element((-k).s), -k))
     for name in ("e3", "e2", "e5", "e4", "e6"):
         cand = SliceUnit(name)
-        taken = any(np.allclose(cand.s.coeffs, s.s.coeffs) or
-                    np.allclose(cand.s.coeffs, -s.s.coeffs) for _, s in out)
+        taken = any(axis_sign(cand, s) for _, s in out)
         if not taken and not cker_membership(cand, axis, k):
             out.append((name, cand))
             break
@@ -305,14 +310,20 @@ def _parse_slices(arg: str) -> list[tuple[str, SliceUnit]]:
 
 
 def cmd_scan(args) -> int:
+    if not all(map(math.isfinite, (args.rmin, args.rmax, args.rstep))):
+        raise ValueError("--rmin, --rmax and --rstep must be finite")
+    if args.rstep <= 0:
+        raise ValueError("--rstep wants a positive step")
     p = wpoint(args.center)
     a = _load_seq(args)
     slices = _parse_slices(args.slices) if args.slices else _default_slices(p, a)
-    nsteps = int(round((args.rmax - args.rmin) / args.rstep))
-    radial = [round(args.rmin + k * args.rstep, 12) for k in range(nsteps + 1)]
-    radial = [r for r in radial if r > 0]
     angular = [float(t) for t in args.thetas.split(",")] if args.thetas \
         else [math.pi / 2]
+    steps = (args.rmax - args.rmin) / args.rstep
+    _check_grid_size((steps + 1) * len(angular) * len(slices))
+    nsteps = int(round(steps))
+    radial = [round(args.rmin + k * args.rstep, 12) for k in range(nsteps + 1)]
+    radial = [r for r in radial if r > 0]
     lines = ["slice,theta,re,im,predicted,empirical,terms_used,tail_norm"]
     scored = agreed = 0
     summaries = []
@@ -429,7 +440,6 @@ def _panel_svg(ox: float, oy: float, size: float, label: str,
 
 
 def _figure_svg(p, a, slices) -> str:
-    from .series import _radius_RapJ_cached, radius_Ra
     rep = domain_report(p, a)
     size, gap = 300.0, 14.0
     cols = min(2, len(slices)) if len(slices) > 1 else 1
@@ -438,25 +448,26 @@ def _figure_svg(p, a, slices) -> str:
     h = rows * size + (rows + 1) * gap
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" '
              f'height="{h:.0f}" viewBox="0 0 {w:.0f} {h:.0f}">']
-    same_axis = lambda u, v: (np.max(np.abs(u.s.coeffs - v.s.coeffs)) <= 1e-9
-                              or np.max(np.abs(u.s.coeffs + v.s.coeffs)) <= 1e-9)
     for idx, (name, sl) in enumerate(slices):
         ox = gap + (idx % cols) * (size + gap)
         oy = gap + (idx // cols) * (size + gap)
-        center_plane = p.is_real or same_axis(sl, p.axis)
+        center_plane = p.is_real or axis_sign(sl, p.axis) != 0
         if center_plane:
             r1, r2 = rep.r_a, math.inf
         else:
-            r1, r2 = rep.r_a, _radius_RapJ_cached(a, p, sl)
+            r1, r2 = rep.r_a, radius_RapJ(a, p, sl)
         parts += _panel_svg(ox, oy, size, f"slice {name}", r1, r2, center_plane)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
 def cmd_figure(args) -> int:
+    if args.n < 1:
+        raise ValueError("--n wants a positive grid size")
     p = wpoint(args.center)
     a = _load_seq(args)
     slices = _parse_slices(args.slices) if args.slices else _default_slices(p, a)
+    _check_grid_size(args.n * args.n * len(slices))
     outdir = args.out if args.out else _outdir()
     os.makedirs(outdir, exist_ok=True)
     written = []
@@ -488,9 +499,8 @@ def _add_format(sp, choices=("csv", "json")):
 
 def _add_seq(sp):
     sp.add_argument("--center", default="e1", help="series center, element text")
-    sp.add_argument("--seq", help="coefficient sequence: JSON file path or inline JSON")
-    sp.add_argument("--demo", action="store_true",
-                    help="use the bundled two-ratio example sequence")
+    sp.add_argument("--seq", help="coefficient sequence: JSON file path or inline JSON "
+                                  "(default: the bundled two-ratio example)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,8 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sedenion",
         description="Sedenion arithmetic, zero-divisor geometry, and "
                     "star-series convergence domains.")
-    ap.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                    help="seed for any randomized helpers (fixed default)")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("table", help="print or verify the multiplication table")

@@ -36,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -57,6 +57,7 @@ from .slices import (
     WPoint,
     find_companion,
     HyperSolution,
+    axis_sign,
     cker_membership,
     same_unit,
     wpoint_from,
@@ -81,7 +82,6 @@ __all__ = [
     "radius_Ra",
     "radius_RapJ",
     "radius_Rap",
-    "radius_Rap_with_candidates",
     "domain_report",
     "sigma_contains",
     "hyper_sigma_contains",
@@ -92,9 +92,6 @@ __all__ = [
     "seq_to_json",
     "demo_sequence",
 ]
-
-_ZERO16 = tuple([0.0] * DIM)
-
 
 def _coeff_key(c) -> tuple[float, ...]:
     return parse_any(c).key
@@ -353,11 +350,12 @@ def _perp_size(vec: NDArray[np.float64], ker: Subspace) -> float:
 def radius_RapJ(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
     """Directional radius 1 / limsup dist(a_l, ker(I_p - J))^(1/l).
 
-    Equals R_a when p is real or J is the center axis; otherwise only the
-    coefficient components perpendicular to ker(I_p - J) count, so it can
-    only be larger (+inf when every coefficient sits inside the kernel).
+    Equals R_a when p is real or J = +-I_p (ker(I_p - J) is then trivial);
+    otherwise only the coefficient components perpendicular to
+    ker(I_p - J) count, so it can only be larger (+inf when every
+    coefficient sits inside the kernel).
     """
-    if p.is_real or same_unit(j, p.axis):
+    if p.is_real or axis_sign(j, p.axis):
         return radius_Ra(a)
     ker = kernel_of_left_mult(p.axis.s - j.s)
     if isinstance(a, (GeometricSum, Lacunary)):
@@ -379,7 +377,8 @@ def _radius_RapJ_cached(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
     return radius_RapJ(a, p, j)
 
 
-def radius_Rap(a: SeqSpec, p: WPoint) -> tuple[float, SliceUnit | None]:
+def radius_Rap(a: SeqSpec, p: WPoint,
+               extra_candidates: Sequence[SliceUnit] = ()) -> tuple[float, SliceUnit | None]:
     """The supremum radius R_a^p over companion slice units, with a witness.
 
     The value set {R_a^{p,K}} has at most two elements {R_a, R_a^p}, and a
@@ -390,20 +389,10 @@ def radius_Rap(a: SeqSpec, p: WPoint) -> tuple[float, SliceUnit | None]:
     companion candidates derived from every tabulated coefficient (callers
     may add candidates via `extra_candidates`) and stay estimates.
     """
-    return _radius_Rap_impl(a, p, ())
-
-
-def radius_Rap_with_candidates(a: SeqSpec, p: WPoint,
-                               extra_candidates: Sequence[SliceUnit]) -> tuple[float, SliceUnit | None]:
-    return _radius_Rap_impl(a, p, tuple(extra_candidates))
-
-
-def _radius_Rap_impl(a: SeqSpec, p: WPoint,
-                     extra: tuple[SliceUnit, ...]) -> tuple[float, SliceUnit | None]:
     ra = radius_Ra(a)
     if p.is_real:
         return ra, None
-    candidates: list[SliceUnit] = list(extra)
+    candidates: list[SliceUnit] = list(extra_candidates)
     if isinstance(a, (GeometricSum, Lacunary)):
         groups = _ratio_groups(a)
         if not groups:
@@ -498,8 +487,7 @@ def _disk_state(dist: float, radius: float, band: float) -> int:
     return 0
 
 
-def _classify(states: Iterable[int]) -> Membership:
-    states = list(states)
+def _classify(states: list[int]) -> Membership:
     if any(s > 0 for s in states):
         return Membership.EXTERIOR
     if all(s < 0 for s in states):
@@ -507,41 +495,45 @@ def _classify(states: Iterable[int]) -> Membership:
     return Membership.BOUNDARY
 
 
+def _slice_membership(q: WPoint, p: WPoint, r_a: float,
+                      reflected: Callable[[SliceUnit], float],
+                      band: float) -> Membership:
+    """The two-disk rule on the slice of q.
+
+    On the center plane of p (q or p real, or I_q = +-I_p) only the disk
+    |q - p| < r_a counts.  On any other slice J = I_q the direct disk
+    |z_q - z_p| < r_a and the reflected disk |z_q - conj(z_p)| <
+    reflected(J) must both hold; `reflected` is called only there.
+    """
+    if q.is_real or p.is_real or axis_sign(q.axis, p.axis):
+        dist = float(np.linalg.norm(q.value.coeffs - p.value.coeffs))
+        return _classify([_disk_state(dist, r_a, band)])
+    zq, zp = q.z, p.z
+    return _classify([_disk_state(abs(zq - zp), r_a, band),
+                      _disk_state(abs(zq - zp.conjugate()), reflected(q.axis), band)])
+
+
 def sigma_contains(q: WPoint, p: WPoint, r: float) -> bool:
     """Membership of q in the sigma-ball of radius r around p.
 
-    Slice-wise: on the center slice (same oriented axis, or a real q or p)
-    the single disk |z_q - z_p| < r decides; any other slice needs both the
-    direct and the reflected disk.  Centers always belong (r = 0 included).
+    The two-disk rule with reflected radius r on every slice.  Centers
+    always belong (r = 0 included).
     """
-    band = 0.0
-    zq, zp = q.z, p.z
-    if q.is_real or p.is_real or same_unit(q.axis, p.axis):
-        return _disk_state(abs(zq - zp), r, band) < 0
-    s1 = _disk_state(abs(zq - zp), r, band)
-    s2 = _disk_state(abs(zq - zp.conjugate()), r, band)
-    return s1 < 0 and s2 < 0
+    return _slice_membership(q, p, r, lambda j: r, 0.0) is Membership.INTERIOR
 
 
 def hyper_sigma_contains(q: WPoint, p: WPoint, r: float, j: HyperSolution) -> bool:
     """Membership of q in the hyper-sigma-ball of radius r for the pair J.
 
-    The center must sit on the slice of J.j1.  On slices whose (oriented)
-    axis lies on the kernel curve of J the reflected disk is waived; all
-    other slices behave as in the plain sigma-ball.
+    The center must sit on the slice of J.j1 (a real center sits on I0).
+    The two-disk rule with reflected radius r, waived (+inf) on slices whose
+    axis lies on the kernel curve of J.
     """
-    if not p.is_real and not same_unit(p.axis, j.j1):
+    if not same_unit(p.axis, j.j1):
         raise ValueError("hyper-sigma-ball center must lie on the slice of j1")
-    if p.is_real and not same_unit(I0, j.j1):
-        raise ValueError("hyper-sigma-ball center must lie on the slice of j1")
-    zq, zp = q.z, p.z
-    if q.is_real or p.is_real or same_unit(q.axis, p.axis):
-        return _disk_state(abs(zq - zp), r, 0.0) < 0
-    if cker_membership(q.axis, j.j1, j.j2):
-        return _disk_state(abs(zq - zp), r, 0.0) < 0
-    s1 = _disk_state(abs(zq - zp), r, 0.0)
-    s2 = _disk_state(abs(zq - zp.conjugate()), r, 0.0)
-    return s1 < 0 and s2 < 0
+    return _slice_membership(
+        q, p, r, lambda k: math.inf if cker_membership(k, j.j1, j.j2) else r,
+        0.0) is Membership.INTERIOR
 
 
 def domain_contains(q: WPoint, p: WPoint, a: SeqSpec,
@@ -550,24 +542,12 @@ def domain_contains(q: WPoint, p: WPoint, a: SeqSpec,
 
     Interior / Exterior are strict calls with margin `band`; anything within
     the band of a radius equality is Boundary (the series behavior there is
-    not decided by the radii).  On the center plane (either half) only the
-    R_a disk applies; elsewhere the R_a disk and the reflected disk of the
-    directional radius R_a^{p,I_q} must both pass.
+    not decided by the radii).  The two-disk rule with radius R_a and, off
+    the center plane, reflected radius R_a^{p,I_q}.
     """
     rep = domain_report(p, a)
-    if q.key == p.key:
-        return Membership.INTERIOR if rep.r_a > 0.0 else Membership.BOUNDARY
-    on_center_plane = (
-        q.is_real or p.is_real or same_unit(q.axis, p.axis)
-        or float(np.max(np.abs(q.axis.s.coeffs + p.axis.s.coeffs))) <= 1e-9)
-    if on_center_plane:
-        dist = float(np.linalg.norm(q.value.coeffs - p.value.coeffs))
-        return _classify([_disk_state(dist, rep.r_a, band)])
-    zq, zp = q.z, p.z
-    s1 = _disk_state(abs(zq - zp), rep.r_a, band)
-    rj = _radius_RapJ_cached(a, p, q.axis)
-    s2 = _disk_state(abs(zq - zp.conjugate()), rj, band)
-    return _classify([s1, s2])
+    return _slice_membership(q, p, rep.r_a,
+                             functools.partial(_radius_RapJ_cached, a, p), band)
 
 
 # ---------------------------------------------------------------------------
@@ -592,16 +572,6 @@ class EvalReport:
 
 _WINDOW = 50
 _BLOWUP = 1e6
-
-
-def _effective_axes(q: WPoint, p: WPoint) -> tuple[SliceUnit, SliceUnit]:
-    if p.is_real and q.is_real:
-        return I0, I0
-    if p.is_real:
-        return q.axis, q.axis
-    if q.is_real:
-        return p.axis, p.axis
-    return q.axis, p.axis
 
 
 def _channel_images(op, v0, v1):
@@ -700,15 +670,15 @@ def evaluate_series(q: WPoint, p: WPoint, a: SeqSpec,
         return EvalReport(partial_sum=CDElement(a0), terms_used=1,
                           verdict=Verdict.CONVERGED, tail_norm=0.0)
 
-    axis_q, axis_p = _effective_axes(q, p)
-    mp = axis_p.matrix
-    if same_unit(axis_q, axis_p):
+    # complex powers act through the center axis, or through I_q for a real p
+    mp = (q.axis if p.is_real else p.axis).matrix
+    sign = 1 if q.is_real or p.is_real else axis_sign(q.axis, p.axis)
+    if sign > 0:
         c_plus, c_minus = "id", None
-    elif float(np.max(np.abs(axis_q.s.coeffs + axis_p.s.coeffs))) <= 1e-9:
+    elif sign < 0:
         c_plus, c_minus = None, "id"
     else:
-        mq = axis_q.matrix
-        prod = mq @ mp
+        prod = q.axis.matrix @ mp
         c_plus = (np.eye(DIM) - prod) / 2.0
         c_minus = (np.eye(DIM) + prod) / 2.0
 

@@ -40,7 +40,7 @@ from .algebra import (
     left_mult_matrix,
     parse_any,
 )
-from .zerodiv import Subspace, is_zero_divisor, kernel_of_left_mult
+from .zerodiv import is_zero_divisor, kernel_of_left_mult
 
 __all__ = [
     "SliceUnit",
@@ -63,6 +63,7 @@ __all__ = [
     "wpoint",
     "wpoint_from",
     "same_unit",
+    "axis_sign",
 ]
 
 _DEGENERATE = 1e-12
@@ -156,12 +157,22 @@ class SliceUnit:
 
 I0 = SliceUnit(basis(1, level=MAX_LEVEL))
 
-_E8 = basis(8, level=MAX_LEVEL)
-
 
 def same_unit(a: SliceUnit, b: SliceUnit, tol: float = _EQ_TOL) -> bool:
     """Equality of slice units as points of the unit sphere, within tol."""
     return bool(np.max(np.abs(a.s.coeffs - b.s.coeffs)) <= tol)
+
+
+def axis_sign(u: SliceUnit, v: SliceUnit) -> int:
+    """+1 when u = v, -1 when u = -v, 0 otherwise (coefficients within _EQ_TOL).
+
+    A nonzero sign means u and v span the same complex plane C_u = C_v.
+    """
+    if same_unit(u, v):
+        return 1
+    if np.max(np.abs(u.s.coeffs + v.s.coeffs)) <= _EQ_TOL:
+        return -1
+    return 0
 
 
 def polar(i: CDElement | SliceUnit) -> tuple[float, float, CDElement]:

@@ -20,7 +20,7 @@ d_neg_eq / d_pm used by the series module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 from numpy.typing import NDArray

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -309,9 +310,67 @@ def test_unknown_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_global_seed_flag_is_accepted(capsys):
-    rc, out, _ = run(capsys, ["--seed", "7", "table", "--verify"])
-    assert rc == 0 and out.startswith("256/256")
+@pytest.mark.parametrize("argv", [
+    ["--seed", "7", "table", "--verify"],
+    ["radii", "--demo"],
+], ids=["seed", "demo"])
+def test_removed_seed_and_demo_flags_exit_2(capsys, argv):
+    # Neither flag did anything: no handler read the seed, and the demo
+    # sequence is what radii, contains, eval, scan and figure use without --seq.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["contains", "--center", "[NaN,1]", "1.5e1"],
+    ["contains", "--center", "[Infinity,1]", "1.5e1"],
+    ["contains", "[NaN,1]"],
+    ["contains", "[Infinity,1]"],
+    ["eval", "--center", "[NaN,1]", "1.5e1"],
+    ["eval", "--center", "[Infinity,1]", "1.5e1"],
+    ["eval", "[NaN,1]"],
+    ["eval", "[Infinity,1]"],
+    ["radii", "--seq", '{"kind": "lacunary", "coeff": [NaN, 1], "ratio": 2}'],
+], ids=["contains-center-nan", "contains-center-inf", "contains-q-nan",
+        "contains-q-inf", "eval-center-nan", "eval-center-inf", "eval-q-nan",
+        "eval-q-inf", "seq-coeff-nan"])
+def test_non_finite_coordinates_exit_2(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: coefficients must be finite")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_figure_n_below_1_exits_2(capsys, tmp_path, n):
+    rc, out, err = run(capsys, ["figure", "--n", n, "--out", str(tmp_path)])
+    assert (rc, out) == (2, "")
+    assert err == "error: --n wants a positive grid size\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--rstep", "1e-6", "--rmax", "1e6"], "exceeds the limit"),
+    (["figure", "--n", "1001", "--slices", "e10"], "exceeds the limit"),
+    (["scan", "--rstep", "0"], "--rstep wants a positive step"),
+    (["scan", "--rstep", "-0.2"], "--rstep wants a positive step"),
+    (["scan", "--rmin", "nan"], "must be finite"),
+    (["scan", "--rmax", "inf"], "must be finite"),
+    (["scan", "--rstep", "inf"], "must be finite"),
+], ids=["scan-too-many-points", "figure-too-many-points", "scan-zero-step",
+        "scan-negative-step", "scan-nan-rmin", "scan-inf-rmax", "scan-inf-step"])
+def test_bad_grids_exit_2_before_any_work(capsys, tmp_path, monkeypatch, argv, message):
+    # The grid is refused from its requested size, so even the 4e12-point
+    # scan returns at once and nothing is written.
+    monkeypatch.setenv("SEDENION_OUTDIR", str(tmp_path))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 5.0
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def write_console_script(bin_dir, name):

@@ -33,7 +33,6 @@ from sedenion import (
     radius_Ra,
     radius_RapJ,
     radius_Rap,
-    radius_Rap_with_candidates,
     seq_from_json,
     seq_to_json,
     sigma_contains,
@@ -370,7 +369,7 @@ def test_extra_candidates_recover_the_witness_for_tables():
     demo = demo_sequence()
     table = TableSeq.of([CDElement(demo.term(ell)) for ell in range(40)])
     base, _ = radius_Rap(table, center())
-    rap, witness = radius_Rap_with_candidates(table, center(), [E10])
+    rap, witness = radius_Rap(table, center(), extra_candidates=[E10])
     assert rap >= base
     assert abs(rap - 3.0) < 0.05
     assert witness == E10

@@ -8,6 +8,7 @@ from sedenion import (
     HyperSolution,
     I0,
     SliceUnit,
+    axis_sign,
     basis,
     cd_mul,
     cker_curve_point,
@@ -121,6 +122,26 @@ def test_slice_unit_negation_and_equality():
     assert (-s).s == -s.s
     assert same_unit(s, s)
     assert not same_unit(s, -s)
+
+
+def _e1_tilted(eps):
+    """e1 turned toward e2 by eps, renormalised (still a slice unit)."""
+    v = np.zeros(16)
+    v[1], v[2] = 1.0, eps
+    return SliceUnit(CDElement(v / np.linalg.norm(v)))
+
+
+@pytest.mark.parametrize("u, v, sign", [
+    (SliceUnit("e1"), SliceUnit("e1"), 1),
+    (SliceUnit("e1"), -SliceUnit("e1"), -1),
+    (SliceUnit("e1"), SliceUnit("e10"), 0),
+    (_e1_tilted(5e-10), SliceUnit("e1"), 1),
+    (_e1_tilted(2e-9), SliceUnit("e1"), 0),
+], ids=["same", "opposite", "other", "tilt-inside-tol", "tilt-beyond-tol"])
+def test_axis_sign(u, v, sign):
+    assert axis_sign(u, v) == sign
+    assert axis_sign(v, u) == sign
+    assert axis_sign(u, -v) == -sign
 
 
 # --- hyper pairs -----------------------------------------------------------------
