@@ -505,7 +505,8 @@ def parse_element(text: str) -> CDElement:
     """Parse sedenion text like `e1-e10`, `0.5+2e4`, or `-3`.
 
     The result uses the smallest level containing every mentioned basis
-    element.  Raises ValueError on malformed input.
+    element.  Raises ValueError on malformed input and on a numeral (or a
+    sum of terms) beyond the float range.
     """
     if isinstance(text, CDElement):
         return text
@@ -528,7 +529,10 @@ def parse_element(text: str) -> CDElement:
         k = int(idx) if idx is not None else 0
         if k >= DIM:
             raise ValueError(f"basis index out of range in {text!r}: e{k}")
-        coeffs[k] += value
+        total = float(coeffs[k]) + value
+        if not math.isfinite(total):
+            raise ValueError(f"number out of the float range: {m.group(0).strip()!r}")
+        coeffs[k] = total
         pos = m.end()
         first = False
     top = int(np.max(np.nonzero(coeffs)[0])) if np.any(coeffs) else 0

@@ -314,11 +314,13 @@ def cmd_scan(args) -> int:
         raise ValueError("--rmin, --rmax and --rstep must be finite")
     if args.rstep <= 0:
         raise ValueError("--rstep wants a positive step")
+    angular = [float(t) for t in args.thetas.split(",")] if args.thetas \
+        else [math.pi / 2]
+    if not all(map(math.isfinite, angular)):
+        raise ValueError("--thetas must be finite")
     p = wpoint(args.center)
     a = _load_seq(args)
     slices = _parse_slices(args.slices) if args.slices else _default_slices(p, a)
-    angular = [float(t) for t in args.thetas.split(",")] if args.thetas \
-        else [math.pi / 2]
     steps = (args.rmax - args.rmin) / args.rstep
     _check_grid_size((steps + 1) * len(angular) * len(slices))
     nsteps = int(round(steps))
@@ -464,6 +466,8 @@ def _figure_svg(p, a, slices) -> str:
 def cmd_figure(args) -> int:
     if args.n < 1:
         raise ValueError("--n wants a positive grid size")
+    if not math.isfinite(args.rmax):
+        raise ValueError("--rmax must be finite")
     p = wpoint(args.center)
     a = _load_seq(args)
     slices = _parse_slices(args.slices) if args.slices else _default_slices(p, a)

@@ -559,8 +559,8 @@ def domain_contains(q: WPoint, p: WPoint, a: SeqSpec,
 class EvalReport:
     """Partial sum with a convergence verdict.
 
-    `tail_norm` is the largest term norm inside the final 50-term window
-    (0.0 when fewer terms were computed), the quantity the Converged
+    `tail_norm` is the largest term norm inside the final window of at most
+    50 terms (0.0 when q is the center), the quantity the Converged
     criterion compares against tol.
     """
 
@@ -572,6 +572,10 @@ class EvalReport:
 
 _WINDOW = 50
 _BLOWUP = 1e6
+# Terms per block: large enough that numpy's per-call cost is spread over many
+# terms, small enough that a point converging after a few dozen terms wastes
+# little work past its stopping index.
+_BLOCK = 64
 
 
 def _channel_images(op, v0, v1):
@@ -593,45 +597,100 @@ def _channel_images(op, v0, v1):
     return out
 
 
-def _geometric_terms(groups, mp, c_plus, c_minus, step_p, step_m):
-    comps = []
+def _matvecs(m, rows):
+    """m @ row for every row, with the rounding of one matrix-vector product each."""
+    return np.matmul(m, rows[:, :, None])[:, :, 0]
+
+
+def _power_blocks(steps, max_terms):
+    """Blocks of zeta_l = step^l, one column per step, for l < max_terms.
+
+    Each power is the previous one times its step, in order, so every entry
+    carries the rounding of the repeated product 1 * step * step * ...
+    """
+    zetas = np.ones(len(steps), dtype=complex)
+    for start in range(0, max_terms, _BLOCK):
+        n = min(_BLOCK, max_terms - start)
+        chain = np.empty((n + 1, len(steps)), dtype=complex)
+        chain[0] = zetas
+        chain[1:] = steps
+        chain = np.multiply.accumulate(chain, axis=0)
+        zetas = chain[n]
+        yield chain[:n]
+
+
+def _geometric_blocks(groups, mp, c_plus, c_minus, step_p, step_m, max_terms):
+    """Term blocks of a geometric sum: fixed channel images times complex powers."""
+    steps, images = [], []
     for ratio, coeff in groups:
         v0 = np.asarray(coeff, dtype=float)
         v1 = mp @ v0
-        images = (_channel_images(c_plus, v0, v1)
-                  + _channel_images(c_minus, v0, v1))
-        comps.append((step_p / ratio, step_m / ratio, images))
-    zetas = [[1.0 + 0.0j, 1.0 + 0.0j] for _ in comps]
-    while True:
-        term = np.zeros(DIM)
-        for (sp, sm, images), zs in zip(comps, zetas):
-            for zeta, re_img, im_img in ((zs[0], images[0], images[1]),
-                                         (zs[1], images[2], images[3])):
-                if re_img is not None:
-                    term += zeta.real * re_img
-                if im_img is not None:
-                    term += zeta.imag * im_img
-            zs[0] *= sp
-            zs[1] *= sm
-        yield term
+        for op, step in ((c_plus, step_p), (c_minus, step_m)):
+            re_img, im_img = _channel_images(op, v0, v1)
+            if re_img is not None or im_img is not None:
+                steps.append(step / ratio)
+                images.append((re_img, im_img))
+    for zetas in _power_blocks(steps, max_terms):
+        block = np.zeros((len(zetas), DIM))
+        for zeta, (re_img, im_img) in zip(zetas.T, images):
+            if re_img is not None:
+                block += zeta.real[:, None] * re_img
+            if im_img is not None:
+                block += zeta.imag[:, None] * im_img
+        yield block
 
 
-def _generic_terms(a, mp, c_plus, c_minus, step_p, step_m):
-    zeta_p = 1.0 + 0.0j
-    zeta_m = 1.0 + 0.0j
-    ell = 0
-    while True:
-        avec = a.term(ell)
-        term = np.zeros(DIM)
-        for op, zeta in ((c_plus, zeta_p), (c_minus, zeta_m)):
-            if op is None:
-                continue
-            chan = zeta.real * avec + zeta.imag * (mp @ avec)
-            term += chan if isinstance(op, str) else op @ chan
-        zeta_p *= step_p
-        zeta_m *= step_m
-        ell += 1
-        yield term
+def _generic_blocks(a, mp, c_plus, c_minus, step_p, step_m, max_terms):
+    """Term blocks of any sequence, from its coefficients a.term(l).
+
+    A coefficient that raises ends its block just before it; the error
+    surfaces only when the caller asks for the next block, that is, only
+    when summation actually reaches that term.
+    """
+    live = [(op, step) for op, step in ((c_plus, step_p), (c_minus, step_m))
+            if op is not None]
+    start = 0
+    for zetas in _power_blocks([step for _, step in live], max_terms):
+        rows, error = [], None
+        for ell in range(start, start + len(zetas)):
+            try:
+                rows.append(a.term(ell))
+            except ArithmeticError as exc:  # raised once the sum gets here
+                error = exc
+                break
+        start += len(zetas)
+        if rows:
+            coeffs = np.array(rows)
+            rotated = _matvecs(mp, coeffs)
+            block = np.zeros((len(rows), DIM))
+            for (op, _), zeta in zip(live, zetas[:len(rows)].T):
+                chan = zeta.real[:, None] * coeffs + zeta.imag[:, None] * rotated
+                block += chan if isinstance(op, str) else _matvecs(op, chan)
+            yield block
+        if error is not None:
+            raise error
+
+
+def _block_stop(norms, quiet, tol):
+    """The first stopping index in a block of term norms, with its verdict.
+
+    Diverged at a norm that is non-finite or above _BLOWUP; Converged at the
+    norm that completes _WINDOW nonzero norms in a row below tol, counting
+    on from the `quiet` run the previous block ended with (exact zeros
+    neither reset nor advance the run).  Returns (index, verdict, run), with
+    index None, Undetermined and the run at the end of the block when
+    nothing stops.
+    """
+    blown = ~np.isfinite(norms) | (norms > _BLOWUP)
+    loud = norms >= tol
+    soft = np.cumsum(~loud & (norms > 0.0))
+    last_loud = np.maximum.accumulate(np.where(loud, np.arange(len(norms)), -1))
+    runs = soft - np.where(last_loud >= 0, soft[last_loud], -quiet)
+    hits = np.flatnonzero(blown | (runs >= _WINDOW))
+    if hits.size == 0:
+        return None, Verdict.UNDETERMINED, int(runs[-1])
+    i = int(hits[0])
+    return i, Verdict.DIVERGED if blown[i] else Verdict.CONVERGED, 0
 
 
 def evaluate_series(q: WPoint, p: WPoint, a: SeqSpec,
@@ -649,19 +708,28 @@ def evaluate_series(q: WPoint, p: WPoint, a: SeqSpec,
     1e-16-sized operator times a geometrically growing power would otherwise
     poison the sum.
 
+    Terms are produced 64 at a time as one (64, 16) array: the complex
+    powers of a block come from one running product, the term norms and the
+    stopping test are array operations over the block, and the partial sum
+    adds the block's terms in order up to the stopping index.  Every number
+    carries the same rounding as adding one term at a time.  Terms computed
+    past the stop are dropped unreported, and no floating-point warning
+    escapes: a non-finite term is the Diverged verdict.
+
     Geometric sums get a structured path: each ratio group has a constant
     coefficient direction, so the four channel images (C_pm of the
     coefficient and of its I_p rotation) are computed once per group, and an
     image below 1e-13 of its input is a formally-dead direction seen through
     rounding (every kernel-curve slice produces these) and is dropped, so
-    the dust cannot ride a growing complex power.  Other sequences go
-    through a generic term loop without that filter.
+    the dust cannot ride a growing complex power.  Other sequences build
+    their blocks from a.term(l) without that filter; a coefficient that
+    cannot be computed raises only if summation reaches it.
 
     Verdicts: Converged once 50 nonzero term norms in a row stay below tol
     (summation stops there; exactly-zero terms neither reset nor advance the
     count, so gap sequences cannot fake a quiet stretch); Diverged when a
-    term norm passes 1e6, or when the final window sits above 1 without
-    decreasing; else Undetermined.
+    term norm passes 1e6 or is not finite, or when the final window sits
+    above 1 without decreasing; else Undetermined.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
@@ -686,43 +754,35 @@ def evaluate_series(q: WPoint, p: WPoint, a: SeqSpec,
     step_p = w - z
     step_m = w.conjugate() - z
     if isinstance(a, GeometricSum):
-        terms_iter = _geometric_terms(_ratio_groups(a), mp, c_plus, c_minus,
-                                      step_p, step_m)
+        blocks = _geometric_blocks(_ratio_groups(a), mp, c_plus, c_minus,
+                                   step_p, step_m, max_terms)
     else:
-        terms_iter = _generic_terms(a, mp, c_plus, c_minus, step_p, step_m)
+        blocks = _generic_blocks(a, mp, c_plus, c_minus, step_p, step_m,
+                                 max_terms)
 
     total = np.zeros(DIM)
-    window: list[float] = []
-    verdict = Verdict.UNDETERMINED
-    terms = 0
-    quiet = 0
-    for ell in range(max_terms):
-        term = next(terms_iter)
-        total += term
-        terms = ell + 1
-        tn = float(np.linalg.norm(term))
-        window.append(tn)
-        if len(window) > _WINDOW:
-            window.pop(0)
-        if not math.isfinite(tn) or tn > _BLOWUP:
-            verdict = Verdict.DIVERGED
-            break
-        if tn >= tol:
-            quiet = 0
-        elif tn > 0.0:
-            quiet += 1
-        if quiet >= _WINDOW:
+    window = np.zeros(0)  # the last _WINDOW term norms
+    terms = quiet = 0
+    stop, verdict = None, Verdict.UNDETERMINED
+    with np.errstate(all="ignore"):
+        for block in blocks:
+            norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None]))[:, 0, 0]
+            stop, verdict, quiet = _block_stop(norms, quiet, tol)
+            used = len(block) if stop is None else stop + 1
+            total = np.add.accumulate(np.vstack((total, block[:used])))[-1]
+            window = np.concatenate((window, norms[:used]))[-_WINDOW:]
+            terms += used
+            if stop is not None:
+                break
+    tail = window.tolist()
+    if stop is None:
+        if max(tail) < tol:
             verdict = Verdict.CONVERGED
-            break
-    else:
-        if window and max(window) < tol:
-            verdict = Verdict.CONVERGED
-        elif (len(window) == _WINDOW and min(window) > 1.0
-              and window[-1] >= window[0]):
+        elif len(tail) == _WINDOW and min(tail) > 1.0 and tail[-1] >= tail[0]:
             verdict = Verdict.DIVERGED
 
     return EvalReport(partial_sum=CDElement(total), terms_used=terms,
-                      verdict=verdict, tail_norm=max(window) if window else 0.0)
+                      verdict=verdict, tail_norm=max(tail))
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,17 @@ def test_parse_rejects_malformed_text(bad):
         parse_element(bad)
 
 
+@pytest.mark.parametrize("text, token", [
+    ("9" * 400, "9" * 400),
+    ("e1-" + "9" * 400 + "e2", "-" + "9" * 400 + "e2"),
+    ("1" + "0" * 308 + "+1" + "0" * 308, "+1" + "0" * 308),
+], ids=["numeral", "basis-coefficient", "sum-of-two-numerals"])
+def test_parse_rejects_numbers_beyond_the_float_range(text, token):
+    with pytest.raises(ValueError, match="out of the float range") as exc:
+        parse_element(text)
+    assert repr(token) in str(exc.value)
+
+
 def test_format_examples():
     assert format_element(zero(4)) == "0"
     assert format_element(parse_element("e1-e10")) == "e1-e10"

@@ -342,6 +342,13 @@ def test_non_finite_coordinates_exit_2(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+def test_numeral_beyond_the_float_range_exits_2(capsys):
+    rc, out, err = run(capsys, ["mul", "9" * 400, "e1"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: number out of the float range")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_figure_n_below_1_exits_2(capsys, tmp_path, n):
     rc, out, err = run(capsys, ["figure", "--n", n, "--out", str(tmp_path)])
@@ -358,8 +365,13 @@ def test_figure_n_below_1_exits_2(capsys, tmp_path, n):
     (["scan", "--rmin", "nan"], "must be finite"),
     (["scan", "--rmax", "inf"], "must be finite"),
     (["scan", "--rstep", "inf"], "must be finite"),
+    (["scan", "--thetas", "nan"], "--thetas must be finite"),
+    (["scan", "--thetas", "0.3,inf"], "--thetas must be finite"),
+    (["figure", "--rmax", "nan", "--n", "3", "--slices", "e10"], "--rmax must be finite"),
+    (["figure", "--rmax", "inf"], "--rmax must be finite"),
 ], ids=["scan-too-many-points", "figure-too-many-points", "scan-zero-step",
-        "scan-negative-step", "scan-nan-rmin", "scan-inf-rmax", "scan-inf-step"])
+        "scan-negative-step", "scan-nan-rmin", "scan-inf-rmax", "scan-inf-step",
+        "scan-nan-theta", "scan-inf-theta", "figure-nan-rmax", "figure-inf-rmax"])
 def test_bad_grids_exit_2_before_any_work(capsys, tmp_path, monkeypatch, argv, message):
     # The grid is refused from its requested size, so even the 4e12-point
     # scan returns at once and nothing is written.

@@ -1,6 +1,8 @@
 """Radii, domain membership, star polynomials, and series evaluation."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -659,6 +661,249 @@ def test_tail_is_uniform_on_compacts_inside_the_domain(rng):
             assert rep.verdict is Verdict.CONVERGED
             assert rep.terms_used <= bound
             assert rep.tail_norm < tol
+
+
+# ---------------------------------------------------------------------------
+# block evaluation against the one-term-at-a-time loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_channel_images(op, v0, v1):
+    out = []
+    for v in (v0, v1):
+        if op is None:
+            out.append(None)
+        elif isinstance(op, str):
+            out.append(v if np.any(v) else None)
+        else:
+            image = op @ v
+            small = np.linalg.norm(image) <= 1e-13 * np.linalg.norm(v)
+            out.append(None if small else image)
+    return out
+
+
+def _reference_geometric_terms(groups, mp, c_plus, c_minus, step_p, step_m):
+    comps = []
+    for ratio, coeff in groups:
+        v0 = np.asarray(coeff, dtype=float)
+        v1 = mp @ v0
+        images = (_reference_channel_images(c_plus, v0, v1)
+                  + _reference_channel_images(c_minus, v0, v1))
+        comps.append((step_p / ratio, step_m / ratio, images))
+    zetas = [[1.0 + 0.0j, 1.0 + 0.0j] for _ in comps]
+    while True:
+        term = np.zeros(16)
+        for (sp, sm, images), zs in zip(comps, zetas):
+            for zeta, re_img, im_img in ((zs[0], images[0], images[1]),
+                                         (zs[1], images[2], images[3])):
+                if re_img is not None:
+                    term += zeta.real * re_img
+                if im_img is not None:
+                    term += zeta.imag * im_img
+            zs[0] *= sp
+            zs[1] *= sm
+        yield term
+
+
+def _reference_generic_terms(a, mp, c_plus, c_minus, step_p, step_m):
+    zeta_p = 1.0 + 0.0j
+    zeta_m = 1.0 + 0.0j
+    ell = 0
+    while True:
+        avec = a.term(ell)
+        term = np.zeros(16)
+        for op, zeta in ((c_plus, zeta_p), (c_minus, zeta_m)):
+            if op is None:
+                continue
+            chan = zeta.real * avec + zeta.imag * (mp @ avec)
+            term += chan if isinstance(op, str) else op @ chan
+        zeta_p *= step_p
+        zeta_m *= step_m
+        ell += 1
+        yield term
+
+
+def reference_evaluate(q, p, a, max_terms, tol=1e-8):
+    """evaluate_series as one numpy step per term, kept as the bitwise oracle."""
+    from sedenion.series import EvalReport, _ratio_groups
+    from sedenion.slices import axis_sign
+
+    a0 = a.term(0)
+    if q.key == p.key:
+        return EvalReport(partial_sum=CDElement(a0), terms_used=1,
+                          verdict=Verdict.CONVERGED, tail_norm=0.0)
+    mp = (q.axis if p.is_real else p.axis).matrix
+    sign = 1 if q.is_real or p.is_real else axis_sign(q.axis, p.axis)
+    if sign > 0:
+        c_plus, c_minus = "id", None
+    elif sign < 0:
+        c_plus, c_minus = None, "id"
+    else:
+        prod = q.axis.matrix @ mp
+        c_plus = (np.eye(16) - prod) / 2.0
+        c_minus = (np.eye(16) + prod) / 2.0
+    w, z = q.z, p.z
+    step_p = w - z
+    step_m = w.conjugate() - z
+    if isinstance(a, GeometricSum):
+        terms_iter = _reference_geometric_terms(_ratio_groups(a), mp, c_plus,
+                                                c_minus, step_p, step_m)
+    else:
+        terms_iter = _reference_generic_terms(a, mp, c_plus, c_minus, step_p, step_m)
+    total = np.zeros(16)
+    window = []
+    verdict = Verdict.UNDETERMINED
+    terms = 0
+    quiet = 0
+    for ell in range(max_terms):
+        term = next(terms_iter)
+        total += term
+        terms = ell + 1
+        tn = float(np.linalg.norm(term))
+        window.append(tn)
+        if len(window) > 50:
+            window.pop(0)
+        if not math.isfinite(tn) or tn > 1e6:
+            verdict = Verdict.DIVERGED
+            break
+        if tn >= tol:
+            quiet = 0
+        elif tn > 0.0:
+            quiet += 1
+        if quiet >= 50:
+            verdict = Verdict.CONVERGED
+            break
+    else:
+        if window and max(window) < tol:
+            verdict = Verdict.CONVERGED
+        elif len(window) == 50 and min(window) > 1.0 and window[-1] >= window[0]:
+            verdict = Verdict.DIVERGED
+    return EvalReport(partial_sum=CDElement(total), terms_used=terms,
+                      verdict=verdict, tail_norm=max(window) if window else 0.0)
+
+
+def _oracle_table():
+    rng = np.random.default_rng(11)
+    values = [rng.normal(size=16) * 0.8 ** k for k in range(90)]
+    for k in range(3, 90, 4):
+        values[k] = np.zeros(16)
+    return TableSeq.of(CDElement(v) for v in values)
+
+
+ORACLE_SEQUENCES = {
+    "geometric": [
+        demo_sequence(),
+        GeometricSum.of([("1", 3.0), ("-1", 3.0), ("e4+e15", 2.0), ("e1", 0.7)]),
+        GeometricSum.of([("1", 1e-300), ("e4", 2.0)]),  # term 1 overflows to inf
+    ],
+    "lacunary": [
+        Lacunary.of("e4+e15", 2.0),
+        Lacunary.of("1+e3", 0.5),
+        Lacunary.of("e4+e15", 1e-10),
+        Lacunary.of("e4+e15", 0.001),  # a_128 leaves the float range
+    ],
+    "table": [
+        _oracle_table(),
+        TableSeq.of(["0", "1", "e4+e15", "0.5e10", "0", "0.25", "e3"]),
+        TableSeq.of(CDElement(1e300 * np.eye(16)[k]) for k in range(3)),
+    ],
+}
+
+
+def _oracle_points():
+    """(center, query) pairs: aligned, anti-aligned, generic and real centers."""
+    from sedenion import basis
+
+    curve = cker_curve_point(E1, E10, 0.7)
+    generic = psi(1.1, 0.9, (basis(3, level=3), basis(5, level=3)))
+    e1 = wpoint("e1")
+    out = []
+    for p, axes in ((e1, (E1, -E1, E10, -E10, curve, SliceUnit("e3"))),
+                    (wpoint("0.5"), (E10, generic)),
+                    (wpoint_from(0.2, 0.9, curve), (curve, -curve, E10, generic))):
+        for axis in axes:
+            for re, im in ((0.3, 1.2), (-0.4, 2.9), (0.0, 1.9), (1.1, 3.6),
+                           (0.0001, 1.0), (0.0, 1e9)):
+                out.append((p, wpoint_from(p.re + re, im, axis)))
+    out.append((e1, wpoint("0.5+e1")))
+    out.append((e1, wpoint("0.0001+e1")))
+    out.append((e1, e1))
+    return out
+
+
+ORACLE_POINTS = _oracle_points()
+
+
+def _outcome(fn, *args):
+    """Every bit of an evaluation, or the type and text of what it raised."""
+    try:
+        rep = fn(*args)
+    except ArithmeticError as exc:
+        return type(exc).__name__, str(exc)
+    return (rep.partial_sum.coeffs.tobytes(), rep.terms_used, rep.verdict,
+            np.float64(rep.tail_norm).tobytes())
+
+
+@pytest.mark.parametrize("max_terms", [1, 63, 64, 65, 128, 129, 400])
+@pytest.mark.parametrize("kind", sorted(ORACLE_SEQUENCES))
+def test_block_evaluation_matches_the_term_loop_bitwise(kind, max_terms):
+    for a in ORACLE_SEQUENCES[kind]:
+        for p, q in ORACLE_POINTS:
+            with np.errstate(all="ignore"):
+                expect = _outcome(reference_evaluate, q, p, a, max_terms)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _outcome(evaluate_series, q, p, a, max_terms)
+            assert got == expect, (a, p, q)
+
+
+def test_block_oracle_cases_reach_every_outcome():
+    seen = set()
+    for seqs in ORACLE_SEQUENCES.values():
+        for a in seqs:
+            for p, q in ORACLE_POINTS:
+                with np.errstate(all="ignore"):
+                    out = _outcome(reference_evaluate, q, p, a, 400)
+                if out[0] == "OverflowError":
+                    seen.add("OverflowError")
+                    continue
+                seen.add(out[2])
+                if not np.all(np.isfinite(np.frombuffer(out[0]))):
+                    seen.add("non-finite sum")
+    assert seen == {Verdict.CONVERGED, Verdict.DIVERGED, Verdict.UNDETERMINED,
+                    "OverflowError", "non-finite sum"}
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_evaluation_memory_does_not_grow_with_max_terms():
+    p = center()
+    rep, peak = _peak_bytes(lambda: evaluate_series(
+        wpoint("1.5e1"), p, demo_sequence(), max_terms=10**12))
+    assert rep.verdict is Verdict.CONVERGED
+    assert peak < 256 * 1024
+    # exact zeros past a table never stop the sum, so it runs the full budget
+    short = TableSeq.of(["1", "e4+e15"])
+    for max_terms in (200, 50_000):
+        rep, peak = _peak_bytes(lambda: evaluate_series(
+            wpoint("0.5+e1"), p, short, max_terms=max_terms))
+        assert rep.terms_used == max_terms
+        assert peak < 256 * 1024
+
+
+def test_block_evaluation_stops_before_an_unreachable_overflow():
+    # a_32 = c * 1e320 raises OverflowError in Lacunary.term, but the sum
+    # diverges at term 1 and never asks for it
+    rep = evaluate_series(wpoint("0.5+e1"), center(), Lacunary.of("e4+e15", 1e-10))
+    assert rep.verdict is Verdict.DIVERGED
+    assert rep.terms_used == 2
 
 
 # ---------------------------------------------------------------------------
