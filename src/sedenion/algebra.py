@@ -13,14 +13,15 @@ The recursion fixes the basis labelling: e_{m + 2**n} = e_m * e_{2**n}.
 
 The recursion is the ground truth.  Every basis product is a single signed
 basis element, e_m * e_n = +-e_k, so the structure tensor is a signed
-permutation (256 nonzeros out of 16**3).  Module import runs the recursion on
-integer basis vectors once and keeps only two 16x16 index tables with their
-signs: for each m and k the n with e_m * e_n = +-e_k, and for each k and n the
-matching m.  `cd_mul`, `mul_batch` and the multiplication matrices gather
-coefficients through these tables instead of contracting a dense tensor;
-lower levels use the top-left corner of each table, which maps into itself.
-Running the recursion on Python ints keeps basis products, the
-multiplication table, and the small worked examples exact.
+permutation (256 nonzeros out of 16**3) with k = m XOR n.  Module import
+applies the recursion to basis indices (an integer sign rule, `_basis_sign`)
+and keeps only two 16x16 index tables with their signs: for each m and k the
+n with e_m * e_n = +-e_k, and for each k and n the matching m.  `cd_mul`,
+`mul_batch` and the multiplication matrices gather coefficients through these
+tables instead of contracting a dense tensor; lower levels use the top-left
+corner of each table, which maps into itself.  The recursion on coefficient
+lists (`cd_mul_recursive`) is kept as the reference path; on Python ints it
+keeps the small worked examples exact.
 
 Level 3 (octonions) is the last normed division algebra; level 4 (sedenions)
 has zero divisors and is where the rest of this package lives.
@@ -79,8 +80,8 @@ def _mul_list(a: list, b: list) -> list:
     n = len(a)
     if n == 1:
         return [a[0] * b[0]]
-    # Basis products leave most halves zero; skipping them makes exact table
-    # generation roughly linear instead of 4**level recursive calls.
+    # Sparse factors such as basis elements leave most halves zero; skipping
+    # them makes their products roughly linear instead of 4**level calls.
     if not any(a):
         return [0 * b[0]] * n
     if not any(b):
@@ -97,21 +98,27 @@ def _mul_list(a: list, b: list) -> list:
     return out1 + out2
 
 
-def _basis_product(m: int, n: int) -> tuple[int, int]:
-    """Exact product e_m * e_n at level 4, as (sign, index)."""
-    a = [0] * DIM
-    b = [0] * DIM
-    a[m] = 1
-    b[n] = 1
-    prod = _mul_list(a, b)
-    nonzero = [(k, v) for k, v in enumerate(prod) if v != 0]
-    if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
-        raise AssertionError(f"basis product e{m}*e{n} is not +-e_k: {prod}")
-    k, v = nonzero[0]
-    return (1 if v > 0 else -1, k)
+def _basis_sign(m: int, n: int, half: int = DIM // 2) -> int:
+    """Sign of e_m * e_n = +-e_{m ^ n}, by the doubling recursion on indices.
+
+    With e = e_half adjoined, split each index into a lower part and the
+    flag `>= half`; the recursion (a + b*e)(c + d*e) = (a*c - conj(d)*b) +
+    (d*a + b*conj(c))*e then gives one product of lower units per level, and
+    conj(e_k) = -e_k for every k > 0.
+    """
+    if half == 0:
+        return 1
+    if m < half and n < half:
+        return _basis_sign(m, n, half // 2)
+    if m < half:  # e_m * (e_d e) = (e_d e_m) e
+        return _basis_sign(n - half, m, half // 2)
+    if n < half:  # (e_b e) * e_n = (e_b conj(e_n)) e
+        return (1 if n == 0 else -1) * _basis_sign(m - half, n, half // 2)
+    # (e_b e)(e_d e) = -conj(e_d) e_b
+    return (-1 if n == half else 1) * _basis_sign(n - half, m - half, half // 2)
 
 
-_TABLE = [[_basis_product(m, n) for n in range(DIM)] for m in range(DIM)]
+_TABLE = [[(_basis_sign(m, n), m ^ n) for n in range(DIM)] for m in range(DIM)]
 
 
 def _index_tables() -> tuple[NDArray[np.intp], NDArray[np.float64],

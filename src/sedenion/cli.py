@@ -73,6 +73,14 @@ def _check_grid_size(points: float) -> None:
                          f"of {_MAX_GRID_POINTS}")
 
 
+def _check_tolerances(args) -> None:
+    """--tol and --band, on every command that has them, must be finite and >= 0."""
+    for flag in ("tol", "band"):
+        value = getattr(args, flag, None)
+        if value is not None and not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"--{flag} must be finite and >= 0")
+
+
 def _load_seq(args):
     """Sequence from --seq (path or inline JSON); bundled demo otherwise."""
     spec = getattr(args, "seq", None)
@@ -466,8 +474,8 @@ def _figure_svg(p, a, slices) -> str:
 def cmd_figure(args) -> int:
     if args.n < 1:
         raise ValueError("--n wants a positive grid size")
-    if not math.isfinite(args.rmax):
-        raise ValueError("--rmax must be finite")
+    if not (math.isfinite(args.rmax) and args.rmax > 0):
+        raise ValueError("--rmax must be finite and positive")
     p = wpoint(args.center)
     a = _load_seq(args)
     slices = _parse_slices(args.slices) if args.slices else _default_slices(p, a)
@@ -624,6 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_tolerances(args)
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -86,6 +86,7 @@ __all__ = [
     "sigma_contains",
     "hyper_sigma_contains",
     "domain_contains",
+    "evaluate_points",
     "evaluate_series",
     "convergence_scan",
     "seq_from_json",
@@ -576,6 +577,9 @@ _BLOWUP = 1e6
 # terms, small enough that a point converging after a few dozen terms wastes
 # little work past its stopping index.
 _BLOCK = 64
+# Points evaluated together: a block holds _BLOCK x _CHUNK x 16 floats (2 MB),
+# so memory stays flat however many points are asked for.
+_CHUNK = 256
 
 
 def _channel_images(op, v0, v1):
@@ -598,59 +602,54 @@ def _channel_images(op, v0, v1):
 
 
 def _matvecs(m, rows):
-    """m @ row for every row, with the rounding of one matrix-vector product each."""
-    return np.matmul(m, rows[:, :, None])[:, :, 0]
+    """m @ row for every row of a stack, with the rounding of one product each."""
+    return np.matmul(m, rows[..., None])[..., 0]
 
 
-def _power_blocks(steps, max_terms):
-    """Blocks of zeta_l = step^l, one column per step, for l < max_terms.
+def _geometric_blocks(groups, mp, c_plus, c_minus):
+    """Channels and block maker of a geometric sum.
 
-    Each power is the previous one times its step, in order, so every entry
-    carries the rounding of the repeated product 1 * step * step * ...
+    Each ratio group has fixed channel images (of the coefficient and of its
+    rotation by mp), so a term is Re(zeta) * image + Im(zeta) * image summed
+    over the live channels, with zeta the channel step divided by the ratio
+    to the power l.  Returns the (plus channel?, ratio) of each live channel
+    and a function (start, zetas) -> (terms, None) over a (n, points,
+    channels) stack of powers.
     """
-    zetas = np.ones(len(steps), dtype=complex)
-    for start in range(0, max_terms, _BLOCK):
-        n = min(_BLOCK, max_terms - start)
-        chain = np.empty((n + 1, len(steps)), dtype=complex)
-        chain[0] = zetas
-        chain[1:] = steps
-        chain = np.multiply.accumulate(chain, axis=0)
-        zetas = chain[n]
-        yield chain[:n]
-
-
-def _geometric_blocks(groups, mp, c_plus, c_minus, step_p, step_m, max_terms):
-    """Term blocks of a geometric sum: fixed channel images times complex powers."""
-    steps, images = [], []
+    channels, images = [], []
     for ratio, coeff in groups:
         v0 = np.asarray(coeff, dtype=float)
         v1 = mp @ v0
-        for op, step in ((c_plus, step_p), (c_minus, step_m)):
+        for plus, op in ((True, c_plus), (False, c_minus)):
             re_img, im_img = _channel_images(op, v0, v1)
             if re_img is not None or im_img is not None:
-                steps.append(step / ratio)
+                channels.append((plus, ratio))
                 images.append((re_img, im_img))
-    for zetas in _power_blocks(steps, max_terms):
-        block = np.zeros((len(zetas), DIM))
-        for zeta, (re_img, im_img) in zip(zetas.T, images):
+
+    def block(start, zetas):
+        out = np.zeros(zetas.shape[:2] + (DIM,))
+        for k, (re_img, im_img) in enumerate(images):
             if re_img is not None:
-                block += zeta.real[:, None] * re_img
+                out += zetas[:, :, k].real[..., None] * re_img
             if im_img is not None:
-                block += zeta.imag[:, None] * im_img
-        yield block
+                out += zetas[:, :, k].imag[..., None] * im_img
+        return out, None
+
+    return channels, block
 
 
-def _generic_blocks(a, mp, c_plus, c_minus, step_p, step_m, max_terms):
-    """Term blocks of any sequence, from its coefficients a.term(l).
+def _generic_blocks(a, mp, c_plus, c_minus):
+    """Channels and block maker of any sequence, from its coefficients a.term(l).
 
-    A coefficient that raises ends its block just before it; the error
-    surfaces only when the caller asks for the next block, that is, only
-    when summation actually reaches that term.
+    The rows a.term(l) of a block and their rotation by mp are computed once
+    for all points.  A coefficient that raises ends the rows just before it
+    and comes back as the error of the block, for the caller to raise only
+    if some point needs that term; a block with no row raises at once.
     """
-    live = [(op, step) for op, step in ((c_plus, step_p), (c_minus, step_m))
+    live = [(plus, op) for plus, op in ((True, c_plus), (False, c_minus))
             if op is not None]
-    start = 0
-    for zetas in _power_blocks([step for _, step in live], max_terms):
+
+    def block(start, zetas):
         rows, error = [], None
         for ell in range(start, start + len(zetas)):
             try:
@@ -658,44 +657,147 @@ def _generic_blocks(a, mp, c_plus, c_minus, step_p, step_m, max_terms):
             except ArithmeticError as exc:  # raised once the sum gets here
                 error = exc
                 break
-        start += len(zetas)
-        if rows:
-            coeffs = np.array(rows)
-            rotated = _matvecs(mp, coeffs)
-            block = np.zeros((len(rows), DIM))
-            for (op, _), zeta in zip(live, zetas[:len(rows)].T):
-                chan = zeta.real[:, None] * coeffs + zeta.imag[:, None] * rotated
-                block += chan if isinstance(op, str) else _matvecs(op, chan)
-            yield block
-        if error is not None:
+        if not rows:
             raise error
+        coeffs = np.array(rows)[:, None, :]
+        rotated = _matvecs(mp, coeffs)
+        zetas = zetas[:len(rows)]
+        out = np.zeros(zetas.shape[:2] + (DIM,))
+        for k, (_, op) in enumerate(live):
+            zeta = zetas[:, :, k]
+            chan = zeta.real[..., None] * coeffs + zeta.imag[..., None] * rotated
+            out += chan if isinstance(op, str) else _matvecs(op, chan)
+        return out, error
+
+    return [(plus, None) for plus, _ in live], block
 
 
 def _block_stop(norms, quiet, tol):
-    """The first stopping index in a block of term norms, with its verdict.
+    """The first stopping index of each point in a block of term norms.
 
-    Diverged at a norm that is non-finite or above _BLOWUP; Converged at the
-    norm that completes _WINDOW nonzero norms in a row below tol, counting
-    on from the `quiet` run the previous block ended with (exact zeros
-    neither reset nor advance the run).  Returns (index, verdict, run), with
-    index None, Undetermined and the run at the end of the block when
-    nothing stops.
+    `norms` is (terms, points).  Diverged at a norm that is non-finite or
+    above _BLOWUP; Converged at the norm that completes _WINDOW nonzero norms
+    in a row below tol, counting on from the `quiet` run each point's
+    previous block ended with (exact zeros neither reset nor advance the
+    run).  Returns (stop, diverged, runs): the stopping index (the block
+    length where nothing stops), whether that stop is Diverged, and the run
+    at the end of the block.
     """
+    n = len(norms)
     blown = ~np.isfinite(norms) | (norms > _BLOWUP)
     loud = norms >= tol
-    soft = np.cumsum(~loud & (norms > 0.0))
-    last_loud = np.maximum.accumulate(np.where(loud, np.arange(len(norms)), -1))
-    runs = soft - np.where(last_loud >= 0, soft[last_loud], -quiet)
-    hits = np.flatnonzero(blown | (runs >= _WINDOW))
-    if hits.size == 0:
-        return None, Verdict.UNDETERMINED, int(runs[-1])
-    i = int(hits[0])
-    return i, Verdict.DIVERGED if blown[i] else Verdict.CONVERGED, 0
+    soft = np.cumsum(~loud & (norms > 0.0), axis=0)
+    last_loud = np.maximum.accumulate(
+        np.where(loud, np.arange(n)[:, None], -1), axis=0)
+    before = np.take_along_axis(soft, np.maximum(last_loud, 0), axis=0)
+    runs = soft - np.where(last_loud >= 0, before, -quiet)
+    hits = blown | (runs >= _WINDOW)
+    stop = np.where(hits.any(axis=0), hits.argmax(axis=0), n)
+    diverged = blown[np.minimum(stop, n - 1), np.arange(norms.shape[1])]
+    return stop, diverged, runs[-1]
 
 
-def evaluate_series(q: WPoint, p: WPoint, a: SeqSpec,
-                    max_terms: int = 200, tol: float = 1e-8) -> EvalReport:
-    """Partial sums of sum_l (q - p)^{*l} a_l with a convergence verdict.
+def _evaluate_chunk(steps, make_block, max_terms, tol):
+    """Partial sums and verdicts of points sharing one channel setup.
+
+    `steps` is (points, channels): the complex step of each point in each
+    live channel.  The points run through blocks together, and each one
+    leaves the active set at its own stopping index.  Returns one report
+    per point.
+    """
+    out = [None] * len(steps)
+    idx = np.arange(len(steps))
+    zetas = np.ones(steps.shape, dtype=complex)
+    total = np.zeros((len(steps), DIM))
+    quiet = np.zeros(len(steps), dtype=np.intp)
+    window = np.zeros((0, len(steps)))  # the last _WINDOW norms of each point
+    for start in range(0, max_terms, _BLOCK):
+        n = min(_BLOCK, max_terms - start)
+        chain = np.empty((n + 1,) + steps.shape, dtype=complex)
+        chain[0] = zetas
+        chain[1:] = steps
+        chain = np.multiply.accumulate(chain, axis=0)
+        zetas = chain[n]
+        block, error = make_block(start, chain[:n])
+        norms = np.sqrt(np.matmul(block[..., None, :], block[..., :, None]))[..., 0, 0]
+        stop, diverged, quiet = _block_stop(norms, quiet, tol)
+        # The partial sums, in term order: total + row 0 + row 1 + ..., with
+        # each point's rows past its stop zeroed.  A sum that starts at +0.0
+        # never becomes -0.0, so adding +0.0 leaves all its bits unchanged,
+        # and a reduction over the leading axis adds the rows one by one.
+        used = np.minimum(stop + 1, len(block))
+        block[np.arange(len(block))[:, None] >= used] = 0.0
+        block[0] += total
+        total = np.add.reduce(block[:used.max()], axis=0)
+        norms = np.concatenate((window, norms))
+        done = stop < len(block)
+        for j in np.flatnonzero(done):
+            end = len(window) + stop[j] + 1
+            tail = norms[max(0, end - _WINDOW):end, j].tolist()
+            verdict = Verdict.DIVERGED if diverged[j] else Verdict.CONVERGED
+            out[idx[j]] = _report(total[j], start + int(used[j]), verdict, tail)
+        if error is not None and not done.all():
+            raise error
+        keep = ~done
+        idx, steps, zetas, total, quiet = (
+            x[keep] for x in (idx, steps, zetas, total, quiet))
+        window = norms[-_WINDOW:, keep]
+        if not idx.size:
+            break
+    for j, i in enumerate(idx):
+        tail = window[:, j].tolist()
+        if max(tail) < tol:
+            verdict = Verdict.CONVERGED
+        elif len(tail) == _WINDOW and min(tail) > 1.0 and tail[-1] >= tail[0]:
+            verdict = Verdict.DIVERGED
+        else:
+            verdict = Verdict.UNDETERMINED
+        out[i] = _report(total[j], max_terms, verdict, tail)
+    return out
+
+
+def _report(total, terms: int, verdict: Verdict, tail: list[float]) -> EvalReport:
+    # Python's max over the window: a NaN at its end is skipped, not returned
+    return EvalReport(partial_sum=CDElement(total.copy()), terms_used=terms,
+                      verdict=verdict, tail_norm=max(tail))
+
+
+def _channel_setup(q: WPoint, p: WPoint) -> tuple[object, int]:
+    """Key and axis sign of q's channel setup.
+
+    The sign is +1 / -1 when q lies on the center plane with the same /
+    opposite axis as p (q or p real counts as +1), else 0.  Complex powers
+    act through the center axis, or through I_q for a real p, so the key is
+    the sign alone on the center plane of a non-real p and I_q otherwise;
+    points with equal keys share the rotation mp and the operators C_pm.
+    """
+    sign = 1 if q.is_real or p.is_real else axis_sign(q.axis, p.axis)
+    return (sign if sign and not p.is_real else q.axis.key), sign
+
+
+def _channel_operators(q: WPoint, p: WPoint, sign: int):
+    """The rotation mp and the channel operators (C_plus, C_minus) for q.
+
+    When the axes are (anti)aligned the operators are snapped to the exact
+    identity and None (a dead channel); otherwise C_pm = (id -+ M_q M_p)/2.
+    """
+    mp = (q.axis if p.is_real else p.axis).matrix
+    if sign > 0:
+        return mp, "id", None
+    if sign < 0:
+        return mp, None, "id"
+    prod = q.axis.matrix @ mp
+    return mp, (np.eye(DIM) - prod) / 2.0, (np.eye(DIM) + prod) / 2.0
+
+
+def _channel_step(step: complex, ratio: float | None) -> complex:
+    # Python complex division: numpy's rounds differently in the last bit
+    return step if ratio is None else step / ratio
+
+
+def evaluate_points(qs: Sequence[WPoint], p: WPoint, a: SeqSpec,
+                    max_terms: int = 200, tol: float = 1e-8) -> list[EvalReport]:
+    """Partial sums of sum_l (q - p)^{*l} a_l with a verdict, for every q in qs.
 
     Each monomial is evaluated through the two-channel operator form
 
@@ -708,13 +810,17 @@ def evaluate_series(q: WPoint, p: WPoint, a: SeqSpec,
     1e-16-sized operator times a geometrically growing power would otherwise
     poison the sum.
 
-    Terms are produced 64 at a time as one (64, 16) array: the complex
-    powers of a block come from one running product, the term norms and the
-    stopping test are array operations over the block, and the partial sum
-    adds the block's terms in order up to the stopping index.  Every number
-    carries the same rounding as adding one term at a time.  Terms computed
-    past the stop are dropped unreported, and no floating-point warning
-    escapes: a non-finite term is the Diverged verdict.
+    Points are grouped by channel setup (the sign of I_q against I_p, or
+    I_q itself off the center plane), so a slice of a scan is one group plus
+    its real and flipped-axis points.  A group runs in chunks of at most 256
+    points, and a chunk makes 64 terms per point at a time as one
+    (64, points, 16) array: the complex powers come from one running product,
+    the term norms and the stopping test are array operations, and each
+    point adds its terms in order up to its own stopping index and then
+    leaves the chunk.  Every report carries the same rounding as adding one
+    term at a time for that point alone.  Terms computed past a stop are
+    dropped unreported, and no floating-point warning escapes: a non-finite
+    term is the Diverged verdict.  A center hit (q = p) gets a_0 at once.
 
     Geometric sums get a structured path: each ratio group has a constant
     coefficient direction, so the four channel images (C_pm of the
@@ -722,8 +828,9 @@ def evaluate_series(q: WPoint, p: WPoint, a: SeqSpec,
     image below 1e-13 of its input is a formally-dead direction seen through
     rounding (every kernel-curve slice produces these) and is dropped, so
     the dust cannot ride a growing complex power.  Other sequences build
-    their blocks from a.term(l) without that filter; a coefficient that
-    cannot be computed raises only if summation reaches it.
+    their blocks from a.term(l), computed once per block for a whole chunk,
+    without that filter; a coefficient that cannot be computed raises only
+    if some point's summation reaches it.
 
     Verdicts: Converged once 50 nonzero term norms in a row stay below tol
     (summation stops there; exactly-zero terms neither reset nor advance the
@@ -733,56 +840,47 @@ def evaluate_series(q: WPoint, p: WPoint, a: SeqSpec,
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    a0 = a.term(0)
-    if q.key == p.key:
-        return EvalReport(partial_sum=CDElement(a0), terms_used=1,
-                          verdict=Verdict.CONVERGED, tail_norm=0.0)
-
-    # complex powers act through the center axis, or through I_q for a real p
-    mp = (q.axis if p.is_real else p.axis).matrix
-    sign = 1 if q.is_real or p.is_real else axis_sign(q.axis, p.axis)
-    if sign > 0:
-        c_plus, c_minus = "id", None
-    elif sign < 0:
-        c_plus, c_minus = None, "id"
-    else:
-        prod = q.axis.matrix @ mp
-        c_plus = (np.eye(DIM) - prod) / 2.0
-        c_minus = (np.eye(DIM) + prod) / 2.0
-
-    w, z = q.z, p.z
-    step_p = w - z
-    step_m = w.conjugate() - z
-    if isinstance(a, GeometricSum):
-        blocks = _geometric_blocks(_ratio_groups(a), mp, c_plus, c_minus,
-                                   step_p, step_m, max_terms)
-    else:
-        blocks = _generic_blocks(a, mp, c_plus, c_minus, step_p, step_m,
-                                 max_terms)
-
-    total = np.zeros(DIM)
-    window = np.zeros(0)  # the last _WINDOW term norms
-    terms = quiet = 0
-    stop, verdict = None, Verdict.UNDETERMINED
+    center = p.key
+    reports: list[EvalReport | None] = [None] * len(qs)
+    groups: dict[object, tuple[int, list[int]]] = {}  # key -> (sign, point indices)
+    setups: dict[tuple[bool, int], tuple[object, int]] = {}  # by axis object
+    for i, q in enumerate(qs):
+        if q.key == center:
+            reports[i] = EvalReport(partial_sum=CDElement(a.term(0)), terms_used=1,
+                                    verdict=Verdict.CONVERGED, tail_norm=0.0)
+            continue
+        memo = (q.is_real, id(q.axis))
+        if memo not in setups:
+            setups[memo] = _channel_setup(q, p)
+        key, sign = setups[memo]
+        groups.setdefault(key, (sign, []))[1].append(i)
     with np.errstate(all="ignore"):
-        for block in blocks:
-            norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None]))[:, 0, 0]
-            stop, verdict, quiet = _block_stop(norms, quiet, tol)
-            used = len(block) if stop is None else stop + 1
-            total = np.add.accumulate(np.vstack((total, block[:used])))[-1]
-            window = np.concatenate((window, norms[:used]))[-_WINDOW:]
-            terms += used
-            if stop is not None:
-                break
-    tail = window.tolist()
-    if stop is None:
-        if max(tail) < tol:
-            verdict = Verdict.CONVERGED
-        elif len(tail) == _WINDOW and min(tail) > 1.0 and tail[-1] >= tail[0]:
-            verdict = Verdict.DIVERGED
+        for sign, members in groups.values():
+            mp, c_plus, c_minus = _channel_operators(qs[members[0]], p, sign)
+            if isinstance(a, GeometricSum):
+                channels, make_block = _geometric_blocks(_ratio_groups(a), mp,
+                                                         c_plus, c_minus)
+            else:
+                channels, make_block = _generic_blocks(a, mp, c_plus, c_minus)
+            for lo in range(0, len(members), _CHUNK):
+                chunk = members[lo:lo + _CHUNK]
+                steps = []
+                for i in chunk:
+                    w, z = qs[i].z, p.z
+                    step_p, step_m = w - z, w.conjugate() - z
+                    steps.append([_channel_step(step_p if plus else step_m, ratio)
+                                  for plus, ratio in channels])
+                steps = np.array(steps, dtype=complex).reshape(len(chunk), len(channels))
+                for i, rep in zip(chunk, _evaluate_chunk(steps, make_block,
+                                                         max_terms, tol)):
+                    reports[i] = rep
+    return reports
 
-    return EvalReport(partial_sum=CDElement(total), terms_used=terms,
-                      verdict=verdict, tail_norm=max(tail))
+
+def evaluate_series(q: WPoint, p: WPoint, a: SeqSpec,
+                    max_terms: int = 200, tol: float = 1e-8) -> EvalReport:
+    """The report of `evaluate_points` for the single point q."""
+    return evaluate_points([q], p, a, max_terms=max_terms, tol=tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -832,24 +930,27 @@ def convergence_scan(p: WPoint, a: SeqSpec, slice_unit: SliceUnit,
     """
     if not radial_grid or not angular_grid:
         raise ValueError("scan grids must be nonempty")
-    rows = []
-    scored = agreed = 0
+    points = []
     for theta in angular_grid:
         for r in radial_grid:
             zz = r * cmath.exp(1j * theta)
             im = abs(zz.imag) if abs(zz.imag) < 1e-15 else zz.imag
             qq = wpoint_from(zz.real, im, slice_unit)
-            predicted = domain_contains(qq, p, a, band=band)
-            report = evaluate_series(qq, p, a, max_terms=max_terms, tol=tol)
-            rows.append(ScanRow(theta=theta, re=zz.real, im=qq.im,
-                                predicted=predicted, empirical=report.verdict,
-                                terms_used=report.terms_used,
-                                tail_norm=report.tail_norm))
-            if predicted is Membership.BOUNDARY:
-                continue
-            scored += 1
-            if predicted is Membership.INTERIOR and report.verdict is Verdict.CONVERGED:
-                agreed += 1
-            elif predicted is Membership.EXTERIOR and report.verdict is Verdict.DIVERGED:
-                agreed += 1
+            points.append((theta, zz.real, qq, domain_contains(qq, p, a, band=band)))
+    reports = evaluate_points([qq for _, _, qq, _ in points], p, a,
+                              max_terms=max_terms, tol=tol)
+    rows = []
+    scored = agreed = 0
+    for (theta, re, qq, predicted), report in zip(points, reports):
+        rows.append(ScanRow(theta=theta, re=re, im=qq.im,
+                            predicted=predicted, empirical=report.verdict,
+                            terms_used=report.terms_used,
+                            tail_norm=report.tail_norm))
+        if predicted is Membership.BOUNDARY:
+            continue
+        scored += 1
+        if predicted is Membership.INTERIOR and report.verdict is Verdict.CONVERGED:
+            agreed += 1
+        elif predicted is Membership.EXTERIOR and report.verdict is Verdict.DIVERGED:
+            agreed += 1
     return ScanResult(rows=tuple(rows), scored=scored, agreed=agreed)

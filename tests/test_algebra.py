@@ -43,6 +43,20 @@ def test_generated_table_matches_recorded_fixture():
     assert verify_table() == (256, 256)
 
 
+def test_sign_rule_matches_the_recursion_on_every_basis_pair():
+    from sedenion.algebra import _mul_list
+
+    table = multiplication_table()
+    for m in range(16):
+        for n in range(16):
+            a, b = [0] * 16, [0] * 16
+            a[m] = b[n] = 1
+            sign, k = table[m][n]
+            expect = [0] * 16
+            expect[k] = sign
+            assert _mul_list(a, b) == expect, (m, n)
+
+
 def test_quaternion_subtable():
     table = multiplication_table(2)
     # i*j = k and the rest of the classical relations

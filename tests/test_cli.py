@@ -369,9 +369,14 @@ def test_figure_n_below_1_exits_2(capsys, tmp_path, n):
     (["scan", "--thetas", "0.3,inf"], "--thetas must be finite"),
     (["figure", "--rmax", "nan", "--n", "3", "--slices", "e10"], "--rmax must be finite"),
     (["figure", "--rmax", "inf"], "--rmax must be finite"),
+    (["figure", "--rmax", "-1", "--n", "2", "--slices", "e10"],
+     "--rmax must be finite and positive"),
+    (["figure", "--rmax", "0", "--n", "2", "--slices", "e10"],
+     "--rmax must be finite and positive"),
 ], ids=["scan-too-many-points", "figure-too-many-points", "scan-zero-step",
         "scan-negative-step", "scan-nan-rmin", "scan-inf-rmax", "scan-inf-step",
-        "scan-nan-theta", "scan-inf-theta", "figure-nan-rmax", "figure-inf-rmax"])
+        "scan-nan-theta", "scan-inf-theta", "figure-nan-rmax", "figure-inf-rmax",
+        "figure-negative-rmax", "figure-zero-rmax"])
 def test_bad_grids_exit_2_before_any_work(capsys, tmp_path, monkeypatch, argv, message):
     # The grid is refused from its requested size, so even the 4e12-point
     # scan returns at once and nothing is written.
@@ -383,6 +388,53 @@ def test_bad_grids_exit_2_before_any_work(capsys, tmp_path, monkeypatch, argv, m
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+with open(os.path.join(DATA, "scans.json"), encoding="utf-8") as _fh:
+    PINNED_SCANS = json.load(_fh)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCANS))
+def test_scan_output_matches_the_pinned_csv(capsys, tmp_path, name):
+    # Rows recorded before scans were evaluated as point batches: the demo
+    # center at three angles, a seeded hyper center and a gap series.  A
+    # change to any row has to be explained, not re-recorded.
+    spec = PINNED_SCANS[name]
+    path = tmp_path / "rows.csv"
+    rc, out, err = run(capsys, spec["argv"] + ["--out", str(path)])
+    assert (rc, err) == (spec["exit"], "")
+    with open(os.path.join(DATA, f"scan_{name}.csv"), "rb") as fh:
+        assert path.read_bytes() == fh.read()
+
+
+TOLERANCE_COMMANDS = {
+    "eval-tol": ["eval", "1.5e1", "--tol"],
+    "contains-band": ["contains", "1.5e1", "--band"],
+    "scan-tol": ["scan", "--slices", "e10", "--tol"],
+    "scan-band": ["scan", "--slices", "e10", "--band"],
+    "figure-band": ["figure", "--n", "2", "--slices", "e10", "--band"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("command", sorted(TOLERANCE_COMMANDS))
+def test_bad_tolerances_exit_2(capsys, tmp_path, monkeypatch, command, value):
+    # a NaN tolerance made every quiet-run test false (eval printed
+    # Converged) and a NaN or negative band made contains print a class
+    monkeypatch.setenv("SEDENION_OUTDIR", str(tmp_path))
+    *argv, flag = TOLERANCE_COMMANDS[command]
+    rc, out, err = run(capsys, argv + [f"{flag}={value}"])
+    assert (rc, out) == (2, "")
+    assert err == f"error: {flag} must be finite and >= 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(TOLERANCE_COMMANDS))
+def test_zero_tolerances_are_accepted(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.setenv("SEDENION_OUTDIR", str(tmp_path))
+    rc, out, err = run(capsys, TOLERANCE_COMMANDS[command] + ["0"])
+    assert rc in (0, 1) and out and err == ""
 
 
 def write_console_script(bin_dir, name):

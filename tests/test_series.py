@@ -26,6 +26,7 @@ from sedenion import (
     domain_contains,
     domain_report,
     eval_poly,
+    evaluate_points,
     evaluate_series,
     hyper_sigma_contains,
     hyper_solution,
@@ -904,6 +905,125 @@ def test_block_evaluation_stops_before_an_unreachable_overflow():
     rep = evaluate_series(wpoint("0.5+e1"), center(), Lacunary.of("e4+e15", 1e-10))
     assert rep.verdict is Verdict.DIVERGED
     assert rep.terms_used == 2
+
+
+# ---------------------------------------------------------------------------
+# point batches against the one-point term loop
+# ---------------------------------------------------------------------------
+
+
+def _mixed_batches():
+    """Per center, one shuffled list: the oracle points (slices, their
+    negatives, kernel-curve slices), real points and the center itself."""
+    by_center = {}
+    for p, q in ORACLE_POINTS:
+        by_center.setdefault(p, []).append(q)
+    rng = np.random.default_rng(5)
+    out = []
+    for p, qs in by_center.items():
+        qs = qs + [wpoint_from(p.re + dx, 0.0, E1) for dx in (-0.7, 0.3, 2.5)] + [p]
+        out.append((p, [qs[i] for i in rng.permutation(len(qs))]))
+    return out
+
+
+MIXED_BATCHES = _mixed_batches()
+
+
+def _batch_outcome(qs, p, a, max_terms):
+    """Every bit of each report of one batch, or what the batch raised."""
+    try:
+        reports = evaluate_points(qs, p, a, max_terms=max_terms)
+    except ArithmeticError as exc:
+        return type(exc).__name__, str(exc)
+    return [_outcome(lambda rep: rep, rep) for rep in reports]
+
+
+def _expected_batch(qs, p, a, max_terms):
+    """The reference outcome of each point; a batch raises if any point does."""
+    with np.errstate(all="ignore"):
+        expect = [_outcome(reference_evaluate, q, p, a, max_terms) for q in qs]
+    raised = [out for out in expect if len(out) == 2]
+    return raised[0] if raised else expect
+
+
+@pytest.mark.parametrize("max_terms", [1, 63, 64, 65, 400])
+@pytest.mark.parametrize("kind", sorted(ORACLE_SEQUENCES))
+def test_point_batches_match_the_term_loop_bitwise(kind, max_terms):
+    for a in ORACLE_SEQUENCES[kind]:
+        for p, qs in MIXED_BATCHES:
+            expect = _expected_batch(qs, p, a, max_terms)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _batch_outcome(qs, p, a, max_terms)
+            assert got == expect, (a, p)
+
+
+def _slice_points(count):
+    """count points around e1 on e10 and -e10, inside and outside the domain."""
+    rng = np.random.default_rng(count)
+    return [wpoint_from(float(x), float(y), E10)
+            for x, y in rng.uniform([-1.5, -3.5], [1.5, 3.5], size=(count, 2))]
+
+
+def test_point_batches_split_into_chunks_bitwise(monkeypatch):
+    import sedenion.series as series
+
+    p = center()
+    for a in (demo_sequence(), _oracle_table()):
+        for count in (series._CHUNK - 1, series._CHUNK, series._CHUNK + 1):
+            qs = _slice_points(count)
+            assert _batch_outcome(qs, p, a, 65) == _expected_batch(qs, p, a, 65)
+        monkeypatch.setattr(series, "_CHUNK", 4)
+        for count in (3, 4, 5, 9):
+            qs = _slice_points(count)
+            assert _batch_outcome(qs, p, a, 130) == _expected_batch(qs, p, a, 130)
+        monkeypatch.undo()
+
+
+def test_point_batch_memory_does_not_grow_with_the_point_count():
+    # 10,000 points in one block each: unchunked, one (64, points, 16) block
+    # alone would take 82 MB.  What the call keeps is its reports.
+    # |zeta| = 0.95 on the center slice: no point stops within 64 terms
+    qs = [wpoint_from(1.9 * math.cos(t), 1.0 + 1.9 * math.sin(t), E1)
+          for t in np.linspace(0.1, math.pi - 0.1, 10_000)]
+    tracemalloc.start()
+    try:
+        reports = evaluate_points(qs, center(), demo_sequence(), max_terms=64)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 10_000
+    assert all(rep.terms_used == 64 for rep in reports)
+    assert peak - kept < 16 * 1024 * 1024
+
+
+def test_point_batch_raises_only_when_a_point_reaches_the_overflow():
+    # a_32 = c * 1e320 raises OverflowError in Lacunary.term.  Points at
+    # distance 1 from the center diverge at term 1; at 1e-10 each nonzero
+    # term has norm sqrt(2), so the sum runs on to term 32.
+    a = Lacunary.of("e4+e15", 1e-10)
+    p = center()
+    far = [wpoint("0.5+e1"), wpoint_from(0.0, 2.0, E10), wpoint("1")]
+    near = wpoint_from(0.0, 1.0 + 1e-10, E1)
+    assert _batch_outcome(far, p, a, 200) == _expected_batch(far, p, a, 200)
+    assert all(rep.verdict is Verdict.DIVERGED
+               for rep in evaluate_points(far, p, a))
+    with pytest.raises(OverflowError):
+        reference_evaluate(near, p, a, 200)
+    with pytest.raises(OverflowError):
+        evaluate_points(far + [near], p, a)
+
+
+def test_point_batches_keep_the_input_order_and_validate():
+    p = center()
+    qs = [wpoint("1.5e1"), p, wpoint("2"), wpoint("0.5+e10"), wpoint("1.5e1")]
+    reports = evaluate_points(qs, p, demo_sequence())
+    assert [rep.terms_used for rep in reports] == \
+        [evaluate_series(q, p, demo_sequence()).terms_used for q in qs]
+    assert reports[1].terms_used == 1 and reports[1].tail_norm == 0.0
+    assert evaluate_points([], p, demo_sequence()) == []
+    with pytest.raises(ValueError):
+        evaluate_points(qs, p, demo_sequence(), max_terms=0)
 
 
 # ---------------------------------------------------------------------------
