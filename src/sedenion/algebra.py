@@ -584,6 +584,15 @@ def element_to_json(a: CDElement) -> list[float]:
     return [float(v) for v in a.promote(MAX_LEVEL).coeffs]
 
 
+def real_from_json(value) -> float:
+    """float(value); a JSON integer past the float range is a ValueError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"number out of the float range: an integer of "
+                         f"{len(str(value))} digits") from None
+
+
 def element_from_json(data) -> CDElement:
     """Accept sedenion text or a coefficient array (length a power of two <= 16).
 
@@ -593,7 +602,7 @@ def element_from_json(data) -> CDElement:
     if isinstance(data, str):
         return parse_element(data)
     if isinstance(data, (list, tuple)):
-        values = [float(v) for v in data]
+        values = [real_from_json(v) for v in data]
         if not all(map(math.isfinite, values)):
             raise ValueError(f"coefficients must be finite: {values}")
         return CDElement(values)

@@ -6,8 +6,9 @@ geometry, convergence radii and domain membership, series evaluation, grid
 scans, and cross-section figure export (CSV always, SVG on request).
 
 Exit codes: 0 success / affirmative answer, 1 failed verification or negative
-answer to a yes-no query, 2 argument or parse errors.  All floating output
-goes through 12-significant-digit formatting so repeated runs diff clean.
+answer to a yes-no query, 2 argument or parse errors, 3 internal errors.  All
+floating output goes through 12-significant-digit formatting so repeated runs
+diff clean.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ from .series import (
 
 # Most points a scan or figure grid may request; checked before the grid is built.
 _MAX_GRID_POINTS = 10**6
+# Most terms eval or scan may sum per point: a point on a radius circle or
+# inside a gap series' domain runs every requested term.
+_MAX_TERMS = 10**6
 
 
 def _fmt(x: float) -> str:
@@ -73,12 +77,15 @@ def _check_grid_size(points: float) -> None:
                          f"of {_MAX_GRID_POINTS}")
 
 
-def _check_tolerances(args) -> None:
-    """--tol and --band, on every command that has them, must be finite and >= 0."""
+def _check_shared_flags(args) -> None:
+    """--tol and --band must be finite and >= 0, --max-terms in 1..10^6."""
     for flag in ("tol", "band"):
         value = getattr(args, flag, None)
         if value is not None and not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"--{flag} must be finite and >= 0")
+    max_terms = getattr(args, "max_terms", None)
+    if max_terms is not None and not 1 <= max_terms <= _MAX_TERMS:
+        raise ValueError(f"--max-terms must be between 1 and {_MAX_TERMS}")
 
 
 def _load_seq(args):
@@ -483,9 +490,13 @@ def cmd_figure(args) -> int:
     outdir = args.out if args.out else _outdir()
     os.makedirs(outdir, exist_ok=True)
     written = []
-    for name, sl in slices:
-        safe = name.replace("+", "p").replace("-", "m").replace(".", "_")
-        path = os.path.join(outdir, f"figure_{safe}.csv")
+    for index, (name, sl) in enumerate(slices, 1):
+        # The slice text names the file unless it is longer than a file name
+        # may be (NAME_MAX, 255 bytes); element text has no s to collide with.
+        file = "figure_" + name.replace("+", "p").replace("-", "m").replace(".", "_")
+        if len(file.encode()) > 255 - len(".csv"):
+            file = f"figure_slice{index}"
+        path = os.path.join(outdir, file + ".csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(_figure_csv(p, a, sl, args.n, args.rmax, args.band))
         written.append(path)
@@ -632,11 +643,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_tolerances(args)
+        _check_shared_flags(args)
         return args.func(args)
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # a broken internal invariant, not bad input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

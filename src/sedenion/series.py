@@ -49,6 +49,7 @@ from .algebra import (
     complex_embed,
     format_element,
     parse_any,
+    real_from_json,
 )
 from .zerodiv import Subspace, kernel_of_left_mult
 from .slices import (
@@ -116,13 +117,18 @@ class GeometricSum:
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[object, float]]) -> "GeometricSum":
-        return cls(tuple((_coeff_key(c), float(r)) for c, r in pairs))
+        return cls(tuple((_coeff_key(c), real_from_json(r)) for c, r in pairs))
 
     def term(self, ell: int) -> NDArray[np.float64]:
         out = np.zeros(DIM)
         for coeff, ratio in self.terms:
             out += np.asarray(coeff) * ratio ** (-ell)
         return out
+
+
+def _on_support(ell):
+    """Whether ell (an int or an int array) is a power of two: 1, 2, 4, ..."""
+    return (ell >= 1) & ((ell & (ell - 1)) == 0)
 
 
 @dataclass(frozen=True)
@@ -138,10 +144,10 @@ class Lacunary:
 
     @classmethod
     def of(cls, coeff, ratio: float) -> "Lacunary":
-        return cls(_coeff_key(coeff), float(ratio))
+        return cls(_coeff_key(coeff), real_from_json(ratio))
 
     def term(self, ell: int) -> NDArray[np.float64]:
-        if ell >= 1 and (ell & (ell - 1)) == 0:
+        if _on_support(ell):
             return np.asarray(self.coeff) * self.ratio ** (-ell)
         return np.zeros(DIM)
 
@@ -167,10 +173,6 @@ class TableSeq:
 
 
 SeqSpec = GeometricSum | Lacunary | TableSeq
-
-
-def is_approximate(a: SeqSpec) -> bool:
-    return isinstance(a, TableSeq)
 
 
 def demo_sequence() -> GeometricSum:
@@ -470,7 +472,7 @@ def domain_report(p: WPoint, a: SeqSpec) -> DomainReport:
     else:
         case = DomainCase.HYPER_INTERSECTION
     return DomainReport(r_a=ra, r_ap=rap, witness=witness, case=case,
-                        approximate=is_approximate(a))
+                        approximate=isinstance(a, TableSeq))
 
 
 def _disk_state(dist: float, radius: float, band: float) -> int:
@@ -582,49 +584,36 @@ _BLOCK = 64
 _CHUNK = 256
 
 
-def _channel_images(op, v0, v1):
-    """Images of two coefficient directions under one channel operator.
-
-    None marks a dead direction.  A matrix image below 1e-13 of its input
-    is a formal annihilation seen through rounding, not a real component.
-    """
-    out = []
-    for v in (v0, v1):
-        if op is None:
-            out.append(None)
-        elif isinstance(op, str):
-            out.append(v if np.any(v) else None)
-        else:
-            image = op @ v
-            small = np.linalg.norm(image) <= 1e-13 * np.linalg.norm(v)
-            out.append(None if small else image)
-    return out
-
-
 def _matvecs(m, rows):
     """m @ row for every row of a stack, with the rounding of one product each."""
     return np.matmul(m, rows[..., None])[..., 0]
 
 
-def _geometric_blocks(groups, mp, c_plus, c_minus):
-    """Channels and block maker of a geometric sum.
+def _geometric_blocks(a: GeometricSum | Lacunary, mp, c_plus, c_minus):
+    """Channels and block maker of a geometric sum or a gap series.
 
     Each ratio group has fixed channel images (of the coefficient and of its
     rotation by mp), so a term is Re(zeta) * image + Im(zeta) * image summed
     over the live channels, with zeta the channel step divided by the ratio
-    to the power l.  Returns the (plus channel?, ratio) of each live channel
-    and a function (start, zetas) -> (terms, None) over a (n, points,
-    channels) stack of powers.
+    to the power l.  An image below 1e-13 of its input is a formal
+    annihilation seen through rounding and is dropped (None).  A gap series
+    is one group whose rows off its support are exact zeros.  Returns the
+    (plus channel?, ratio) of each live channel and a function (start,
+    zetas) -> terms over a (n, points, channels) stack of powers.
     """
     channels, images = [], []
-    for ratio, coeff in groups:
-        v0 = np.asarray(coeff, dtype=float)
-        v1 = mp @ v0
+    for ratio, coeff in _ratio_groups(a):
+        vs = (coeff, mp @ coeff)
         for plus, op in ((True, c_plus), (False, c_minus)):
-            re_img, im_img = _channel_images(op, v0, v1)
-            if re_img is not None or im_img is not None:
+            if op is None:
+                continue
+            imgs = [v if isinstance(op, str) else op @ v for v in vs]
+            imgs = [img if np.linalg.norm(img) > 1e-13 * np.linalg.norm(v) else None
+                    for img, v in zip(imgs, vs)]
+            if any(img is not None for img in imgs):
                 channels.append((plus, ratio))
-                images.append((re_img, im_img))
+                images.append(imgs)
+    gaps = isinstance(a, Lacunary)
 
     def block(start, zetas):
         out = np.zeros(zetas.shape[:2] + (DIM,))
@@ -633,41 +622,28 @@ def _geometric_blocks(groups, mp, c_plus, c_minus):
                 out += zetas[:, :, k].real[..., None] * re_img
             if im_img is not None:
                 out += zetas[:, :, k].imag[..., None] * im_img
-        return out, None
+        if gaps:
+            out[~_on_support(np.arange(start, start + len(zetas)))] = 0.0
+        return out
 
     return channels, block
 
 
-def _generic_blocks(a, mp, c_plus, c_minus):
-    """Channels and block maker of any sequence, from its coefficients a.term(l).
-
-    The rows a.term(l) of a block and their rotation by mp are computed once
-    for all points.  A coefficient that raises ends the rows just before it
-    and comes back as the error of the block, for the caller to raise only
-    if some point needs that term; a block with no row raises at once.
-    """
+def _table_blocks(values, mp, c_plus, c_minus):
+    """Channels and block maker of a table: rows from `values`, rotated by mp."""
+    values = np.array(values)
     live = [(plus, op) for plus, op in ((True, c_plus), (False, c_minus))
             if op is not None]
 
     def block(start, zetas):
-        rows, error = [], None
-        for ell in range(start, start + len(zetas)):
-            try:
-                rows.append(a.term(ell))
-            except ArithmeticError as exc:  # raised once the sum gets here
-                error = exc
-                break
-        if not rows:
-            raise error
-        coeffs = np.array(rows)[:, None, :]
+        coeffs = values[start:start + len(zetas), None, :]
         rotated = _matvecs(mp, coeffs)
-        zetas = zetas[:len(rows)]
         out = np.zeros(zetas.shape[:2] + (DIM,))
         for k, (_, op) in enumerate(live):
             zeta = zetas[:, :, k]
             chan = zeta.real[..., None] * coeffs + zeta.imag[..., None] * rotated
             out += chan if isinstance(op, str) else _matvecs(op, chan)
-        return out, error
+        return out
 
     return [(plus, None) for plus, _ in live], block
 
@@ -697,13 +673,15 @@ def _block_stop(norms, quiet, tol):
     return stop, diverged, runs[-1]
 
 
-def _evaluate_chunk(steps, make_block, max_terms, tol):
+def _evaluate_chunk(steps, make_block, rows, max_terms, tol):
     """Partial sums and verdicts of points sharing one channel setup.
 
     `steps` is (points, channels): the complex step of each point in each
-    live channel.  The points run through blocks together, and each one
-    leaves the active set at its own stopping index.  Returns one report
-    per point.
+    live channel.  The points run through blocks of the first `rows` terms
+    together, and each one leaves the active set at its own stopping index.
+    Every term past `rows` is an exact zero, so a point still running there
+    finishes in closed form: its sum stays, zero norms fill its window and
+    it uses all max_terms terms.  Returns one report per point.
     """
     out = [None] * len(steps)
     idx = np.arange(len(steps))
@@ -711,14 +689,14 @@ def _evaluate_chunk(steps, make_block, max_terms, tol):
     total = np.zeros((len(steps), DIM))
     quiet = np.zeros(len(steps), dtype=np.intp)
     window = np.zeros((0, len(steps)))  # the last _WINDOW norms of each point
-    for start in range(0, max_terms, _BLOCK):
-        n = min(_BLOCK, max_terms - start)
+    for start in range(0, rows, _BLOCK):
+        n = min(_BLOCK, rows - start)
         chain = np.empty((n + 1,) + steps.shape, dtype=complex)
         chain[0] = zetas
         chain[1:] = steps
         chain = np.multiply.accumulate(chain, axis=0)
         zetas = chain[n]
-        block, error = make_block(start, chain[:n])
+        block = make_block(start, chain[:n])
         norms = np.sqrt(np.matmul(block[..., None, :], block[..., :, None]))[..., 0, 0]
         stop, diverged, quiet = _block_stop(norms, quiet, tol)
         # The partial sums, in term order: total + row 0 + row 1 + ..., with
@@ -736,14 +714,14 @@ def _evaluate_chunk(steps, make_block, max_terms, tol):
             tail = norms[max(0, end - _WINDOW):end, j].tolist()
             verdict = Verdict.DIVERGED if diverged[j] else Verdict.CONVERGED
             out[idx[j]] = _report(total[j], start + int(used[j]), verdict, tail)
-        if error is not None and not done.all():
-            raise error
         keep = ~done
         idx, steps, zetas, total, quiet = (
             x[keep] for x in (idx, steps, zetas, total, quiet))
         window = norms[-_WINDOW:, keep]
         if not idx.size:
             break
+    zeros = np.zeros((min(_WINDOW, max_terms - rows), len(idx)))
+    window = np.concatenate((window, zeros))[-_WINDOW:]
     for j, i in enumerate(idx):
         tail = window[:, j].tolist()
         if max(tail) < tol:
@@ -811,26 +789,23 @@ def evaluate_points(qs: Sequence[WPoint], p: WPoint, a: SeqSpec,
     poison the sum.
 
     Points are grouped by channel setup (the sign of I_q against I_p, or
-    I_q itself off the center plane), so a slice of a scan is one group plus
-    its real and flipped-axis points.  A group runs in chunks of at most 256
-    points, and a chunk makes 64 terms per point at a time as one
-    (64, points, 16) array: the complex powers come from one running product,
-    the term norms and the stopping test are array operations, and each
-    point adds its terms in order up to its own stopping index and then
-    leaves the chunk.  Every report carries the same rounding as adding one
-    term at a time for that point alone.  Terms computed past a stop are
-    dropped unreported, and no floating-point warning escapes: a non-finite
-    term is the Diverged verdict.  A center hit (q = p) gets a_0 at once.
+    I_q itself off the center plane) and run in chunks of at most 256
+    points, 64 terms per point at a time as one (64, points, 16) array; each
+    point adds its terms in order up to its own stopping index, so every
+    report carries the same rounding as adding one term at a time for that
+    point alone.  No floating-point warning escapes: a non-finite term is
+    the Diverged verdict.  A center hit (q = p) gets a_0 at once.
 
-    Geometric sums get a structured path: each ratio group has a constant
-    coefficient direction, so the four channel images (C_pm of the
-    coefficient and of its I_p rotation) are computed once per group, and an
-    image below 1e-13 of its input is a formally-dead direction seen through
-    rounding (every kernel-curve slice produces these) and is dropped, so
-    the dust cannot ride a growing complex power.  Other sequences build
-    their blocks from a.term(l), computed once per block for a whole chunk,
-    without that filter; a coefficient that cannot be computed raises only
-    if some point's summation reaches it.
+    Geometric sums and gap series go through their ratio groups, whose four
+    channel images (C_pm of the coefficient and of its I_p rotation) are
+    computed once; an image below 1e-13 of its input is rounding dust of a
+    formally dead direction (every kernel-curve slice has these) and is
+    dropped, so it cannot ride a growing power.  The ratio is folded into
+    the step, never raised to a power alone, and a gap series zeroes the
+    terms off its support 1, 2, 4, ....  A table is a finite sum: only its
+    len(values) terms are computed, and a point still running after them
+    keeps its sum, gets zero norms in its window and reports terms_used =
+    max_terms, as if the zero terms had been added.
 
     Verdicts: Converged once 50 nonzero term norms in a row stay below tol
     (summation stops there; exactly-zero terms neither reset nor advance the
@@ -846,8 +821,7 @@ def evaluate_points(qs: Sequence[WPoint], p: WPoint, a: SeqSpec,
     setups: dict[tuple[bool, int], tuple[object, int]] = {}  # by axis object
     for i, q in enumerate(qs):
         if q.key == center:
-            reports[i] = EvalReport(partial_sum=CDElement(a.term(0)), terms_used=1,
-                                    verdict=Verdict.CONVERGED, tail_norm=0.0)
+            reports[i] = _report(a.term(0), 1, Verdict.CONVERGED, [0.0])
             continue
         memo = (q.is_real, id(q.axis))
         if memo not in setups:
@@ -857,11 +831,12 @@ def evaluate_points(qs: Sequence[WPoint], p: WPoint, a: SeqSpec,
     with np.errstate(all="ignore"):
         for sign, members in groups.values():
             mp, c_plus, c_minus = _channel_operators(qs[members[0]], p, sign)
-            if isinstance(a, GeometricSum):
-                channels, make_block = _geometric_blocks(_ratio_groups(a), mp,
-                                                         c_plus, c_minus)
+            if isinstance(a, TableSeq):
+                channels, make_block = _table_blocks(a.values, mp, c_plus, c_minus)
+                rows = min(max_terms, len(a.values))
             else:
-                channels, make_block = _generic_blocks(a, mp, c_plus, c_minus)
+                channels, make_block = _geometric_blocks(a, mp, c_plus, c_minus)
+                rows = max_terms
             for lo in range(0, len(members), _CHUNK):
                 chunk = members[lo:lo + _CHUNK]
                 steps = []
@@ -871,7 +846,7 @@ def evaluate_points(qs: Sequence[WPoint], p: WPoint, a: SeqSpec,
                     steps.append([_channel_step(step_p if plus else step_m, ratio)
                                   for plus, ratio in channels])
                 steps = np.array(steps, dtype=complex).reshape(len(chunk), len(channels))
-                for i, rep in zip(chunk, _evaluate_chunk(steps, make_block,
+                for i, rep in zip(chunk, _evaluate_chunk(steps, make_block, rows,
                                                          max_terms, tol)):
                     reports[i] = rep
     return reports

@@ -258,6 +258,27 @@ def test_figure_writes_per_slice_csv_and_svg(capsys, tmp_path, monkeypatch):
     assert "stroke-dasharray" in svg
 
 
+def test_figure_keeps_the_slice_text_in_short_file_names(capsys, tmp_path):
+    rc, out, _ = run(capsys, ["figure", "--n", "2", "--slices", "e10,-e10,0.6e2+0.8e3",
+                              "--out", str(tmp_path)])
+    assert rc == 0
+    names = ["figure_e10.csv", "figure_me10.csv", "figure_0_6e2p0_8e3.csv"]
+    assert out.splitlines() == [f"wrote {tmp_path / n}" for n in names]
+
+
+def test_figure_numbers_slices_whose_text_is_too_long(capsys, tmp_path):
+    # The default slices of a seeded hyper center print as 16-coefficient
+    # texts, too long for a file name; the generic probe slice is short.
+    argv = PINNED_SCANS["hyper_center_geometric"]["argv"][1:]
+    rc, out, err = run(capsys, ["figure", *argv, "--n", "2", "--out", str(tmp_path)])
+    assert (rc, err) == (0, "")
+    names = ["figure_slice1.csv", "figure_slice2.csv", "figure_slice3.csv",
+             "figure_e3.csv"]
+    assert out.splitlines() == [f"wrote {tmp_path / n}" for n in names]
+    for name in names:
+        assert len((tmp_path / name).read_text().splitlines()) == 1 + 2 * 2
+
+
 def test_figure_explicit_outdir_beats_the_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SEDENION_OUTDIR", str(tmp_path / "ignored"))
     target = tmp_path / "here"
@@ -347,6 +368,78 @@ def test_numeral_beyond_the_float_range_exits_2(capsys):
     assert (rc, out) == (2, "")
     assert err.startswith("error: number out of the float range")
     assert len(err.splitlines()) == 1
+
+
+BIG_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", f"[{BIG_INT},1]"],
+    ["radii", "--seq", f'{{"kind": "lacunary", "coeff": "e4+e15", "ratio": {BIG_INT}}}'],
+    ["radii", "--seq",
+     f'{{"kind": "geometric", "terms": [{{"coeff": "1", "ratio": {BIG_INT}}}]}}'],
+], ids=["json-coordinate", "lacunary-ratio", "geometric-ratio"])
+def test_json_integer_beyond_the_float_range_exits_2(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err == "error: number out of the float range: an integer of 401 digits\n"
+
+
+def test_broken_internal_invariant_exits_3(capsys, monkeypatch):
+    # e1 - e10 times e4 + e15 is zero; a wrong triple test makes the
+    # characterization disagree with the direct product
+    import sedenion.zerodiv as zerodiv
+
+    monkeypatch.setattr(zerodiv, "is_special_triple", lambda *args, **kw: False)
+    rc, out, err = run(capsys, ["zd-check", "e1-e10", "e4+e15"])
+    assert (rc, out) == (3, "")
+    assert err.startswith("internal error: zero-product characterization disagrees")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "1.5e1", "--max-terms", "1000000001"],
+    ["eval", "1.5e1", "--max-terms", "0"],
+    ["scan", "--max-terms", str(10**9)],
+    ["scan", "--max-terms", "1000001", "--slices", "e10"],
+], ids=["eval-huge", "eval-zero", "scan-huge", "scan-one-past"])
+def test_max_terms_out_of_range_exits_2_before_any_work(capsys, argv):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 5.0
+    assert (rc, out) == (2, "")
+    assert err == "error: --max-terms must be between 1 and 1000000\n"
+
+
+def test_a_table_is_a_finite_sum_at_any_term_budget(capsys):
+    seq = json.dumps({"kind": "table", "values": ["1", "e4+e15"]})
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, ["eval", "0.5+e1", "--seq", seq, "--max-terms", "1000000"])
+    assert time.perf_counter() - start < 2.0
+    assert (rc, out) == (0, "verdict=Converged terms=1000000 tail_norm=0\n"
+                            "value=1+0.5e4+0.5e15\n")
+    # 9^l overflows past l = 322; the terms past the table stay exact zeros
+    rc, out, _ = run(capsys, ["eval", "10e1", "--seq", seq, "--max-terms", "1000"])
+    assert rc == 0 and "nan" not in out
+    assert out.splitlines()[1] == "value=1+9e5-9e14"
+
+
+def test_gap_series_past_the_float_range_of_their_ratio_powers(capsys):
+    # 0.001^-128 alone overflows; folded into the step the terms are 0.1^l
+    seq = json.dumps({"kind": "lacunary", "coeff": "e4+e15", "ratio": 0.001})
+    rc, out, err = run(capsys, ["eval", "0.0001+e1", "--seq", seq])
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[1] == "value=0.11010001e4+0.11010001e15"
+
+
+def test_gap_series_with_a_general_kernel_coefficient_never_diverge_inside(capsys):
+    # C_minus of this coefficient on its witness slice is rounding dust
+    seq = json.dumps({"kind": "lacunary", "coeff": "0.5e4+0.5e15+0.5e5-0.5e14",
+                      "ratio": 2})
+    rc, out, _ = run(capsys, ["scan", "--seq", seq])
+    assert rc == 0
+    assert out.count(",Interior,") > 30
+    assert ",Interior,Diverged," not in out
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -306,6 +307,39 @@ def test_directional_radius_takes_exactly_two_values(rng):
     for _ in range(100):
         seen.add(radius_RapJ(a, p, random_slice_unit(rng)))
     assert seen <= {2.0, 3.0}
+
+
+def test_reflected_radius_agrees_with_the_surviving_channel_images(rng):
+    # Two routes to R_a^{p,J}: radius_RapJ projects each coefficient off the
+    # SVD kernel of I_p - J; evaluation keeps the ratio groups whose C_minus
+    # image survives the 1e-13 filter.  The smallest kept ratio is the radius.
+    from sedenion import kernel_of_left_mult, random_hyper_pair, random_slice_unit
+    from sedenion.series import _channel_operators, _channel_setup, _geometric_blocks
+
+    kernel_coeffs = 0
+    for n in range(200):
+        if n % 2:
+            j1, j2 = random_slice_unit(rng), random_slice_unit(rng)
+        else:
+            j1, j2 = random_hyper_pair(rng)
+        p = wpoint_from(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 1.5)), j1)
+        ker = kernel_of_left_mult(j1.s - j2.s)
+        pairs = []
+        for ratio in rng.choice([1.5, 2.0, 3.0, 5.0], size=rng.integers(1, 4),
+                                replace=False):
+            if ker.dim and rng.uniform() < 0.6:
+                c = rng.normal(size=ker.dim) @ ker.basis
+                kernel_coeffs += 1
+            else:
+                c = rng.normal(size=16)
+            pairs.append((CDElement(c), float(ratio)))
+        a = Lacunary.of(*pairs[0]) if len(pairs) == 1 else GeometricSum.of(pairs)
+        q = wpoint_from(0.3, 1.0, j2)
+        mp, c_plus, c_minus = _channel_operators(q, p, _channel_setup(q, p)[1])
+        channels, _ = _geometric_blocks(a, mp, c_plus, c_minus)
+        reflected = [ratio for plus, ratio in channels if not plus]
+        assert min(reflected, default=math.inf) == radius_RapJ(a, p, j2), n
+    assert kernel_coeffs > 50
 
 
 def test_supremum_radius_with_witness():
@@ -683,7 +717,9 @@ def _reference_channel_images(op, v0, v1):
     return out
 
 
-def _reference_geometric_terms(groups, mp, c_plus, c_minus, step_p, step_m):
+def _reference_geometric_terms(groups, mp, c_plus, c_minus, step_p, step_m,
+                               gaps=False):
+    """Terms of a geometric sum; with `gaps`, zero rows off l = 1, 2, 4, ..."""
     comps = []
     for ratio, coeff in groups:
         v0 = np.asarray(coeff, dtype=float)
@@ -692,6 +728,7 @@ def _reference_geometric_terms(groups, mp, c_plus, c_minus, step_p, step_m):
                   + _reference_channel_images(c_minus, v0, v1))
         comps.append((step_p / ratio, step_m / ratio, images))
     zetas = [[1.0 + 0.0j, 1.0 + 0.0j] for _ in comps]
+    ell = 0
     while True:
         term = np.zeros(16)
         for (sp, sm, images), zs in zip(comps, zetas):
@@ -703,7 +740,9 @@ def _reference_geometric_terms(groups, mp, c_plus, c_minus, step_p, step_m):
                     term += zeta.imag * im_img
             zs[0] *= sp
             zs[1] *= sm
-        yield term
+        on_support = ell >= 1 and ell & (ell - 1) == 0
+        yield term if on_support or not gaps else np.zeros(16)
+        ell += 1
 
 
 def _reference_generic_terms(a, mp, c_plus, c_minus, step_p, step_m):
@@ -746,9 +785,10 @@ def reference_evaluate(q, p, a, max_terms, tol=1e-8):
     w, z = q.z, p.z
     step_p = w - z
     step_m = w.conjugate() - z
-    if isinstance(a, GeometricSum):
+    if isinstance(a, (GeometricSum, Lacunary)):
         terms_iter = _reference_geometric_terms(_ratio_groups(a), mp, c_plus,
-                                                c_minus, step_p, step_m)
+                                                c_minus, step_p, step_m,
+                                                gaps=isinstance(a, Lacunary))
     else:
         terms_iter = _reference_generic_terms(a, mp, c_plus, c_minus, step_p, step_m)
     total = np.zeros(16)
@@ -783,6 +823,53 @@ def reference_evaluate(q, p, a, max_terms, tol=1e-8):
                       verdict=verdict, tail_norm=max(window) if window else 0.0)
 
 
+def _exact_support_sum(x, y, ratio, terms):
+    """sum of ((x + iy) / ratio)^l over l = 1, 2, 4, ... below terms.
+
+    The powers come from repeated squaring in exact rationals, and the sum
+    is rounded once.  Returns the sum and the sum of the powers' moduli.
+    """
+    re, im = Fraction(x) / Fraction(ratio), Fraction(y) / Fraction(ratio)
+    total_re = total_im = Fraction(0)
+    size = 0.0
+    ell = 1
+    while ell < terms:
+        total_re, total_im = total_re + re, total_im + im
+        size += math.hypot(float(re), float(im))
+        re, im = re * re - im * im, 2 * re * im
+        ell *= 2
+    return complex(float(total_re), float(total_im)), size
+
+
+def lacunary_oracle(q, p, a, terms):
+    """sum over the support l < terms of (q - p)^{*l} a_l for a gap series.
+
+    The two-channel formula C_plus (w - z)^l a_l + C_minus (conj(w) - z)^l a_l
+    with C_pm = (id -+ M_q M_p)/2, for q and p off the real axis.  The power
+    sums of each channel are exact; a channel image below 1e-10 of the
+    coefficient is rounding dust and is dropped.  Returns the sum and a
+    scale for its rounding error.
+    """
+    assert not (q.is_real or p.is_real)
+    mp = p.axis.matrix
+    prod = q.axis.matrix @ mp
+    c = np.asarray(a.coeff)
+    w, z = q.z, p.z
+    total, scale = np.zeros(16), 0.0
+    for op, y in (((np.eye(16) - prod) / 2, w.imag), ((np.eye(16) + prod) / 2, -w.imag)):
+        images = [op @ v for v in (c, mp @ c)]
+        images = [img if np.linalg.norm(img) > 1e-10 * np.linalg.norm(c) else 0.0 * img
+                  for img in images]
+        if not np.any(images):
+            continue  # a dead channel adds nothing, however large its powers
+        power_sum, size = _exact_support_sum(Fraction(w.real) - Fraction(z.real),
+                                             Fraction(y) - Fraction(z.imag),
+                                             a.ratio, terms)
+        total += power_sum.real * images[0] + power_sum.imag * images[1]
+        scale += size * np.linalg.norm(c)
+    return total, scale
+
+
 def _oracle_table():
     rng = np.random.default_rng(11)
     values = [rng.normal(size=16) * 0.8 ** k for k in range(90)]
@@ -801,7 +888,7 @@ ORACLE_SEQUENCES = {
         Lacunary.of("e4+e15", 2.0),
         Lacunary.of("1+e3", 0.5),
         Lacunary.of("e4+e15", 1e-10),
-        Lacunary.of("e4+e15", 0.001),  # a_128 leaves the float range
+        Lacunary.of("e4+e15", 0.001),  # r^-128 alone leaves the float range
     ],
     "table": [
         _oracle_table(),
@@ -835,12 +922,8 @@ def _oracle_points():
 ORACLE_POINTS = _oracle_points()
 
 
-def _outcome(fn, *args):
-    """Every bit of an evaluation, or the type and text of what it raised."""
-    try:
-        rep = fn(*args)
-    except ArithmeticError as exc:
-        return type(exc).__name__, str(exc)
+def _outcome(rep):
+    """Every bit of an evaluation report."""
     return (rep.partial_sum.coeffs.tobytes(), rep.terms_used, rep.verdict,
             np.float64(rep.tail_norm).tobytes())
 
@@ -851,10 +934,10 @@ def test_block_evaluation_matches_the_term_loop_bitwise(kind, max_terms):
     for a in ORACLE_SEQUENCES[kind]:
         for p, q in ORACLE_POINTS:
             with np.errstate(all="ignore"):
-                expect = _outcome(reference_evaluate, q, p, a, max_terms)
+                expect = _outcome(reference_evaluate(q, p, a, max_terms))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = _outcome(evaluate_series, q, p, a, max_terms)
+                got = _outcome(evaluate_series(q, p, a, max_terms))
             assert got == expect, (a, p, q)
 
 
@@ -864,15 +947,54 @@ def test_block_oracle_cases_reach_every_outcome():
         for a in seqs:
             for p, q in ORACLE_POINTS:
                 with np.errstate(all="ignore"):
-                    out = _outcome(reference_evaluate, q, p, a, 400)
-                if out[0] == "OverflowError":
-                    seen.add("OverflowError")
-                    continue
-                seen.add(out[2])
-                if not np.all(np.isfinite(np.frombuffer(out[0]))):
+                    rep = reference_evaluate(q, p, a, 400)
+                seen.add(rep.verdict)
+                if not np.all(np.isfinite(rep.partial_sum.coeffs)):
                     seen.add("non-finite sum")
     assert seen == {Verdict.CONVERGED, Verdict.DIVERGED, Verdict.UNDETERMINED,
-                    "OverflowError", "non-finite sum"}
+                    "non-finite sum"}
+
+
+def test_gap_series_match_the_exact_two_channel_sum():
+    # The oracle shares no code with the evaluation: exact power sums over
+    # the support instead of running float powers with a mask.  Only the
+    # partial sum up to the reported term count is checked, not the verdict.
+    sequences = ORACLE_SEQUENCES["lacunary"] + [
+        Lacunary.of("0.5e4+0.5e15+0.5e5-0.5e14", 2.0)]
+    checked = 0
+    for a in sequences:
+        for p, q in ORACLE_POINTS:
+            if p.is_real or q.is_real or q.key == p.key:
+                continue
+            rep = evaluate_series(q, p, a, max_terms=400)
+            if not np.all(np.isfinite(rep.partial_sum.coeffs)):
+                continue
+            expect, scale = lacunary_oracle(q, p, a, rep.terms_used)
+            err = np.linalg.norm(rep.partial_sum.coeffs - expect)
+            assert err <= 1e-12 * max(1.0, scale), (a, p, q)
+            checked += 1
+    assert checked > 150
+
+
+def test_gap_series_with_kernel_coefficients_never_diverge_inside(rng):
+    # Seeded hyper pairs (I, J) with a kernel vector of I - J as the gap
+    # coefficient: C_minus of it is rounding dust, which must not grow.
+    from sedenion import kernel_of_left_mult, random_hyper_pair
+
+    inside = 0
+    for _ in range(8):
+        j1, j2 = random_hyper_pair(rng)
+        ker = kernel_of_left_mult(j1.s - j2.s)
+        c = rng.normal(size=ker.dim) @ ker.basis
+        a = Lacunary.of(CDElement(c / np.linalg.norm(c)), 2.0)
+        p = wpoint_from(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 1.5)), j1)
+        thetas = [float(t) for t in rng.uniform(0.1, math.pi - 0.1, size=3)]
+        res = convergence_scan(p, a, j2, [0.25 * k for k in range(1, 16)], thetas)
+        for row in res.rows:
+            if row.predicted is Membership.INTERIOR:
+                inside += 1
+                assert row.empirical is not Verdict.DIVERGED, row
+    assert inside > 100
 
 
 def _peak_bytes(fn):
@@ -890,7 +1012,7 @@ def test_block_evaluation_memory_does_not_grow_with_max_terms():
         wpoint("1.5e1"), p, demo_sequence(), max_terms=10**12))
     assert rep.verdict is Verdict.CONVERGED
     assert peak < 256 * 1024
-    # exact zeros past a table never stop the sum, so it runs the full budget
+    # a table is a finite sum that reports the full budget as its terms
     short = TableSeq.of(["1", "e4+e15"])
     for max_terms in (200, 50_000):
         rep, peak = _peak_bytes(lambda: evaluate_series(
@@ -900,8 +1022,7 @@ def test_block_evaluation_memory_does_not_grow_with_max_terms():
 
 
 def test_block_evaluation_stops_before_an_unreachable_overflow():
-    # a_32 = c * 1e320 raises OverflowError in Lacunary.term, but the sum
-    # diverges at term 1 and never asks for it
+    # the terms grow like (0.5 / 1e-10)^l; the sum diverges at term 1
     rep = evaluate_series(wpoint("0.5+e1"), center(), Lacunary.of("e4+e15", 1e-10))
     assert rep.verdict is Verdict.DIVERGED
     assert rep.terms_used == 2
@@ -930,20 +1051,14 @@ MIXED_BATCHES = _mixed_batches()
 
 
 def _batch_outcome(qs, p, a, max_terms):
-    """Every bit of each report of one batch, or what the batch raised."""
-    try:
-        reports = evaluate_points(qs, p, a, max_terms=max_terms)
-    except ArithmeticError as exc:
-        return type(exc).__name__, str(exc)
-    return [_outcome(lambda rep: rep, rep) for rep in reports]
+    """Every bit of each report of one batch."""
+    return [_outcome(rep) for rep in evaluate_points(qs, p, a, max_terms=max_terms)]
 
 
 def _expected_batch(qs, p, a, max_terms):
-    """The reference outcome of each point; a batch raises if any point does."""
+    """The reference outcome of each point."""
     with np.errstate(all="ignore"):
-        expect = [_outcome(reference_evaluate, q, p, a, max_terms) for q in qs]
-    raised = [out for out in expect if len(out) == 2]
-    return raised[0] if raised else expect
+        return [_outcome(reference_evaluate(q, p, a, max_terms)) for q in qs]
 
 
 @pytest.mark.parametrize("max_terms", [1, 63, 64, 65, 400])
@@ -997,21 +1112,22 @@ def test_point_batch_memory_does_not_grow_with_the_point_count():
     assert peak - kept < 16 * 1024 * 1024
 
 
-def test_point_batch_raises_only_when_a_point_reaches_the_overflow():
-    # a_32 = c * 1e320 raises OverflowError in Lacunary.term.  Points at
-    # distance 1 from the center diverge at term 1; at 1e-10 each nonzero
-    # term has norm sqrt(2), so the sum runs on to term 32.
+def test_point_batch_past_the_old_overflow_returns_reports():
+    # Lacunary.term raises OverflowError at a_32 = c * 1e320.  Points at
+    # distance 1 from the center diverge at term 1; at 1e-10 each support
+    # term has norm about sqrt(2), so the sum runs through a_128.
     a = Lacunary.of("e4+e15", 1e-10)
     p = center()
-    far = [wpoint("0.5+e1"), wpoint_from(0.0, 2.0, E10), wpoint("1")]
-    near = wpoint_from(0.0, 1.0 + 1e-10, E1)
-    assert _batch_outcome(far, p, a, 200) == _expected_batch(far, p, a, 200)
-    assert all(rep.verdict is Verdict.DIVERGED
-               for rep in evaluate_points(far, p, a))
+    qs = [wpoint("0.5+e1"), wpoint_from(0.0, 2.0, E10), wpoint("1"),
+          wpoint_from(0.0, 1.0 + 1e-10, E1)]
     with pytest.raises(OverflowError):
-        reference_evaluate(near, p, a, 200)
-    with pytest.raises(OverflowError):
-        evaluate_points(far + [near], p, a)
+        a.term(32)
+    assert _batch_outcome(qs, p, a, 200) == _expected_batch(qs, p, a, 200)
+    *far, near = evaluate_points(qs, p, a)
+    assert all(rep.verdict is Verdict.DIVERGED for rep in far)
+    assert near.terms_used == 200
+    expect, scale = lacunary_oracle(qs[-1], p, a, 200)
+    assert np.linalg.norm(near.partial_sum.coeffs - expect) <= 1e-12 * scale
 
 
 def test_point_batches_keep_the_input_order_and_validate():
