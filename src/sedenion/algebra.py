@@ -161,7 +161,7 @@ class CDElement:
     matching their contracts.
     """
 
-    __slots__ = ("level", "coeffs")
+    __slots__ = ("level", "coeffs", "_key")
 
     def __init__(self, coeffs: Iterable[float], level: int | None = None):
         arr = np.asarray(list(coeffs) if not isinstance(coeffs, np.ndarray) else coeffs,
@@ -203,8 +203,17 @@ class CDElement:
 
     @property
     def key(self) -> tuple[float, ...]:
-        """Hashable coefficient tuple (always padded to the sedenion level)."""
-        return tuple(self.promote(MAX_LEVEL).coeffs)
+        """Hashable coefficient tuple (always padded to the sedenion level).
+
+        Built on first use and kept: every hash of an element, and of the
+        slice units and points built on it, reads this tuple.
+        """
+        try:
+            return self._key
+        except AttributeError:
+            key = tuple(self.promote(MAX_LEVEL).coeffs)
+            object.__setattr__(self, "_key", key)
+            return key
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -47,12 +47,11 @@ from .slices import (
     wpoint_from,
 )
 from .series import (
+    Domain,
     convergence_scan,
     demo_sequence,
-    domain_contains,
-    domain_report,
+    domain,
     evaluate_series,
-    radius_RapJ,
     seq_from_json,
 )
 
@@ -268,7 +267,7 @@ def cmd_cker(args) -> int:
 def cmd_radii(args) -> int:
     p = wpoint(args.center)
     a = _load_seq(args)
-    rep = domain_report(p, a)
+    rep = domain(p, a).report
     witness = format_element(rep.witness.s) if rep.witness else "none"
     lines = [f"R_a={_fmt(rep.r_a)} R_a^p={_fmt(rep.r_ap)} witness={witness}",
              f"case={rep.case.value}" + (" approximate=yes" if rep.approximate else "")]
@@ -281,7 +280,7 @@ def cmd_contains(args) -> int:
     p = wpoint(args.center)
     a = _load_seq(args)
     q = wpoint(args.q)
-    m = domain_contains(q, p, a, band=args.band)
+    m = domain(p, a).contains(q, band=args.band)
     _emit(args, [m.value], {"membership": m.value})
     return 0
 
@@ -301,14 +300,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _default_slices(p, a) -> list[tuple[str, SliceUnit]]:
+def _default_slices(dom: Domain) -> list[tuple[str, SliceUnit]]:
     """Center axis, a kernel-curve witness, its negative, and a generic unit."""
-    rep = domain_report(p, a)
-    axis = p.axis
+    axis = dom.p.axis
     out = [(format_element(axis.s), axis)]
-    if rep.witness is None:
+    if dom.report.witness is None:
         return out
-    k = rep.witness
+    k = dom.report.witness
     out.append((format_element(k.s), k))
     out.append((format_element((-k).s), -k))
     for name in ("e3", "e2", "e5", "e4", "e6"):
@@ -335,7 +333,8 @@ def cmd_scan(args) -> int:
         raise ValueError("--thetas must be finite")
     p = wpoint(args.center)
     a = _load_seq(args)
-    slices = _parse_slices(args.slices) if args.slices else _default_slices(p, a)
+    slices = _parse_slices(args.slices) if args.slices \
+        else _default_slices(domain(p, a))
     steps = (args.rmax - args.rmin) / args.rstep
     _check_grid_size((steps + 1) * len(angular) * len(slices))
     nsteps = int(round(steps))
@@ -377,7 +376,7 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _figure_csv(p, a, sl: SliceUnit, n: int, rmax: float, band: float) -> str:
+def _figure_csv(dom: Domain, sl: SliceUnit, n: int, rmax: float, band: float) -> str:
     lines = ["theta,r,re,im,class"]
     for i in range(n):
         theta = math.pi * i / max(1, n - 1)
@@ -385,7 +384,7 @@ def _figure_csv(p, a, sl: SliceUnit, n: int, rmax: float, band: float) -> str:
         for k in range(1, n + 1):
             r = rmax * k / n
             q = wpoint_from(r * c, r * s, sl)
-            m = domain_contains(q, p, a, band=band)
+            m = dom.contains(q, band)
             lines.append(f"{_fmt(theta)},{_fmt(r)},{_fmt(r * c)},{_fmt(r * s)},"
                          f"{m.value}")
     return "\n".join(lines) + "\n"
@@ -456,8 +455,7 @@ def _panel_svg(ox: float, oy: float, size: float, label: str,
     return parts
 
 
-def _figure_svg(p, a, slices) -> str:
-    rep = domain_report(p, a)
+def _figure_svg(dom: Domain, slices) -> str:
     size, gap = 300.0, 14.0
     cols = min(2, len(slices)) if len(slices) > 1 else 1
     rows = (len(slices) + cols - 1) // cols
@@ -468,12 +466,10 @@ def _figure_svg(p, a, slices) -> str:
     for idx, (name, sl) in enumerate(slices):
         ox = gap + (idx % cols) * (size + gap)
         oy = gap + (idx // cols) * (size + gap)
-        center_plane = p.is_real or axis_sign(sl, p.axis) != 0
-        if center_plane:
-            r1, r2 = rep.r_a, math.inf
-        else:
-            r1, r2 = rep.r_a, radius_RapJ(a, p, sl)
-        parts += _panel_svg(ox, oy, size, f"slice {name}", r1, r2, center_plane)
+        r2 = dom.radius_on(sl)
+        center_plane = r2 is None
+        parts += _panel_svg(ox, oy, size, f"slice {name}", dom.report.r_a,
+                            math.inf if center_plane else r2, center_plane)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -483,9 +479,8 @@ def cmd_figure(args) -> int:
         raise ValueError("--n wants a positive grid size")
     if not (math.isfinite(args.rmax) and args.rmax > 0):
         raise ValueError("--rmax must be finite and positive")
-    p = wpoint(args.center)
-    a = _load_seq(args)
-    slices = _parse_slices(args.slices) if args.slices else _default_slices(p, a)
+    dom = domain(wpoint(args.center), _load_seq(args))
+    slices = _parse_slices(args.slices) if args.slices else _default_slices(dom)
     _check_grid_size(args.n * args.n * len(slices))
     outdir = args.out if args.out else _outdir()
     os.makedirs(outdir, exist_ok=True)
@@ -498,12 +493,12 @@ def cmd_figure(args) -> int:
             file = f"figure_slice{index}"
         path = os.path.join(outdir, file + ".csv")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_figure_csv(p, a, sl, args.n, args.rmax, args.band))
+            fh.write(_figure_csv(dom, sl, args.n, args.rmax, args.band))
         written.append(path)
     if args.format == "svg":
         path = os.path.join(outdir, "figure.svg")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_figure_svg(p, a, slices))
+            fh.write(_figure_svg(dom, slices))
         written.append(path)
     for path in written:
         print(f"wrote {path}")

@@ -74,6 +74,7 @@ __all__ = [
     "Verdict",
     "DomainCase",
     "DomainReport",
+    "Domain",
     "EvalReport",
     "ScanRow",
     "ScanResult",
@@ -83,6 +84,7 @@ __all__ = [
     "radius_Ra",
     "radius_RapJ",
     "radius_Rap",
+    "domain",
     "domain_report",
     "sigma_contains",
     "hyper_sigma_contains",
@@ -120,10 +122,36 @@ class GeometricSum:
         return cls(tuple((_coeff_key(c), real_from_json(r)) for c, r in pairs))
 
     def term(self, ell: int) -> NDArray[np.float64]:
-        out = np.zeros(DIM)
-        for coeff, ratio in self.terms:
-            out += np.asarray(coeff) * ratio ** (-ell)
-        return out
+        try:
+            out = np.zeros(DIM)
+            for coeff, ratio in self.terms:
+                out += np.asarray(coeff) * ratio ** (-ell)
+            return out
+        except OverflowError:
+            return _saturated(self.terms, ell)
+
+
+def _saturated(pairs, ell: int) -> NDArray[np.float64]:
+    """sum_i c_i * r_i^(-ell) when some power r_i^(-ell) leaves the float range.
+
+    Each component is summed alone over the terms with a nonzero coefficient
+    there.  When one of their powers leaves the range the component is
+    +-inf, signed by their sum scaled by the largest power; a component no
+    term reaches is 0.0.  No OverflowError, NaN or warning comes out.
+    """
+    out = np.zeros(DIM)
+    for k in range(DIM):
+        live = [(c[k], r) for c, r in pairs if c[k] != 0.0]
+        if not live:
+            continue
+        try:
+            for c, r in live:
+                out[k] += c * r ** (-ell)
+        except OverflowError:
+            lead = (min if ell > 0 else max)(r for _, r in live)
+            scaled = sum(c * (lead / r) ** ell for c, r in live)
+            out[k] = math.copysign(math.inf, scaled) if scaled else 0.0
+    return out
 
 
 def _on_support(ell):
@@ -147,9 +175,12 @@ class Lacunary:
         return cls(_coeff_key(coeff), real_from_json(ratio))
 
     def term(self, ell: int) -> NDArray[np.float64]:
-        if _on_support(ell):
+        if not _on_support(ell):
+            return np.zeros(DIM)
+        try:
             return np.asarray(self.coeff) * self.ratio ** (-ell)
-        return np.zeros(DIM)
+        except OverflowError:
+            return _saturated([(self.coeff, self.ratio)], ell)
 
 
 @dataclass(frozen=True)
@@ -350,6 +381,11 @@ def _perp_size(vec: NDArray[np.float64], ker: Subspace) -> float:
     return float(np.linalg.norm(vec - ker.project(vec).coeffs))
 
 
+def _center_plane(p: WPoint, j: SliceUnit) -> bool:
+    """Whether the slice of J is the complex plane of p (every J for a real p)."""
+    return p.is_real or axis_sign(j, p.axis) != 0
+
+
 def radius_RapJ(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
     """Directional radius 1 / limsup dist(a_l, ker(I_p - J))^(1/l).
 
@@ -358,8 +394,13 @@ def radius_RapJ(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
     ker(I_p - J) count, so it can only be larger (+inf when every
     coefficient sits inside the kernel).
     """
-    if p.is_real or axis_sign(j, p.axis):
+    if _center_plane(p, j):
         return radius_Ra(a)
+    return _reflected_radius(a, p, j)
+
+
+def _reflected_radius(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
+    """R_a^{p,J} for a slice J off the center plane of p."""
     ker = kernel_of_left_mult(p.axis.s - j.s)
     if isinstance(a, (GeometricSum, Lacunary)):
         best = math.inf
@@ -368,16 +409,6 @@ def radius_RapJ(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
                 best = min(best, ratio)
         return best
     return _table_radius(a, lambda v: _perp_size(v, ker))
-
-
-# Bound of the radius memos: far above the few dozen (center, sequence) keys a
-# figure or scan uses, small enough that a stream of fresh centers stays flat.
-_CACHE_SIZE = 1024
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _radius_RapJ_cached(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
-    return radius_RapJ(a, p, j)
 
 
 def radius_Rap(a: SeqSpec, p: WPoint,
@@ -458,21 +489,79 @@ class DomainReport:
     approximate: bool = False
 
 
+# Bound of the domain memo: far above the few dozen (center, sequence) pairs a
+# figure or scan uses, small enough that a stream of fresh centers stays flat.
+_CACHE_SIZE = 1024
+# Bound of each domain's slice memo.  A scan, figure or grid visits its slices
+# one after another, so a few entries serve it; a stream of fresh axes
+# empties the memo when it is full.
+_SLICE_MEMO = 16
+
+
+class Domain:
+    """The convergence domain of the series a around the center p.
+
+    Built once per (center, sequence); `report` holds the radii, witness and
+    case.  On each slice C_J the domain is two disks whose radii depend only
+    on (p, a, J), so a memo keyed by the axis of J keeps, per slice, whether
+    J spans the center plane of p (one axis test) and off it the reflected
+    radius R_a^{p,J} (one kernel).  The memo holds at most `_SLICE_MEMO`
+    axes; it is the only state a Domain changes after construction.
+    """
+
+    __slots__ = ("p", "a", "report", "_slices")
+
+    def __init__(self, p: WPoint, a: SeqSpec):
+        ra = radius_Ra(a)
+        rap, witness = radius_Rap(a, p)
+        if p.is_real:
+            case = DomainCase.REAL_CENTER
+            witness = None
+        elif witness is None or rap <= ra:
+            case = DomainCase.SIGMA_BALL_ONLY
+            witness = None
+            rap = max(rap, ra)
+        else:
+            case = DomainCase.HYPER_INTERSECTION
+        self.p, self.a = p, a
+        self.report = DomainReport(r_a=ra, r_ap=rap, witness=witness, case=case,
+                                   approximate=isinstance(a, TableSeq))
+        self._slices: dict[tuple[float, ...], float | None] = {}
+
+    def radius_on(self, j: SliceUnit) -> float | None:
+        """R_a^{p,J} on the slice of J, or None when J spans the center plane.
+
+        On the center plane only the disk of R_a bounds the domain.
+        """
+        key = j.key
+        try:
+            return self._slices[key]
+        except KeyError:
+            pass
+        r = None if _center_plane(self.p, j) else _reflected_radius(self.a, self.p, j)
+        if len(self._slices) >= _SLICE_MEMO:
+            self._slices.clear()
+        self._slices[key] = r
+        return r
+
+    def contains(self, q: WPoint, band: float = 1e-9) -> Membership:
+        """Classify q: Interior / Exterior with margin `band`, else Boundary."""
+        return _slice_membership(q, self.p, self.report.r_a, self.radius_on, band)
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
+def domain(p: WPoint, a: SeqSpec) -> Domain:
+    """The Domain of a around p, shared by every caller.
+
+    Memoised for the last `_CACHE_SIZE` (center, sequence) pairs, so that
+    the scalar `domain_report` and `domain_contains` stay warm.
+    """
+    return Domain(p, a)
+
+
 def domain_report(p: WPoint, a: SeqSpec) -> DomainReport:
-    ra = radius_Ra(a)
-    rap, witness = radius_Rap(a, p)
-    if p.is_real:
-        case = DomainCase.REAL_CENTER
-        witness = None
-    elif witness is None or rap <= ra:
-        case = DomainCase.SIGMA_BALL_ONLY
-        witness = None
-        rap = max(rap, ra)
-    else:
-        case = DomainCase.HYPER_INTERSECTION
-    return DomainReport(r_a=ra, r_ap=rap, witness=witness, case=case,
-                        approximate=isinstance(a, TableSeq))
+    """Radii, witness and case of the domain around p: `domain(p, a).report`."""
+    return domain(p, a).report
 
 
 def _disk_state(dist: float, radius: float, band: float) -> int:
@@ -499,21 +588,23 @@ def _classify(states: list[int]) -> Membership:
 
 
 def _slice_membership(q: WPoint, p: WPoint, r_a: float,
-                      reflected: Callable[[SliceUnit], float],
+                      reflected: Callable[[SliceUnit], float | None],
                       band: float) -> Membership:
     """The two-disk rule on the slice of q.
 
-    On the center plane of p (q or p real, or I_q = +-I_p) only the disk
-    |q - p| < r_a counts.  On any other slice J = I_q the direct disk
-    |z_q - z_p| < r_a and the reflected disk |z_q - conj(z_p)| <
-    reflected(J) must both hold; `reflected` is called only there.
+    `reflected(J)` is the radius of the reflected disk on the slice of J, or
+    None when J spans the center plane of p (`_center_plane`).  There, and
+    for a real q, only the disk |q - p| < r_a counts.  On any other slice
+    J = I_q the direct disk |z_q - z_p| < r_a and the reflected disk
+    |z_q - conj(z_p)| < reflected(J) must both hold.
     """
-    if q.is_real or p.is_real or axis_sign(q.axis, p.axis):
+    r2 = None if q.is_real else reflected(q.axis)
+    if r2 is None:
         dist = float(np.linalg.norm(q.value.coeffs - p.value.coeffs))
         return _classify([_disk_state(dist, r_a, band)])
     zq, zp = q.z, p.z
     return _classify([_disk_state(abs(zq - zp), r_a, band),
-                      _disk_state(abs(zq - zp.conjugate()), reflected(q.axis), band)])
+                      _disk_state(abs(zq - zp.conjugate()), r2, band)])
 
 
 def sigma_contains(q: WPoint, p: WPoint, r: float) -> bool:
@@ -522,7 +613,8 @@ def sigma_contains(q: WPoint, p: WPoint, r: float) -> bool:
     The two-disk rule with reflected radius r on every slice.  Centers
     always belong (r = 0 included).
     """
-    return _slice_membership(q, p, r, lambda j: r, 0.0) is Membership.INTERIOR
+    return _slice_membership(q, p, r, lambda j: None if _center_plane(p, j) else r,
+                             0.0) is Membership.INTERIOR
 
 
 def hyper_sigma_contains(q: WPoint, p: WPoint, r: float, j: HyperSolution) -> bool:
@@ -535,7 +627,8 @@ def hyper_sigma_contains(q: WPoint, p: WPoint, r: float, j: HyperSolution) -> bo
     if not same_unit(p.axis, j.j1):
         raise ValueError("hyper-sigma-ball center must lie on the slice of j1")
     return _slice_membership(
-        q, p, r, lambda k: math.inf if cker_membership(k, j.j1, j.j2) else r,
+        q, p, r, lambda k: None if _center_plane(p, k) else
+        (math.inf if cker_membership(k, j.j1, j.j2) else r),
         0.0) is Membership.INTERIOR
 
 
@@ -546,11 +639,10 @@ def domain_contains(q: WPoint, p: WPoint, a: SeqSpec,
     Interior / Exterior are strict calls with margin `band`; anything within
     the band of a radius equality is Boundary (the series behavior there is
     not decided by the radii).  The two-disk rule with radius R_a and, off
-    the center plane, reflected radius R_a^{p,I_q}.
+    the center plane, reflected radius R_a^{p,I_q}.  A thin layer over
+    `domain(p, a).contains(q, band)`.
     """
-    rep = domain_report(p, a)
-    return _slice_membership(q, p, rep.r_a,
-                             functools.partial(_radius_RapJ_cached, a, p), band)
+    return domain(p, a).contains(q, band)
 
 
 # ---------------------------------------------------------------------------
@@ -905,13 +997,14 @@ def convergence_scan(p: WPoint, a: SeqSpec, slice_unit: SliceUnit,
     """
     if not radial_grid or not angular_grid:
         raise ValueError("scan grids must be nonempty")
+    dom = domain(p, a)
     points = []
     for theta in angular_grid:
         for r in radial_grid:
             zz = r * cmath.exp(1j * theta)
             im = abs(zz.imag) if abs(zz.imag) < 1e-15 else zz.imag
             qq = wpoint_from(zz.real, im, slice_unit)
-            points.append((theta, zz.real, qq, domain_contains(qq, p, a, band=band)))
+            points.append((theta, zz.real, qq, dom.contains(qq, band)))
     reports = evaluate_points([qq for _, _, qq, _ in points], p, a,
                               max_terms=max_terms, tol=tol)
     rows = []

@@ -465,9 +465,12 @@ class WPoint:
 
     def __init__(self, value: CDElement, re: float, im: float,
                  axis: SliceUnit, is_real: bool):
-        for name, val in (("value", value), ("re", re), ("im", im),
-                          ("axis", axis), ("is_real", is_real)):
-            object.__setattr__(self, name, val)
+        set_ = object.__setattr__
+        set_(self, "value", value)
+        set_(self, "re", re)
+        set_(self, "im", im)
+        set_(self, "axis", axis)
+        set_(self, "is_real", is_real)
 
     def __setattr__(self, name, value):
         raise AttributeError("WPoint is immutable")
@@ -510,12 +513,16 @@ def wpoint(value: CDElement | str, tol: float = _EQ_TOL) -> WPoint:
     return WPoint(value=value, re=re, im=im, axis=axis, is_real=False)
 
 
+_E0 = np.eye(DIM)[0]
+_E0.flags.writeable = False
+
+
 def wpoint_from(re: float, im: float, axis: SliceUnit) -> WPoint:
     """Point re + im*axis; a negative im flips the axis to keep im >= 0."""
     if im < 0.0:
         return wpoint_from(re, -im, -axis)
     if im == 0.0:
-        value = CDElement(re * np.eye(DIM)[0])
+        value = CDElement(re * _E0)
         return WPoint(value=value, re=re, im=0.0, axis=I0, is_real=True)
-    value = CDElement(re * np.eye(DIM)[0] + im * axis.s.coeffs)
+    value = CDElement(re * _E0 + im * axis.s.coeffs)
     return WPoint(value=value, re=re, im=im, axis=axis, is_real=False)

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from sedenion import (
     CDElement,
+    Domain,
     DomainCase,
     GeometricSum,
     I0,
@@ -19,11 +21,13 @@ from sedenion import (
     SliceUnit,
     TableSeq,
     Verdict,
+    axis_sign,
     cd_mul,
     cker_curve_point,
     complex_embed,
     convergence_scan,
     demo_sequence,
+    domain,
     domain_contains,
     domain_report,
     eval_poly,
@@ -32,11 +36,14 @@ from sedenion import (
     hyper_sigma_contains,
     hyper_solution,
     is_hyper_solution,
+    kernel_of_left_mult,
     parse_element,
     psi,
     radius_Ra,
     radius_RapJ,
     radius_Rap,
+    random_hyper_pair,
+    random_slice_unit,
     seq_from_json,
     seq_to_json,
     sigma_contains,
@@ -77,6 +84,35 @@ def test_lacunary_terms_live_on_powers_of_two():
     assert np.array_equal(a.term(0), np.zeros(16))
     t4 = a.term(4)
     assert t4[4] == t4[15] == 2.0 ** -4 and np.count_nonzero(t4) == 2
+
+
+def test_terms_past_the_float_range_saturate():
+    # 1e-10 ** -32 = 1e320 leaves the float range: the components such a
+    # power reaches are +-inf, signed by the largest power, the others stay
+    # finite or 0.0, and nothing raises, warns or turns NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lac = Lacunary.of("e4-e15", 1e-10).term(32)
+        geo = GeometricSum.of([("e4+e15+e6", 1e-10), ("e3-e4", 1e-11),
+                               ("e2", 2.0), ("-e6", 1e-10)]).term(32)
+    want = np.zeros(16)
+    want[4], want[15] = math.inf, -math.inf
+    np.testing.assert_array_equal(lac, want)
+    want = np.zeros(16)
+    want[2] = 2.0 ** -32
+    want[3], want[4], want[15] = math.inf, -math.inf, math.inf
+    np.testing.assert_array_equal(geo, want)
+    # a finite power keeps the old arithmetic bit for bit
+    a = GeometricSum.of([("e4+e15", 0.3), ("-0.7e4+e3", 0.7)])
+    for ell in (0, 1, 7, 580):
+        old = np.zeros(16)
+        for coeff, ratio in a.terms:
+            old += np.asarray(coeff) * ratio ** (-ell)
+        assert a.term(ell).tobytes() == old.tobytes()
+    lac = Lacunary.of("-e4+e15", 0.3)
+    for ell in (1, 2, 512):
+        old = np.asarray(lac.coeff) * lac.ratio ** (-ell)
+        assert lac.term(ell).tobytes() == old.tobytes()
 
 
 def test_table_terms_vanish_beyond_the_table():
@@ -437,13 +473,140 @@ def test_domain_report_cases_and_caching():
     assert domain_report(center(), table).approximate
 
 
-def test_domain_report_cache_stays_bounded():
+def test_domain_cache_stays_bounded():
     a = GeometricSum.of([("1", 2.0)])
-    maxsize = domain_report.cache_parameters()["maxsize"]
+    maxsize = domain.cache_parameters()["maxsize"]
+    assert maxsize == 1024
     for k in range(2 * maxsize):
-        rep = domain_report(wpoint_from(1.0, 1.0 + k / maxsize, E1), a)
-        assert domain_report.cache_info().currsize <= maxsize
-    assert domain_report(wpoint_from(1.0, 1.0 + k / maxsize, E1), a) is rep
+        dom = domain(wpoint_from(1.0, 1.0 + k / maxsize, E1), a)
+        assert domain.cache_info().currsize <= maxsize
+    assert domain(wpoint_from(1.0, 1.0 + k / maxsize, E1), a) is dom
+
+
+def test_slice_memo_stays_bounded_on_a_stream_of_fresh_axes():
+    import sedenion.series as series
+
+    dom = Domain(center(), demo_sequence())
+    rng = np.random.default_rng(5)
+
+    def stream(count):
+        for _ in range(count):
+            dom.contains(wpoint_from(0.3, 1.2, random_slice_unit(rng)))
+            assert len(dom._slices) <= series._SLICE_MEMO
+
+    stream(8000)
+    tracemalloc.start()
+    try:
+        stream(1000)
+        before = tracemalloc.get_traced_memory()[0]
+        stream(1000)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # one kept axis costs about 700 bytes; an unbounded memo would keep 700 kB more
+    assert after - before < 64 * 1024
+
+
+def _counting(counts, name, fn):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_membership_work_runs_once_per_slice_not_per_point(monkeypatch, tmp_path):
+    # The axis test, the reflected radius and its kernel depend only on the
+    # (center, sequence) and the slice, so a warm slice of 10,000 points and
+    # a 100 x 100 figure each run them at most once per slice and per
+    # domain.  The centers are used by no other test, so their domains are
+    # built here.
+    import sedenion.series as series
+    from sedenion.cli import main
+
+    names = ("radius_RapJ", "axis_sign", "kernel_of_left_mult")
+    counts = Counter()
+    for name in names:
+        monkeypatch.setattr(series, name, _counting(counts, name, getattr(series, name)))
+    p, a = wpoint_from(0.25, 0.75, E1), demo_sequence()
+    assert domain_contains(wpoint_from(0.1, 0.2, E10), p, a) is Membership.INTERIOR
+    warm = dict(counts)
+    assert all(warm[name] <= 2 for name in names)  # one domain, one slice
+    got = Counter(domain_contains(wpoint_from(4.0 * k / 100 * math.cos(t),
+                                              4.0 * k / 100 * math.sin(t), E10), p, a)
+                  for t in np.linspace(0.0, math.pi, 100) for k in range(1, 101))
+    assert sum(got.values()) == 10_000 and len(got) >= 2
+    assert dict(counts) == warm
+
+    counts.clear()
+    argv = ["figure", "--center", "0.3+0.6e1", "--n", "100", "--format", "svg",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    slices = len(list(tmp_path.glob("figure_*.csv")))
+    assert slices == 4 and (tmp_path / "figure.svg").exists()
+    # the last ray of a figure, at pi * (n - 1) / (n - 1), ends a hair past pi,
+    # so its points lie on -J: at most two axes per slice
+    assert all(0 < counts[name] <= 2 * slices + 1 for name in names), counts
+
+
+def _tilted(i: int, j: int, t: float) -> SliceUnit:
+    """cos(t) e_i + sin(t) e_j: the slice unit e_i turned by t toward e_j."""
+    s = np.zeros(16)
+    s[i], s[j] = math.cos(t), math.sin(t)
+    return SliceUnit(CDElement(s))
+
+
+def test_memoised_membership_equals_the_unmemoised_rule():
+    import sedenion.series as series
+
+    rng = np.random.default_rng(8)
+    j1, j2 = random_hyper_pair(rng)
+    c = kernel_of_left_mult(j1.s - j2.s).basis[0]
+    kernel_seqs = (GeometricSum.of([("1", 3.0), (CDElement(c), 2.0)]),
+                   Lacunary.of(CDElement(c), 2.0),
+                   TableSeq.of(["1", CDElement(c), CDElement(c / 4), CDElement(c / 8)]))
+    demo_seqs = (demo_sequence(), Lacunary.of("e4+e15", 2.0),
+                 TableSeq.of(["1", "e4+e15", "0.25e4+0.25e15", "0.125e4+0.125e15"]))
+    generic = [random_slice_unit(rng) for _ in range(2)]
+    cases = [  # center, sequences, extra axes (tilts straddle _EQ_TOL)
+        (center(), demo_seqs, [_tilted(1, 2, 5e-10), _tilted(1, 2, 2e-9)]),
+        (wpoint_from(0.3, 0.8, E10), demo_seqs,
+         [_tilted(10, 11, 5e-10), _tilted(10, 11, 2e-9)]),
+        (wpoint_from(-0.2, 0.9, j1), kernel_seqs, [j2, -j2]),
+        (wpoint("0.5"), demo_seqs, [E1, E10]),
+    ]
+    seen = Counter()
+    for p, seqs, extra in cases:
+        for a in seqs:
+            dom = domain(p, a)
+            axes = [p.axis, -p.axis, *extra, *generic]
+            if dom.report.witness is not None:
+                k = dom.report.witness
+                axes += [k, -k] + [cker_curve_point(p.axis, k, t) for t in (0.4, 2.1)]
+            r_a = radius_Ra(a)
+
+            def unmemoised(j):
+                return None if p.is_real or axis_sign(j, p.axis) else radius_RapJ(a, p, j)
+
+            qs = [p, wpoint_from(0.7, 0.0, E1), wpoint_from(p.re + r_a, 0.0, E1)]
+            for axis in axes:
+                qs += [wpoint_from(x, y, axis) for x, y in
+                       rng.uniform([-4.0, 0.0], [4.0, 4.0], size=(12, 2))]
+                # on the direct circle |z - z_p| = R_a
+                qs += [wpoint_from(p.re + r_a * math.cos(t), p.im + r_a * math.sin(t), axis)
+                       for t in (0.3, 1.9)]
+            order = rng.permutation(len(qs))  # interleave the slices
+            for band in (0.0, 1e-9, 0.05):
+                for i in order:
+                    got = dom.contains(qs[i], band)
+                    assert got is series._slice_membership(qs[i], p, r_a, unmemoised, band)
+                    seen[got] += 1
+            assert dom.radius_on(p.axis) is None
+    assert dom.radius_on(E10) is None  # a real center has one plane
+    d = domain(center(), demo_sequence())
+    assert d.radius_on(_tilted(1, 2, 5e-10)) is None
+    assert d.radius_on(_tilted(1, 2, 2e-9)) == 2.0
+    assert d.radius_on(E10) == 3.0 and d.radius_on(-E10) == 2.0
+    assert all(seen[m] > 50 for m in Membership), seen
 
 
 def test_sigma_ball_membership_fixtures():
@@ -1113,15 +1276,16 @@ def test_point_batch_memory_does_not_grow_with_the_point_count():
 
 
 def test_point_batch_past_the_old_overflow_returns_reports():
-    # Lacunary.term raises OverflowError at a_32 = c * 1e320.  Points at
+    # a_32 = c * 1e320 leaves the float range and saturates.  Points at
     # distance 1 from the center diverge at term 1; at 1e-10 each support
     # term has norm about sqrt(2), so the sum runs through a_128.
     a = Lacunary.of("e4+e15", 1e-10)
     p = center()
     qs = [wpoint("0.5+e1"), wpoint_from(0.0, 2.0, E10), wpoint("1"),
           wpoint_from(0.0, 1.0 + 1e-10, E1)]
-    with pytest.raises(OverflowError):
-        a.term(32)
+    saturated = np.zeros(16)
+    saturated[[4, 15]] = math.inf
+    np.testing.assert_array_equal(a.term(32), saturated)
     assert _batch_outcome(qs, p, a, 200) == _expected_batch(qs, p, a, 200)
     *far, near = evaluate_points(qs, p, a)
     assert all(rep.verdict is Verdict.DIVERGED for rep in far)
