@@ -34,7 +34,7 @@ import cmath
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
@@ -101,6 +101,13 @@ def _coeff_key(c) -> tuple[float, ...]:
     return parse_any(c).key
 
 
+def _cached_hash(self) -> int:
+    """The dataclass hash of a sequence (of its field tuple), kept after first use."""
+    if not hasattr(self, "_hash"):
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+    return self._hash
+
+
 # ---------------------------------------------------------------------------
 # coefficient sequences
 # ---------------------------------------------------------------------------
@@ -111,6 +118,7 @@ class GeometricSum:
     """a_l = sum_i c_i * r_i^(-l) for terms (c_i, r_i) with r_i > 0."""
 
     terms: tuple[tuple[tuple[float, ...], float], ...]
+    __hash__ = _cached_hash
 
     def __post_init__(self):
         for _, ratio in self.terms:
@@ -165,6 +173,7 @@ class Lacunary:
 
     coeff: tuple[float, ...]
     ratio: float
+    __hash__ = _cached_hash
 
     def __post_init__(self):
         if not self.ratio > 0.0:
@@ -192,6 +201,7 @@ class TableSeq:
     """
 
     values: tuple[tuple[float, ...], ...]
+    __hash__ = _cached_hash
 
     @classmethod
     def of(cls, values: Iterable) -> "TableSeq":
@@ -579,10 +589,10 @@ def _disk_state(dist: float, radius: float, band: float) -> int:
     return 0
 
 
-def _classify(states: list[int]) -> Membership:
-    if any(s > 0 for s in states):
+def _classify(direct: int, reflected: int = -1) -> Membership:
+    if direct > 0 or reflected > 0:
         return Membership.EXTERIOR
-    if all(s < 0 for s in states):
+    if direct < 0 and reflected < 0:
         return Membership.INTERIOR
     return Membership.BOUNDARY
 
@@ -601,10 +611,10 @@ def _slice_membership(q: WPoint, p: WPoint, r_a: float,
     r2 = None if q.is_real else reflected(q.axis)
     if r2 is None:
         dist = float(np.linalg.norm(q.value.coeffs - p.value.coeffs))
-        return _classify([_disk_state(dist, r_a, band)])
-    zq, zp = q.z, p.z
-    return _classify([_disk_state(abs(zq - zp), r_a, band),
-                      _disk_state(abs(zq - zp.conjugate()), r2, band)])
+        return _classify(_disk_state(dist, r_a, band))
+    dre = q.re - p.re
+    return _classify(_disk_state(abs(complex(dre, q.im - p.im)), r_a, band),
+                     _disk_state(abs(complex(dre, q.im + p.im)), r2, band))
 
 
 def sigma_contains(q: WPoint, p: WPoint, r: float) -> bool:

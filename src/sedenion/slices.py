@@ -92,7 +92,7 @@ class SliceUnit:
     """
 
     __slots__ = ("s", "alpha", "theta", "jmath",
-                 "cos_alpha", "sin_alpha", "cos_theta", "sin_theta", "matrix")
+                 "cos_alpha", "sin_alpha", "cos_theta", "sin_theta", "matrix", "_neg")
 
     def __init__(self, s: CDElement | str):
         if isinstance(s, str):
@@ -140,7 +140,11 @@ class SliceUnit:
         return self.s.key
 
     def __neg__(self) -> "SliceUnit":
-        return SliceUnit(-self.s)
+        """-J, built on first use and kept by both units, so -(-J) is J."""
+        if not hasattr(self, "_neg"):
+            object.__setattr__(self, "_neg", SliceUnit(-self.s))
+            object.__setattr__(self._neg, "_neg", self)
+        return self._neg
 
     def __eq__(self, other):
         if not isinstance(other, SliceUnit):
@@ -459,14 +463,17 @@ def random_hyper_pair(rng) -> tuple[SliceUnit, SliceUnit]:
 
 
 class WPoint:
-    """A point q = re + im*axis with im >= 0; real points sit on the base slice I0."""
+    """A point q = re + im*axis with im >= 0; real points sit on the base slice I0.
 
-    __slots__ = ("value", "re", "im", "axis", "is_real")
+    `value` is built on first use for `wpoint_from` points; the hash is kept.
+    """
 
-    def __init__(self, value: CDElement, re: float, im: float,
-                 axis: SliceUnit, is_real: bool):
+    __slots__ = ("_value", "re", "im", "axis", "is_real", "_hash")
+
+    def __init__(self, re: float, im: float, axis: SliceUnit, is_real: bool,
+                 value: CDElement | None = None):
         set_ = object.__setattr__
-        set_(self, "value", value)
+        set_(self, "_value", value)
         set_(self, "re", re)
         set_(self, "im", im)
         set_(self, "axis", axis)
@@ -474,6 +481,13 @@ class WPoint:
 
     def __setattr__(self, name, value):
         raise AttributeError("WPoint is immutable")
+
+    @property
+    def value(self) -> CDElement:
+        if self._value is None:
+            v = self.re * _E0 if self.is_real else self.re * _E0 + self.im * self.axis.s.coeffs
+            object.__setattr__(self, "_value", CDElement(v))
+        return self._value
 
     @property
     def z(self) -> complex:
@@ -489,7 +503,9 @@ class WPoint:
         return self.key == other.key
 
     def __hash__(self):
-        return hash(self.key)
+        if not hasattr(self, "_hash"):
+            object.__setattr__(self, "_hash", hash(self.key))
+        return self._hash
 
     def __repr__(self):
         return f"WPoint({str(self.value)!r}, z={self.z})"
@@ -508,9 +524,9 @@ def wpoint(value: CDElement | str, tol: float = _EQ_TOL) -> WPoint:
     imvec[0] = 0.0
     im = float(np.linalg.norm(imvec))
     if im <= tol * max(1.0, abs(re)):
-        return WPoint(value=value, re=re, im=0.0, axis=I0, is_real=True)
+        return WPoint(re, 0.0, I0, True, value)
     axis = SliceUnit(CDElement(imvec / im))
-    return WPoint(value=value, re=re, im=im, axis=axis, is_real=False)
+    return WPoint(re, im, axis, False, value)
 
 
 _E0 = np.eye(DIM)[0]
@@ -521,8 +537,4 @@ def wpoint_from(re: float, im: float, axis: SliceUnit) -> WPoint:
     """Point re + im*axis; a negative im flips the axis to keep im >= 0."""
     if im < 0.0:
         return wpoint_from(re, -im, -axis)
-    if im == 0.0:
-        value = CDElement(re * _E0)
-        return WPoint(value=value, re=re, im=0.0, axis=I0, is_real=True)
-    value = CDElement(re * _E0 + im * axis.s.coeffs)
-    return WPoint(value=value, re=re, im=im, axis=axis, is_real=False)
+    return WPoint(re, 0.0, I0, True) if im == 0.0 else WPoint(re, im, axis, False)

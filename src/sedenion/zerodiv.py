@@ -162,19 +162,22 @@ def kernel_of_left_mult(s: CDElement) -> Subspace:
     Uses an SVD with relative cutoff 1e-9 on the singular values; s = 0
     returns the full 16-dimensional space.
     """
-    m = left_mult_matrix(s)
-    u, sv, vh = np.linalg.svd(m)
+    u, sv, vh = np.linalg.svd(left_mult_matrix(s))
     if sv[0] == 0.0:
         return Subspace(np.eye(DIM))
-    null_rows = vh[sv <= _KERNEL_SV_CUTOFF * sv[0]]
-    return Subspace(null_rows)
+    return Subspace(vh[_null_mask(sv)])
+
+
+def _null_mask(sv: NDArray[np.float64]) -> NDArray[np.bool_]:
+    """The rank rule: singular values (descending) at most 1e-9 of the largest."""
+    return sv <= _KERNEL_SV_CUTOFF * sv[0]
 
 
 def is_zero_divisor(s: CDElement) -> bool:
     """True iff s is nonzero and annihilates some nonzero element on the left."""
     if s.is_zero():
         return False
-    return kernel_of_left_mult(s).dim > 0
+    return bool(_null_mask(np.linalg.svd(left_mult_matrix(s), compute_uv=False)).any())
 
 
 def is_special_triple(i: CDElement, j: CDElement, k: CDElement,

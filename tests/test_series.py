@@ -548,6 +548,81 @@ def test_membership_work_runs_once_per_slice_not_per_point(monkeypatch, tmp_path
     assert all(0 < counts[name] <= 2 * slices + 1 for name in names), counts
 
 
+def _off_plane_slice(axis: SliceUnit, n: int = 100) -> list:
+    """n x n points at the angles pi * i / (n - 1) of `figure`, i = 1..n.
+
+    The real ray i = 0 is left out; the last two rays end past pi, so their
+    points lie on -axis.
+    """
+    return [wpoint_from(4.0 * k / n * math.cos(t), 4.0 * k / n * math.sin(t), axis)
+            for t in (math.pi * i / (n - 1) for i in range(1, n + 1))
+            for k in range(1, n + 1)]
+
+
+def _reference_membership(q, p, r_a, r2, band):
+    """The two-disk rule written out with complex numbers, for an off-plane q."""
+    def state(d, r):
+        return -1 if d == 0.0 or d < r - band else (1 if d > r + band else 0)
+    states = (state(abs(q.z - p.z), r_a), state(abs(q.z - p.z.conjugate()), r2))
+    if max(states) > 0:
+        return Membership.EXTERIOR
+    return Membership.INTERIOR if max(states) < 0 else Membership.BOUNDARY
+
+
+def test_warm_off_plane_membership_builds_no_elements_or_units(monkeypatch):
+    # Off the center plane the two-disk rule reads only re, im and the axis,
+    # so a warm slice builds no CDElement; -J is built once per unit, so the
+    # rays past pi (flipped onto -J) add at most one SliceUnit.  The center
+    # is used by no other test.
+    from sedenion import algebra, slices
+
+    p, a = wpoint_from(0.35, 0.65, E1), demo_sequence()
+    j = SliceUnit("e10")
+    assert domain_contains(wpoint_from(0.1, 0.2, j), p, a) is Membership.INTERIOR
+    counts = Counter()
+    for cls, name in ((algebra.CDElement, "CDElement"), (slices.SliceUnit, "SliceUnit")):
+        monkeypatch.setattr(cls, "__init__", _counting(counts, name, cls.__init__))
+    first = [domain_contains(q, p, a) for q in _off_plane_slice(j)]
+    assert counts["SliceUnit"] <= 1, counts
+    counts.clear()
+    qs = _off_plane_slice(j)
+    again = [domain_contains(q, p, a) for q in qs]
+    assert len(again) == 10_000 and again == first
+    assert not counts, counts
+    assert not any(q.is_real for q in qs) and any(q.axis is -j for q in qs)
+    monkeypatch.undo()
+    # the same calls as the rule written out, also on the circles of both disks
+    qs += [wpoint_from(p.re + 2.0 * math.cos(t), p.im + 2.0 * math.sin(t), j)
+           for t in np.linspace(0.1, 3.0, 30)]
+    qs += [wpoint_from(p.re + 3.0 * math.cos(t), 3.0 * math.sin(t) - p.im, j)
+           for t in np.linspace(0.5, 2.5, 30)]
+    r2 = {1: 3.0, -1: 2.0}
+    got = [domain_contains(q, p, a) for q in qs]
+    assert got == [_reference_membership(q, p, 2.0, r2[axis_sign(q.axis, j)], 1e-9)
+                   for q in qs]
+    assert set(got) == set(Membership)
+
+
+def test_equal_sequences_hash_alike_and_share_one_domain():
+    # Hashes are kept per object but keep the value of the field-tuple hash,
+    # so equal sequences built apart hit the same domain memo entry.
+    p = wpoint_from(-0.45, 0.55, E10)
+    makers = (
+        (lambda: GeometricSum.of([("1", 3.0), ("e4+e15", 2.0)]), lambda s: (s.terms,)),
+        (lambda: Lacunary.of("e4+e15", 2.0), lambda s: (s.coeff, s.ratio)),
+        (lambda: TableSeq.of(["1", "e4+e15", "0.5e1"]), lambda s: (s.values,)),
+    )
+    for make, field_tuple in makers:
+        a, b = make(), make()
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash(field_tuple(a)) == hash(a)
+        before = domain.cache_info()
+        d = domain(p, a)
+        assert domain(p, b) is d
+        after = domain.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+
 def _tilted(i: int, j: int, t: float) -> SliceUnit:
     """cos(t) e_i + sin(t) e_j: the slice unit e_i turned by t toward e_j."""
     s = np.zeros(16)

@@ -117,11 +117,16 @@ def test_left_mult_squares_to_minus_identity(rng):
         assert np.abs(s.matrix @ s.matrix + eye).max() < 1e-12
 
 
-def test_slice_unit_negation_and_equality():
+def test_slice_unit_negation_and_equality(rng):
     s = SliceUnit("e10")
     assert (-s).s == -s.s
     assert same_unit(s, s)
     assert not same_unit(s, -s)
+    # -J is built once and kept by both units
+    for j in (s, random_slice_unit(rng)):
+        neg = -j
+        assert -j is neg and -neg is j
+        assert neg == SliceUnit(-j.s) and neg.key == SliceUnit(-j.s).key
 
 
 def _e1_tilted(eps):
@@ -296,6 +301,12 @@ def test_wpoint_parsing_and_fields():
     assert s.re == 2.0 and s.im == 3.0
     assert same_unit(s.axis, -SliceUnit("e1"))
 
+    # the parsed element is kept: within the real tolerance its dust stays
+    v = np.zeros(16)
+    v[0], v[1] = 3.0, 1e-12
+    x = CDElement(v)
+    assert wpoint(x).is_real and wpoint(x).value is x
+
 
 def test_wpoint_rejects_points_off_the_cone():
     with pytest.raises(ValueError):
@@ -312,6 +323,35 @@ def test_wpoint_from_flips_negative_imaginary_parts():
 def test_wpoint_keys_hash_consistently():
     a, b = wpoint("1+2e1"), wpoint("1+2e1")
     assert a.key == b.key and a == b and hash(a) == hash(b)
+    for q in (a, wpoint("3"), wpoint_from(0.5, -2.0, SliceUnit("e10")),
+              wpoint_from(-1.0, 0.0, SliceUnit("e3"))):
+        assert hash(q) == hash(q.key) == hash(q)  # computed, then kept
+
+
+def _eager_value(re, im, axis):
+    """The value of wpoint_from(re, im, axis) as the constructor once built it."""
+    e0 = np.eye(16)[0]
+    if im < 0.0:
+        im, axis = -im, SliceUnit(-axis.s)
+    if im == 0.0:
+        return CDElement(re * e0)
+    return CDElement(re * e0 + im * axis.s.coeffs)
+
+
+def test_lazy_wpoint_value_is_bitwise_the_eager_expression(rng):
+    n = 100
+    last = math.pi * (n - 1) / (n - 1)  # a hair past pi: sin(last) < 0
+    assert math.sin(last) < 0.0
+    axes = [SliceUnit("e10"), random_slice_unit(rng)]
+    cases = [(4.0 * math.cos(last), 4.0 * math.sin(last)), (-2.5, 0.0), (0.0, 0.0),
+             (-0.0, 0.0), (1.5, -0.0), (-1.0, -3.0), (2.0, 1e-300)]
+    cases += [tuple(rng.uniform(-4.0, 4.0, size=2)) for _ in range(200)]
+    for axis in axes:
+        for re, im in cases:
+            lazy = wpoint_from(re, im, axis).value
+            eager = _eager_value(re, im, axis)
+            assert lazy.level == eager.level
+            assert lazy.coeffs.tobytes() == eager.coeffs.tobytes(), (re, im)
 
 
 def test_random_slice_unit_is_valid(rng):

@@ -17,6 +17,8 @@ from sedenion import (
     pq_project,
     principal_angles,
     quaternion_algebra_of,
+    random_hyper_pair,
+    random_slice_unit,
     wpoint,
     wpoint_from,
     SliceUnit,
@@ -322,3 +324,19 @@ def test_pq_projections_commute_with_plane_multiplications(rng):
     for mat in (np.eye(16), p.axis.matrix, q.axis.matrix):
         assert np.abs(Pm @ mat - mat @ Pm).max() < 1e-9
         assert np.abs(Pp @ mat - mat @ Pp).max() < 1e-9
+
+
+def test_zero_divisor_test_agrees_with_the_kernel_rank():
+    # is_zero_divisor reads singular values only; it applies the same rank
+    # rule as kernel_of_left_mult, so the two agree on J1 -+ J2 for hyper and
+    # generic pairs of slice units.
+    rng = np.random.default_rng(9)
+    seen = {True: 0, False: 0}
+    for k in range(3000):
+        j1, j2 = random_hyper_pair(rng) if k % 2 else (random_slice_unit(rng),
+                                                        random_slice_unit(rng))
+        for s in (j1.s - j2.s, j1.s + j2.s):
+            zd = is_zero_divisor(s)
+            assert zd == (kernel_of_left_mult(s).dim > 0)
+            seen[zd] += 1
+    assert sum(seen.values()) == 6000 and min(seen.values()) > 1000
