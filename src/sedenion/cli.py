@@ -31,6 +31,8 @@ from .algebra import (
 )
 from .zerodiv import (
     kernel_of_left_mult,
+    o_left,
+    o_right,
     ortho_decompose,
     zero_product_characterization,
 )
@@ -171,14 +173,9 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _octonion_halves(x: CDElement) -> tuple[CDElement, CDElement]:
-    v = x.promote(4).coeffs
-    return CDElement(v[:8].copy()), CDElement(v[8:].copy())
-
-
 def cmd_zd_check(args) -> int:
-    a, b = _octonion_halves(parse_element(args.x))
-    c, d = _octonion_halves(parse_element(args.y))
+    x, y = parse_element(args.x), parse_element(args.y)
+    a, b, c, d = o_left(x), o_right(x), o_left(y), o_right(y)
     is_zero, cert = zero_product_characterization(a, b, c, d)
     yn = lambda f: "yes" if f else "no"
     formula = "none" if cert.d_formula is None else format_element(cert.d_formula)
@@ -390,31 +387,27 @@ def _figure_csv(dom: Domain, sl: SliceUnit, n: int, rmax: float, band: float) ->
     return "\n".join(lines) + "\n"
 
 
-def _region_columns(r1: float, r2: float, xs) -> list[tuple[float, float, float]]:
-    """Columns (x, ylo, yhi) of {y>=0} cut with |z-i|<r1 and |z+i|<r2."""
+def _region_columns(disks, xs) -> list[tuple[float, float, float]]:
+    """Columns (x, ylo, yhi) of {y>=0} cut with the disks (c, r); an infinite r is no cut."""
     cols = []
     for x in xs:
-        if r1 <= abs(x) or not math.isfinite(r1):
-            continue
-        s1 = math.sqrt(r1 * r1 - x * x)
-        lo1, hi1 = 1.0 - s1, 1.0 + s1
-        if math.isfinite(r2):
-            if r2 <= abs(x):
-                continue
-            s2 = math.sqrt(r2 * r2 - x * x)
-            lo2, hi2 = -1.0 - s2, -1.0 + s2
-        else:
-            lo2, hi2 = -math.inf, math.inf
-        lo = max(0.0, lo1, lo2)
-        hi = min(hi1, hi2)
+        lo, hi = 0.0, math.inf
+        for c, r in disks:
+            if math.isfinite(r):
+                dx = x - c.real
+                s = math.sqrt(max(0.0, r * r - dx * dx))
+                lo, hi = max(lo, c.imag - s), min(hi, c.imag + s)
         if hi > lo:
             cols.append((x, lo, hi))
     return cols
 
 
-def _panel_svg(ox: float, oy: float, size: float, label: str,
-               r1: float, r2: float, center_plane: bool) -> list[str]:
-    """One panel: region fill plus dashed radius circles, math y up."""
+def _panel_svg(ox: float, oy: float, size: float, label: str, disks) -> list[str]:
+    """One panel: region fill plus dashed radius circles, math y up.
+
+    `disks` is (c1, r1, c2, r2) from `Domain.disks`; one center for both
+    marks the center plane, where the domain is the one disk of radius r1.
+    """
     span = 4.6
     scale = size / (2 * span)
 
@@ -431,12 +424,14 @@ def _panel_svg(ox: float, oy: float, size: float, label: str,
     parts.append(f'<line x1="{sx(0):.2f}" y1="{sy(-span):.2f}" x2="{sx(0):.2f}" '
                  f'y2="{sy(span):.2f}" stroke="#bbb" stroke-width="0.7"/>')
     fill = "#7aa6d877"
-    if center_plane:
-        parts.append(f'<circle cx="{sx(0):.2f}" cy="{sy(1):.2f}" '
+    c1, r1, c2, r2 = disks
+    pairs = ((c1, r1), (c2, r2))
+    if c1 == c2:
+        parts.append(f'<circle cx="{sx(c1.real):.2f}" cy="{sy(c1.imag):.2f}" '
                      f'r="{r1 * scale:.2f}" fill="{fill}" stroke="none"/>')
-    else:
+    elif math.isfinite(r1):  # off the center plane an infinite R_a draws no region
         xs = [(-span) + 2 * span * k / 800 for k in range(801)]
-        cols = _region_columns(r1, r2, xs)
+        cols = _region_columns(pairs, xs)
         if cols:
             upper = [(x, hi) for x, _, hi in cols]
             lower = [(x, lo) for x, lo, _ in cols][::-1]
@@ -445,9 +440,9 @@ def _panel_svg(ox: float, oy: float, size: float, label: str,
                                for x, y in upper + lower)
                 parts.append(f'<polygon points="{pts}" fill="{fill}" '
                              f'stroke="none"/>')
-    for cy, rr in ((1.0, r1), (-1.0, r2)):
+    for c, rr in pairs:
         if math.isfinite(rr):
-            parts.append(f'<circle cx="{sx(0):.2f}" cy="{sy(cy):.2f}" '
+            parts.append(f'<circle cx="{sx(c.real):.2f}" cy="{sy(c.imag):.2f}" '
                          f'r="{rr * scale:.2f}" fill="none" stroke="#335" '
                          f'stroke-width="1" stroke-dasharray="4 3"/>')
     parts.append(f'<text x="{ox + 6:.2f}" y="{oy + 16:.2f}" '
@@ -466,10 +461,7 @@ def _figure_svg(dom: Domain, slices) -> str:
     for idx, (name, sl) in enumerate(slices):
         ox = gap + (idx % cols) * (size + gap)
         oy = gap + (idx // cols) * (size + gap)
-        r2 = dom.radius_on(sl)
-        center_plane = r2 is None
-        parts += _panel_svg(ox, oy, size, f"slice {name}", dom.report.r_a,
-                            math.inf if center_plane else r2, center_plane)
+        parts += _panel_svg(ox, oy, size, f"slice {name}", dom.disks(sl))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

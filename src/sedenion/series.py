@@ -51,7 +51,7 @@ from .algebra import (
     parse_any,
     real_from_json,
 )
-from .zerodiv import Subspace, kernel_of_left_mult
+from .zerodiv import kernel_of_left_mult
 from .slices import (
     I0,
     SliceUnit,
@@ -387,15 +387,6 @@ def _table_radius(a: TableSeq, size) -> float:
     return math.inf if est == 0.0 else 1.0 / est
 
 
-def _perp_size(vec: NDArray[np.float64], ker: Subspace) -> float:
-    return float(np.linalg.norm(vec - ker.project(vec).coeffs))
-
-
-def _center_plane(p: WPoint, j: SliceUnit) -> bool:
-    """Whether the slice of J is the complex plane of p (every J for a real p)."""
-    return p.is_real or axis_sign(j, p.axis) != 0
-
-
 def radius_RapJ(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
     """Directional radius 1 / limsup dist(a_l, ker(I_p - J))^(1/l).
 
@@ -404,7 +395,7 @@ def radius_RapJ(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
     ker(I_p - J) count, so it can only be larger (+inf when every
     coefficient sits inside the kernel).
     """
-    if _center_plane(p, j):
+    if p.is_real or axis_sign(j, p.axis):
         return radius_Ra(a)
     return _reflected_radius(a, p, j)
 
@@ -415,10 +406,10 @@ def _reflected_radius(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
     if isinstance(a, (GeometricSum, Lacunary)):
         best = math.inf
         for ratio, coeff in _ratio_groups(a):
-            if _perp_size(coeff, ker) > _PERP_THRESHOLD * np.linalg.norm(coeff):
+            if ker.distance(coeff) > _PERP_THRESHOLD * np.linalg.norm(coeff):
                 best = min(best, ratio)
         return best
-    return _table_radius(a, lambda v: _perp_size(v, ker))
+    return _table_radius(a, ker.distance)
 
 
 def radius_Rap(a: SeqSpec, p: WPoint,
@@ -508,18 +499,42 @@ _CACHE_SIZE = 1024
 _SLICE_MEMO = 16
 
 
+_Disks = tuple[complex, float, complex, float]
+
+
+def _slice_disks(p: WPoint, r: float, j: SliceUnit,
+                 reflected: Callable[[], float]) -> _Disks:
+    """The two disks (c1, r1, c2, r2) of a domain on the slice C_J.
+
+    z = re + im*i is the coordinate of q = re + im*J (im >= 0).  Off the
+    center plane of p the disks are |z - z_p| < r and the reflected disk
+    |z - conj(z_p)| < reflected(), which runs only there.  On the center
+    plane (every J for a real p) the domain is the one disk of radius r
+    around p as seen from C_J: z_p for J = I_p, conj(z_p) for J = -I_p; the
+    second disk repeats that center with an infinite radius.  The axis
+    object of p itself needs no axis test.
+    """
+    sign = 1 if p.is_real or j is p.axis else axis_sign(j, p.axis)
+    if not sign:
+        return p.z, r, p.z.conjugate(), reflected()
+    c = p.z if sign > 0 else p.z.conjugate()
+    return c, r, c, math.inf
+
+
 class Domain:
     """The convergence domain of the series a around the center p.
 
     Built once per (center, sequence); `report` holds the radii, witness and
-    case.  On each slice C_J the domain is two disks whose radii depend only
-    on (p, a, J), so a memo keyed by the axis of J keeps, per slice, whether
-    J spans the center plane of p (one axis test) and off it the reflected
-    radius R_a^{p,J} (one kernel).  The memo holds at most `_SLICE_MEMO`
-    axes; it is the only state a Domain changes after construction.
+    case.  On each slice C_J the domain is two disks that depend only on
+    (p, a, J), so a memo keyed by the axis of J keeps the disks of each
+    slice: one axis test and, off the center plane, one kernel for the
+    reflected radius R_a^{p,J}.  A real q lies on the center plane and is
+    tested against its disks, kept apart.  The memo holds at most
+    `_SLICE_MEMO` axes; it is the only state a Domain changes after
+    construction.
     """
 
-    __slots__ = ("p", "a", "report", "_slices")
+    __slots__ = ("p", "a", "report", "_center", "_slices")
 
     def __init__(self, p: WPoint, a: SeqSpec):
         ra = radius_Ra(a)
@@ -536,27 +551,26 @@ class Domain:
         self.p, self.a = p, a
         self.report = DomainReport(r_a=ra, r_ap=rap, witness=witness, case=case,
                                    approximate=isinstance(a, TableSeq))
-        self._slices: dict[tuple[float, ...], float | None] = {}
+        self._center = _slice_disks(p, ra, p.axis, None)  # I_p: no reflected disk
+        self._slices: dict[tuple[float, ...], _Disks] = {}
 
-    def radius_on(self, j: SliceUnit) -> float | None:
-        """R_a^{p,J} on the slice of J, or None when J spans the center plane.
-
-        On the center plane only the disk of R_a bounds the domain.
-        """
+    def disks(self, j: SliceUnit) -> _Disks:
+        """The disks (c1, r1, c2, r2) of the domain on the slice of J (`_slice_disks`)."""
         key = j.key
         try:
             return self._slices[key]
         except KeyError:
             pass
-        r = None if _center_plane(self.p, j) else _reflected_radius(self.a, self.p, j)
+        pair = _slice_disks(self.p, self.report.r_a, j,
+                            lambda: _reflected_radius(self.a, self.p, j))
         if len(self._slices) >= _SLICE_MEMO:
             self._slices.clear()
-        self._slices[key] = r
-        return r
+        self._slices[key] = pair
+        return pair
 
     def contains(self, q: WPoint, band: float = 1e-9) -> Membership:
         """Classify q: Interior / Exterior with margin `band`, else Boundary."""
-        return _slice_membership(q, self.p, self.report.r_a, self.radius_on, band)
+        return _membership(q, self._center if q.is_real else self.disks(q.axis), band)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -589,7 +603,7 @@ def _disk_state(dist: float, radius: float, band: float) -> int:
     return 0
 
 
-def _classify(direct: int, reflected: int = -1) -> Membership:
+def _classify(direct: int, reflected: int) -> Membership:
     if direct > 0 or reflected > 0:
         return Membership.EXTERIOR
     if direct < 0 and reflected < 0:
@@ -597,34 +611,21 @@ def _classify(direct: int, reflected: int = -1) -> Membership:
     return Membership.BOUNDARY
 
 
-def _slice_membership(q: WPoint, p: WPoint, r_a: float,
-                      reflected: Callable[[SliceUnit], float | None],
-                      band: float) -> Membership:
-    """The two-disk rule on the slice of q.
-
-    `reflected(J)` is the radius of the reflected disk on the slice of J, or
-    None when J spans the center plane of p (`_center_plane`).  There, and
-    for a real q, only the disk |q - p| < r_a counts.  On any other slice
-    J = I_q the direct disk |z_q - z_p| < r_a and the reflected disk
-    |z_q - conj(z_p)| < reflected(J) must both hold.
-    """
-    r2 = None if q.is_real else reflected(q.axis)
-    if r2 is None:
-        dist = float(np.linalg.norm(q.value.coeffs - p.value.coeffs))
-        return _classify(_disk_state(dist, r_a, band))
-    dre = q.re - p.re
-    return _classify(_disk_state(abs(complex(dre, q.im - p.im)), r_a, band),
-                     _disk_state(abs(complex(dre, q.im + p.im)), r2, band))
+def _membership(q: WPoint, disks: _Disks, band: float) -> Membership:
+    """The two-disk rule: z_q in both disks of its slice, each with margin band."""
+    c1, r1, c2, r2 = disks
+    z = q.z
+    return _classify(_disk_state(abs(z - c1), r1, band), _disk_state(abs(z - c2), r2, band))
 
 
 def sigma_contains(q: WPoint, p: WPoint, r: float) -> bool:
     """Membership of q in the sigma-ball of radius r around p.
 
-    The two-disk rule with reflected radius r on every slice.  Centers
+    The two-disk rule with reflected radius r off the center plane.  Centers
     always belong (r = 0 included).
     """
-    return _slice_membership(q, p, r, lambda j: None if _center_plane(p, j) else r,
-                             0.0) is Membership.INTERIOR
+    disks = _slice_disks(p, r, p.axis if q.is_real else q.axis, lambda: r)
+    return _membership(q, disks, 0.0) is Membership.INTERIOR
 
 
 def hyper_sigma_contains(q: WPoint, p: WPoint, r: float, j: HyperSolution) -> bool:
@@ -636,10 +637,9 @@ def hyper_sigma_contains(q: WPoint, p: WPoint, r: float, j: HyperSolution) -> bo
     """
     if not same_unit(p.axis, j.j1):
         raise ValueError("hyper-sigma-ball center must lie on the slice of j1")
-    return _slice_membership(
-        q, p, r, lambda k: None if _center_plane(p, k) else
-        (math.inf if cker_membership(k, j.j1, j.j2) else r),
-        0.0) is Membership.INTERIOR
+    k = p.axis if q.is_real else q.axis
+    disks = _slice_disks(p, r, k, lambda: math.inf if cker_membership(k, j.j1, j.j2) else r)
+    return _membership(q, disks, 0.0) is Membership.INTERIOR
 
 
 def domain_contains(q: WPoint, p: WPoint, a: SeqSpec,

@@ -1,8 +1,10 @@
 """Command line behavior: outputs, exit codes, files, determinism."""
 
+import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -256,6 +258,51 @@ def test_figure_writes_per_slice_csv_and_svg(capsys, tmp_path, monkeypatch):
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert svg.count("<polygon") == 6
     assert "stroke-dasharray" in svg
+
+
+def _svg_circles(path) -> list[tuple[float, float, float, bool]]:
+    """(x, y, r, filled) of each circle of a one-panel figure.svg, in slice coordinates."""
+    span, gap = 4.6, 14.0
+    scale = 300.0 / (2 * span)
+    out = []
+    for m in re.finditer(r'<circle cx="([-\d.]+)" cy="([-\d.]+)" r="([-\d.]+)" '
+                         r'fill="([^"]+)"', path.read_text()):
+        cx, cy, r = (float(v) for v in m.groups()[:3])
+        out.append(((cx - gap) / scale - span, span - (cy - gap) / scale, r / scale,
+                    m[4] != "none"))
+    return out
+
+
+@pytest.mark.parametrize("argv,want", [
+    # off the center plane: z_p and conj(z_p), radii R_a = 2 and R_a^{p,e10} = 3
+    (["--center", "0.5+2e1", "--slices", "e10"],
+     [(0.5, 2.0, 2.0, False), (0.5, -2.0, 3.0, False)]),
+    # the slice of -I_p sees the center at conj(z_p) = -i
+    (["--center", "e1", "--slices=-e1"], [(0.0, -1.0, 2.0, True), (0.0, -1.0, 2.0, False)]),
+    # a real center: one disk around 0.5 on its one plane
+    (["--center", "0.5"], [(0.5, 0.0, 2.0, True), (0.5, 0.0, 2.0, False)]),
+], ids=["off-plane", "minus-axis", "real-center"])
+def test_figure_svg_draws_the_disks_around_the_center(capsys, tmp_path, argv, want):
+    rc, _, _ = run(capsys, ["figure", "--n", "2", "--format", "svg",
+                            "--out", str(tmp_path), *argv])
+    assert rc == 0
+    got = _svg_circles(tmp_path / "figure.svg")
+    assert [filled for *_, filled in got] == [filled for *_, filled in want]
+    for g, w in zip(got, want):
+        assert g[:3] == pytest.approx(w[:3], abs=0.01)
+
+
+@pytest.mark.parametrize("center,digest", [
+    ("e1", "b1ab95a30c87f249877592c288631e47fd4dbd54b71aeff06913e522e42b4771"),
+    ("e10", "6ea0bc537aeadf84e07d00004668c06ca7625b6a007276e608318b75e31aec19"),
+])
+def test_figure_svg_at_the_default_slices_keeps_its_bytes(capsys, tmp_path, center, digest):
+    # z_p = i on every default slice of these centers, so the disks sit where
+    # the earlier +-i drawing put them; the panels do not depend on --n
+    rc, _, _ = run(capsys, ["figure", "--center", center, "--n", "1", "--format", "svg",
+                            "--out", str(tmp_path)])
+    assert rc == 0
+    assert hashlib.sha256((tmp_path / "figure.svg").read_bytes()).hexdigest() == digest
 
 
 def test_figure_keeps_the_slice_text_in_short_file_names(capsys, tmp_path):

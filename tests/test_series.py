@@ -548,7 +548,7 @@ def test_membership_work_runs_once_per_slice_not_per_point(monkeypatch, tmp_path
     assert all(0 < counts[name] <= 2 * slices + 1 for name in names), counts
 
 
-def _off_plane_slice(axis: SliceUnit, n: int = 100) -> list:
+def _figure_slice(axis: SliceUnit, n: int = 100) -> list:
     """n x n points at the angles pi * i / (n - 1) of `figure`, i = 1..n.
 
     The real ray i = 0 is left out; the last two rays end past pi, so their
@@ -560,46 +560,69 @@ def _off_plane_slice(axis: SliceUnit, n: int = 100) -> list:
 
 
 def _reference_membership(q, p, r_a, r2, band):
-    """The two-disk rule written out with complex numbers, for an off-plane q."""
+    """The two-disk rule written out with complex numbers.
+
+    r2 is the reflected radius on the slice of q, or None on the center
+    plane of p (q or p real, or I_q = +-I_p), where one disk counts: around
+    z_p on the slice of I_p, around conj(z_p) on the slice of -I_p.
+    """
     def state(d, r):
         return -1 if d == 0.0 or d < r - band else (1 if d > r + band else 0)
-    states = (state(abs(q.z - p.z), r_a), state(abs(q.z - p.z.conjugate()), r2))
+    w, z = q.z, p.z
+    if r2 is None:
+        flip = not (q.is_real or p.is_real) and axis_sign(q.axis, p.axis) < 0
+        states = (state(abs(w - (z.conjugate() if flip else z)), r_a),)
+    else:
+        states = (state(abs(w - z), r_a), state(abs(w - z.conjugate()), r2))
     if max(states) > 0:
         return Membership.EXTERIOR
     return Membership.INTERIOR if max(states) < 0 else Membership.BOUNDARY
 
 
 def test_warm_off_plane_membership_builds_no_elements_or_units(monkeypatch):
-    # Off the center plane the two-disk rule reads only re, im and the axis,
-    # so a warm slice builds no CDElement; -J is built once per unit, so the
-    # rays past pi (flipped onto -J) add at most one SliceUnit.  The center
-    # is used by no other test.
+    # The two-disk rule reads only re, im and the axis, so a warm slice
+    # builds no CDElement: off the center plane (e10), on it (e1, the axis
+    # of p) and on the real ray theta = 0.  -J is built once per unit, so
+    # the rays past pi (flipped onto -J) add at most one SliceUnit per
+    # slice.  The center is used by no other test.
     from sedenion import algebra, slices
 
     p, a = wpoint_from(0.35, 0.65, E1), demo_sequence()
-    j = SliceUnit("e10")
+    j, c = SliceUnit("e10"), SliceUnit("e1")
+
+    def inputs():
+        return (_figure_slice(j) + _figure_slice(c)
+                + [wpoint_from(4.0 * k / 100, 0.0, j) for k in range(1, 101)])
+
     assert domain_contains(wpoint_from(0.1, 0.2, j), p, a) is Membership.INTERIOR
     counts = Counter()
     for cls, name in ((algebra.CDElement, "CDElement"), (slices.SliceUnit, "SliceUnit")):
         monkeypatch.setattr(cls, "__init__", _counting(counts, name, cls.__init__))
-    first = [domain_contains(q, p, a) for q in _off_plane_slice(j)]
-    assert counts["SliceUnit"] <= 1, counts
+    first = [domain_contains(q, p, a) for q in inputs()]
+    assert counts["SliceUnit"] <= 2, counts
     counts.clear()
-    qs = _off_plane_slice(j)
+    qs = inputs()
     again = [domain_contains(q, p, a) for q in qs]
-    assert len(again) == 10_000 and again == first
+    assert len(again) == 20_100 and again == first
     assert not counts, counts
-    assert not any(q.is_real for q in qs) and any(q.axis is -j for q in qs)
+    assert sum(q.is_real for q in qs) == 100
+    assert any(q.axis is -j for q in qs) and any(q.axis is -c for q in qs)
     monkeypatch.undo()
     # the same calls as the rule written out, also on the circles of both disks
     qs += [wpoint_from(p.re + 2.0 * math.cos(t), p.im + 2.0 * math.sin(t), j)
            for t in np.linspace(0.1, 3.0, 30)]
     qs += [wpoint_from(p.re + 3.0 * math.cos(t), 3.0 * math.sin(t) - p.im, j)
            for t in np.linspace(0.5, 2.5, 30)]
-    r2 = {1: 3.0, -1: 2.0}
+    qs += [wpoint_from(p.re + 2.0 * math.cos(t), p.im + 2.0 * math.sin(t), c)
+           for t in np.linspace(0.1, 6.2, 60)]
+
+    def r2(q):
+        if q.is_real or axis_sign(q.axis, c):
+            return None
+        return {1: 3.0, -1: 2.0}[axis_sign(q.axis, j)]
+
     got = [domain_contains(q, p, a) for q in qs]
-    assert got == [_reference_membership(q, p, 2.0, r2[axis_sign(q.axis, j)], 1e-9)
-                   for q in qs]
+    assert got == [_reference_membership(q, p, 2.0, r2(q), 1e-9) for q in qs]
     assert set(got) == set(Membership)
 
 
@@ -631,8 +654,6 @@ def _tilted(i: int, j: int, t: float) -> SliceUnit:
 
 
 def test_memoised_membership_equals_the_unmemoised_rule():
-    import sedenion.series as series
-
     rng = np.random.default_rng(8)
     j1, j2 = random_hyper_pair(rng)
     c = kernel_of_left_mult(j1.s - j2.s).basis[0]
@@ -659,8 +680,10 @@ def test_memoised_membership_equals_the_unmemoised_rule():
                 axes += [k, -k] + [cker_curve_point(p.axis, k, t) for t in (0.4, 2.1)]
             r_a = radius_Ra(a)
 
-            def unmemoised(j):
-                return None if p.is_real or axis_sign(j, p.axis) else radius_RapJ(a, p, j)
+            def r2(q):
+                if p.is_real or q.is_real or axis_sign(q.axis, p.axis):
+                    return None
+                return radius_RapJ(a, p, q.axis)
 
             qs = [p, wpoint_from(0.7, 0.0, E1), wpoint_from(p.re + r_a, 0.0, E1)]
             for axis in axes:
@@ -673,14 +696,16 @@ def test_memoised_membership_equals_the_unmemoised_rule():
             for band in (0.0, 1e-9, 0.05):
                 for i in order:
                     got = dom.contains(qs[i], band)
-                    assert got is series._slice_membership(qs[i], p, r_a, unmemoised, band)
+                    assert got is _reference_membership(qs[i], p, r_a, r2(qs[i]), band)
                     seen[got] += 1
-            assert dom.radius_on(p.axis) is None
-    assert dom.radius_on(E10) is None  # a real center has one plane
+            z = p.z
+            assert dom.disks(p.axis) == (z, r_a, z, math.inf)
+            assert dom.disks(-p.axis) == (z.conjugate(), r_a, z.conjugate(), math.inf)
+    assert dom.disks(E10) == (0.5, r_a, 0.5, math.inf)  # a real center has one plane
     d = domain(center(), demo_sequence())
-    assert d.radius_on(_tilted(1, 2, 5e-10)) is None
-    assert d.radius_on(_tilted(1, 2, 2e-9)) == 2.0
-    assert d.radius_on(E10) == 3.0 and d.radius_on(-E10) == 2.0
+    assert d.disks(_tilted(1, 2, 5e-10)) == (1j, 2.0, 1j, math.inf)
+    assert d.disks(_tilted(1, 2, 2e-9)) == (1j, 2.0, -1j, 2.0)
+    assert d.disks(E10) == (1j, 2.0, -1j, 3.0) and d.disks(-E10) == (1j, 2.0, -1j, 2.0)
     assert all(seen[m] > 50 for m in Membership), seen
 
 
