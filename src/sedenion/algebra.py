@@ -289,11 +289,6 @@ class CDElement:
     def real(self) -> float:
         return float(self.coeffs[0])
 
-    def imag_part(self) -> "CDElement":
-        out = self.coeffs.copy()
-        out[0] = 0.0
-        return CDElement(out)
-
     def is_zero(self, tol: float = 0.0) -> bool:
         return bool(np.max(np.abs(self.coeffs)) <= tol)
 

@@ -46,14 +46,15 @@ from .slices import (
     from_polar,
     psi,
     wpoint,
-    wpoint_from,
 )
 from .series import (
     Domain,
+    Membership,
     convergence_scan,
     demo_sequence,
     domain,
     evaluate_series,
+    polar_grid,
     seq_from_json,
 )
 
@@ -374,25 +375,25 @@ def cmd_scan(args) -> int:
 
 
 def _figure_csv(dom: Domain, sl: SliceUnit, n: int, rmax: float, band: float) -> str:
+    thetas = [math.pi * i / max(1, n - 1) for i in range(n)]
+    radii = [rmax * k / n for k in range(1, n + 1)]
+    re, im = polar_grid(radii, thetas)
+    codes = dom.classify(re, im, sl, band).tolist()
+    rs = [_fmt(r) for r in radii]
     lines = ["theta,r,re,im,class"]
-    for i in range(n):
-        theta = math.pi * i / max(1, n - 1)
-        c, s = math.cos(theta), math.sin(theta)
-        for k in range(1, n + 1):
-            r = rmax * k / n
-            q = wpoint_from(r * c, r * s, sl)
-            m = dom.contains(q, band)
-            lines.append(f"{_fmt(theta)},{_fmt(r)},{_fmt(r * c)},{_fmt(r * s)},"
-                         f"{m.value}")
+    for theta, xs, ys, cs in zip(thetas, re.tolist(), im.tolist(), codes):
+        t = _fmt(theta)
+        lines += [f"{t},{r},{_fmt(x)},{_fmt(y)},{Membership.of(c).value}"
+                  for r, x, y, c in zip(rs, xs, ys, cs)]
     return "\n".join(lines) + "\n"
 
 
-def _region_columns(disks, xs) -> list[tuple[float, float, float]]:
-    """Columns (x, ylo, yhi) of {y>=0} cut with the disks (c, r); an infinite r is no cut."""
+def _region_columns(disks, xs, top) -> list[tuple[float, float, float]]:
+    """Columns (x, ylo, yhi) of {0 <= y <= top} cut with disks (c1, r1, c2, r2); inf is no cut."""
     cols = []
     for x in xs:
-        lo, hi = 0.0, math.inf
-        for c, r in disks:
+        lo, hi = 0.0, top
+        for c, r in (disks[:2], disks[2:]):
             if math.isfinite(r):
                 dx = x - c.real
                 s = math.sqrt(max(0.0, r * r - dx * dx))
@@ -402,11 +403,12 @@ def _region_columns(disks, xs) -> list[tuple[float, float, float]]:
     return cols
 
 
-def _panel_svg(ox: float, oy: float, size: float, label: str, disks) -> list[str]:
-    """One panel: region fill plus dashed radius circles, math y up.
+def _panel_svg(ox: float, oy: float, size: float, label: str, upper, lower) -> list[str]:
+    """One panel: region fill, clipped to the panel, and dashed circles; math y up.
 
-    `disks` is (c1, r1, c2, r2) from `Domain.disks`; one center for both
-    marks the center plane, where the domain is the one disk of radius r1.
+    `upper` and `lower` are the disks (c1, r1, c2, r2) of J and -J (`Domain.disks`):
+    y < 0 shows the region of -J mirrored, and the dashed circles are the disks of
+    J.  One center for both disks marks the center plane: one disk of radius r1.
     """
     span = 4.6
     scale = size / (2 * span)
@@ -424,23 +426,19 @@ def _panel_svg(ox: float, oy: float, size: float, label: str, disks) -> list[str
     parts.append(f'<line x1="{sx(0):.2f}" y1="{sy(-span):.2f}" x2="{sx(0):.2f}" '
                  f'y2="{sy(span):.2f}" stroke="#bbb" stroke-width="0.7"/>')
     fill = "#7aa6d877"
-    c1, r1, c2, r2 = disks
-    pairs = ((c1, r1), (c2, r2))
-    if c1 == c2:
+    c1, r1, c2, r2 = upper
+    if c1 == c2 and math.isfinite(r1):
         parts.append(f'<circle cx="{sx(c1.real):.2f}" cy="{sy(c1.imag):.2f}" '
                      f'r="{r1 * scale:.2f}" fill="{fill}" stroke="none"/>')
-    elif math.isfinite(r1):  # off the center plane an infinite R_a draws no region
+    else:
         xs = [(-span) + 2 * span * k / 800 for k in range(801)]
-        cols = _region_columns(pairs, xs)
-        if cols:
-            upper = [(x, hi) for x, _, hi in cols]
-            lower = [(x, lo) for x, lo, _ in cols][::-1]
-            for mirror in (1.0, -1.0):
-                pts = " ".join(f"{sx(x):.2f},{sy(mirror * y):.2f}"
-                               for x, y in upper + lower)
-                parts.append(f'<polygon points="{pts}" fill="{fill}" '
-                             f'stroke="none"/>')
-    for c, rr in pairs:
+        for mirror, disks in ((1.0, upper), (-1.0, lower)):
+            cols = _region_columns(disks, xs, span)
+            if cols:
+                edge = [(x, hi) for x, _, hi in cols] + [(x, lo) for x, lo, _ in cols][::-1]
+                pts = " ".join(f"{sx(x):.2f},{sy(mirror * y):.2f}" for x, y in edge)
+                parts.append(f'<polygon points="{pts}" fill="{fill}" stroke="none"/>')
+    for c, rr in ((c1, r1), (c2, r2)):
         if math.isfinite(rr):
             parts.append(f'<circle cx="{sx(c.real):.2f}" cy="{sy(c.imag):.2f}" '
                          f'r="{rr * scale:.2f}" fill="none" stroke="#335" '
@@ -461,7 +459,7 @@ def _figure_svg(dom: Domain, slices) -> str:
     for idx, (name, sl) in enumerate(slices):
         ox = gap + (idx % cols) * (size + gap)
         oy = gap + (idx // cols) * (size + gap)
-        parts += _panel_svg(ox, oy, size, f"slice {name}", dom.disks(sl))
+        parts += _panel_svg(ox, oy, size, f"slice {name}", dom.disks(sl), dom.disks(-sl))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -18,10 +18,11 @@ than R_a) on one kernel curve through I_p.  The convergence domain is
     R_a^p = R_a:     the sigma-ball of radius R_a^p
     otherwise:       hyper-sigma-ball(p, R_a, (I_p, K))  intersect  sigma-ball(p, R_a^p)
 
-which on each slice C_J (upper half-plane, Im >= 0 orientation) is the
-intersection of the disk |z_q - z_p| < R_a with the reflected disk
-|z_q - conj(z_p)| < R_a^{p,J}.  Membership, evaluation, and a grid scan
-pairing predicted membership with empirical convergence all live here.
+which on each slice C_J is the intersection of the disk |z_q - z_p| < R_a
+with the reflected disk |z_q - conj(z_p)| < R_a^{p,J}, z_q = re + im*i for
+q = re + im*J, im >= 0; the lower half of C_J is the slice -J.  Membership,
+evaluation, and a grid scan pairing predicted membership with empirical
+convergence all live here.
 
 Coefficient sequences are structured (geometric sums, lacunary series, or
 finite tables) so the limsup radii are exact for the first two families;
@@ -30,7 +31,6 @@ table radii are windowed estimates and explicitly flagged approximate.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import json
 import math
@@ -92,6 +92,7 @@ __all__ = [
     "evaluate_points",
     "evaluate_series",
     "convergence_scan",
+    "polar_grid",
     "seq_from_json",
     "seq_to_json",
     "demo_sequence",
@@ -467,6 +468,11 @@ class Membership(Enum):
     EXTERIOR = "Exterior"
     BOUNDARY = "Boundary"
 
+    @classmethod
+    def of(cls, code: int) -> "Membership":
+        """The Membership of a code of `Domain.classify`: -1, 0 or +1."""
+        return _MEMBERSHIP[code]
+
 
 class Verdict(Enum):
     CONVERGED = "Converged"
@@ -539,9 +545,8 @@ class Domain:
     def __init__(self, p: WPoint, a: SeqSpec):
         ra = radius_Ra(a)
         rap, witness = radius_Rap(a, p)
-        if p.is_real:
+        if p.is_real:  # radius_Rap gives no witness
             case = DomainCase.REAL_CENTER
-            witness = None
         elif witness is None or rap <= ra:
             case = DomainCase.SIGMA_BALL_ONLY
             witness = None
@@ -569,8 +574,30 @@ class Domain:
         return pair
 
     def contains(self, q: WPoint, band: float = 1e-9) -> Membership:
-        """Classify q: Interior / Exterior with margin `band`, else Boundary."""
-        return _membership(q, self._center if q.is_real else self.disks(q.axis), band)
+        """Classify q by the two-disk rule of its slice (`_two_disk_rule`).
+
+        Interior / Exterior are strict calls with margin `band`; anything
+        within the band of a radius equality is Boundary (the series behavior
+        there is not decided by the radii).
+        """
+        return _MEMBERSHIP[_point_rule(q, self._center if q.is_real else self.disks(q.axis),
+                                       band)]
+
+    def classify(self, re, im, j: SliceUnit, band: float = 1e-9) -> NDArray[np.int8]:
+        """Codes -1 (Interior), 0 (Boundary), +1 (Exterior) of the points re + im*J.
+
+        `contains(wpoint_from(re, im, J), band)` point for point: im > 0 lies on
+        the slice of J, im < 0 on -J at height |im|, im == 0 on the center plane.
+        """
+        re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+        out = np.zeros(im.shape, dtype=np.int8)  # a NaN is Boundary, as in contains
+        for half, sign in ((im > 0.0, 1), (im < 0.0, -1), (im == 0.0, 0)):
+            if half.any():
+                c1, r1, c2, r2 = self.disks(j if sign > 0 else -j) if sign else self._center
+                x, y = re[half], np.abs(im[half])  # np.hypot rounds as abs(complex)
+                out[half] = _two_disk_rule(np.hypot(x - c1.real, y - c1.imag), r1,
+                                           np.hypot(x - c2.real, y - c2.imag), r2, band)
+        return out
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -588,34 +615,28 @@ def domain_report(p: WPoint, a: SeqSpec) -> DomainReport:
     return domain(p, a).report
 
 
-def _disk_state(dist: float, radius: float, band: float) -> int:
-    """-1 inside with margin, +1 outside with margin, 0 within the band.
+# The Membership of each code of the two-disk rule; -1 indexes the last.
+_MEMBERSHIP = (Membership.BOUNDARY, Membership.EXTERIOR, Membership.INTERIOR)
 
-    A zero distance is a center hit and counts as inside for every radius
-    (punctured-ball convention: the center always belongs).
+
+def _two_disk_rule(d1, r1, d2, r2, band):
+    """The two-disk rule on the distances d1, d2 from z_q to the disk centers.
+
+    +1 (Exterior) when z_q lies outside either disk by more than band, -1
+    (Interior) when it lies inside both by more than band, else 0 (Boundary);
+    an int for floats, an int array for arrays.  A zero distance is a center
+    hit and counts as inside for every radius (the center always belongs).
     """
-    if dist == 0.0:
-        return -1
-    if dist > radius + band:
-        return 1
-    if dist < radius - band:
-        return -1
-    return 0
+    outside = (d1 > r1 + band) | (d2 > r2 + band)
+    inside = ((d1 < r1 - band) | (d1 == 0.0)) & ((d2 < r2 - band) | (d2 == 0.0))
+    return 1 * outside - inside
 
 
-def _classify(direct: int, reflected: int) -> Membership:
-    if direct > 0 or reflected > 0:
-        return Membership.EXTERIOR
-    if direct < 0 and reflected < 0:
-        return Membership.INTERIOR
-    return Membership.BOUNDARY
-
-
-def _membership(q: WPoint, disks: _Disks, band: float) -> Membership:
-    """The two-disk rule: z_q in both disks of its slice, each with margin band."""
+def _point_rule(q: WPoint, disks: _Disks, band: float) -> int:
+    """The two-disk rule at one point q of the slice of the disks."""
     c1, r1, c2, r2 = disks
     z = q.z
-    return _classify(_disk_state(abs(z - c1), r1, band), _disk_state(abs(z - c2), r2, band))
+    return _two_disk_rule(abs(z - c1), r1, abs(z - c2), r2, band)
 
 
 def sigma_contains(q: WPoint, p: WPoint, r: float) -> bool:
@@ -625,7 +646,7 @@ def sigma_contains(q: WPoint, p: WPoint, r: float) -> bool:
     always belong (r = 0 included).
     """
     disks = _slice_disks(p, r, p.axis if q.is_real else q.axis, lambda: r)
-    return _membership(q, disks, 0.0) is Membership.INTERIOR
+    return _point_rule(q, disks, 0.0) < 0
 
 
 def hyper_sigma_contains(q: WPoint, p: WPoint, r: float, j: HyperSolution) -> bool:
@@ -639,18 +660,14 @@ def hyper_sigma_contains(q: WPoint, p: WPoint, r: float, j: HyperSolution) -> bo
         raise ValueError("hyper-sigma-ball center must lie on the slice of j1")
     k = p.axis if q.is_real else q.axis
     disks = _slice_disks(p, r, k, lambda: math.inf if cker_membership(k, j.j1, j.j2) else r)
-    return _membership(q, disks, 0.0) is Membership.INTERIOR
+    return _point_rule(q, disks, 0.0) < 0
 
 
 def domain_contains(q: WPoint, p: WPoint, a: SeqSpec,
                     band: float = 1e-9) -> Membership:
     """Classify q against the convergence domain of the series around p.
 
-    Interior / Exterior are strict calls with margin `band`; anything within
-    the band of a radius equality is Boundary (the series behavior there is
-    not decided by the radii).  The two-disk rule with radius R_a and, off
-    the center plane, reflected radius R_a^{p,I_q}.  A thin layer over
-    `domain(p, a).contains(q, band)`.
+    A thin layer over `domain(p, a).contains(q, band)`.
     """
     return domain(p, a).contains(q, band)
 
@@ -986,13 +1003,12 @@ class ScanResult:
     def agreement(self) -> float:
         return 1.0 if self.scored == 0 else self.agreed / self.scored
 
-    def to_csv(self) -> str:
-        lines = ["theta,re,im,predicted,empirical,terms_used,tail_norm"]
-        for r in self.rows:
-            lines.append(
-                f"{r.theta:.12g},{r.re:.12g},{r.im:.12g},{r.predicted.value},"
-                f"{r.empirical.value},{r.terms_used},{r.tail_norm:.12g}")
-        return "\n".join(lines) + "\n"
+
+def polar_grid(radii: Sequence[float], thetas: Sequence[float]) -> tuple[NDArray, NDArray]:
+    """re and im of r*exp(i*theta), one row per theta: r*cos, r*sin from `math`."""
+    r = np.asarray(radii, dtype=float)
+    return (np.multiply.outer([math.cos(t) for t in thetas], r),
+            np.multiply.outer([math.sin(t) for t in thetas], r))
 
 
 def convergence_scan(p: WPoint, a: SeqSpec, slice_unit: SliceUnit,
@@ -1001,34 +1017,26 @@ def convergence_scan(p: WPoint, a: SeqSpec, slice_unit: SliceUnit,
                      band: float = 0.05) -> ScanResult:
     """Empirical-vs-predicted sweep over z = r*exp(i*theta) on one slice.
 
-    Every membership within `band` of a radius equality classifies Boundary
-    and is excluded from the agreement count; Interior must pair with
-    Converged and Exterior with Diverged to score as agreement.
+    A point with Im z < 0 lies on the slice of -J.  Every membership within
+    `band` of a radius equality classifies Boundary and is excluded from the
+    agreement count; Interior must pair with Converged and Exterior with
+    Diverged to score as agreement.
     """
     if not radial_grid or not angular_grid:
         raise ValueError("scan grids must be nonempty")
-    dom = domain(p, a)
-    points = []
-    for theta in angular_grid:
-        for r in radial_grid:
-            zz = r * cmath.exp(1j * theta)
-            im = abs(zz.imag) if abs(zz.imag) < 1e-15 else zz.imag
-            qq = wpoint_from(zz.real, im, slice_unit)
-            points.append((theta, zz.real, qq, dom.contains(qq, band)))
-    reports = evaluate_points([qq for _, _, qq, _ in points], p, a,
-                              max_terms=max_terms, tol=tol)
+    re, im = polar_grid(radial_grid, angular_grid)
+    codes = domain(p, a).classify(re, im, slice_unit, band).ravel().tolist()
+    qs = [wpoint_from(x, y, slice_unit)
+          for x, y in zip(re.ravel().tolist(), im.ravel().tolist())]
+    reports = evaluate_points(qs, p, a, max_terms=max_terms, tol=tol)
+    thetas = [theta for theta in angular_grid for _ in radial_grid]
     rows = []
     scored = agreed = 0
-    for (theta, re, qq, predicted), report in zip(points, reports):
-        rows.append(ScanRow(theta=theta, re=re, im=qq.im,
-                            predicted=predicted, empirical=report.verdict,
-                            terms_used=report.terms_used,
-                            tail_norm=report.tail_norm))
-        if predicted is Membership.BOUNDARY:
-            continue
-        scored += 1
-        if predicted is Membership.INTERIOR and report.verdict is Verdict.CONVERGED:
-            agreed += 1
-        elif predicted is Membership.EXTERIOR and report.verdict is Verdict.DIVERGED:
-            agreed += 1
+    for theta, q, code, report in zip(thetas, qs, codes, reports):
+        rows.append(ScanRow(theta=theta, re=q.re, im=q.im,
+                            predicted=_MEMBERSHIP[code], empirical=report.verdict,
+                            terms_used=report.terms_used, tail_norm=report.tail_norm))
+        if code:
+            scored += 1
+            agreed += report.verdict is (Verdict.CONVERGED if code < 0 else Verdict.DIVERGED)
     return ScanResult(rows=tuple(rows), scored=scored, agreed=agreed)

@@ -128,9 +128,6 @@ class Subspace:
     def vectors(self) -> list[CDElement]:
         return [CDElement(row) for row in self.basis]
 
-    def to_json(self) -> list[list[float]]:
-        return [[float(v) for v in row] for row in self.basis]
-
 
 def principal_angles(a: Subspace, b: Subspace) -> NDArray[np.float64]:
     """Principal angles between two subspaces, in radians, ascending.

@@ -293,16 +293,66 @@ def test_figure_svg_draws_the_disks_around_the_center(capsys, tmp_path, argv, wa
 
 
 @pytest.mark.parametrize("center,digest", [
-    ("e1", "b1ab95a30c87f249877592c288631e47fd4dbd54b71aeff06913e522e42b4771"),
-    ("e10", "6ea0bc537aeadf84e07d00004668c06ca7625b6a007276e608318b75e31aec19"),
-])
+    ("e1", "3a8806ad11a8ace81dda3029ddc3d15a8d8beb7c85864b11aaede8a460f08576"),
+    ("e10", "c630c5218973c4a721d6332193fe29f1411d6c928bd8dd59f5d82b768a52e25f"),
+], ids=["e1", "e10"])
 def test_figure_svg_at_the_default_slices_keeps_its_bytes(capsys, tmp_path, center, digest):
     # z_p = i on every default slice of these centers, so the disks sit where
-    # the earlier +-i drawing put them; the panels do not depend on --n
+    # the earlier +-i drawing put them; the panels do not depend on --n.  The
+    # panels of the witness K and of -K draw their lower halves from the
+    # other one, whose reflected radius differs (3 against 2).
     rc, _, _ = run(capsys, ["figure", "--center", center, "--n", "1", "--format", "svg",
                             "--out", str(tmp_path)])
     assert rc == 0
     assert hashlib.sha256((tmp_path / "figure.svg").read_bytes()).hexdigest() == digest
+
+
+def _svg_polygons(path) -> list[list[tuple[float, float]]]:
+    """Vertices of each polygon of a one-panel figure.svg, in slice coordinates."""
+    span, gap = 4.6, 14.0
+    scale = 300.0 / (2 * span)
+    return [[((float(x) - gap) / scale - span, span - (float(y) - gap) / scale)
+             for x, y in (point.split(",") for point in m[1].split())]
+            for m in re.finditer(r'<polygon points="([^"]+)"', path.read_text())]
+
+
+def test_figure_svg_draws_the_lower_half_from_the_minus_slice(capsys, tmp_path):
+    # At the center e1, R_a^{p,e10} = 3 and R_a^{p,-e10} = 2.  The upper half
+    # of the e10 panel is {|z - i| < 2, |z + i| < 3}, up to 2i; its lower
+    # half is the slice -e10, {|z + i| < 2, |z - i| < 2}, down to -i, so
+    # 0 - 1.2i is not filled.
+    rc, _, _ = run(capsys, ["figure", "--n", "1", "--format", "svg", "--slices", "e10",
+                            "--out", str(tmp_path)])
+    assert rc == 0
+    upper, lower = _svg_polygons(tmp_path / "figure.svg")
+    assert min(y for _, y in upper) == pytest.approx(0.0, abs=0.01)
+    assert max(y for _, y in upper) == pytest.approx(2.0, abs=0.01)
+    assert max(y for _, y in lower) == pytest.approx(0.0, abs=0.01)
+    assert min(y for _, y in lower) == pytest.approx(-1.0, abs=0.01)
+    assert min(y for x, y in lower if abs(x) < 0.05) > -1.2
+    assert run(capsys, ["contains", "--", "-1.2e10"])[1] == "Exterior\n"
+    assert run(capsys, ["contains", "--", "-0.8e10"])[1] == "Interior\n"
+
+
+@pytest.mark.parametrize("slices", [[], ["--slices", "e10"]], ids=["center-plane", "off-plane"])
+def test_figure_svg_of_a_whole_slice_domain_is_finite_and_fills_its_panel(
+        capsys, tmp_path, slices):
+    # A one-value table has R_a = R_a^{p,J} = inf: the domain is every slice.
+    rc, _, _ = run(capsys, ["figure", "--n", "1", "--seq", '{"kind":"table","values":["1"]}',
+                            "--format", "svg", "--out", str(tmp_path), *slices])
+    assert rc == 0
+    svg = (tmp_path / "figure.svg").read_text()
+    for value in re.findall(r'="([^"]*)"', svg):
+        for token in re.split(r"[ ,]", value):
+            try:
+                number = float(token)
+            except ValueError:
+                continue
+            assert math.isfinite(number), value
+    points = [pt for polygon in _svg_polygons(tmp_path / "figure.svg") for pt in polygon]
+    for coord in (0, 1):
+        assert min(pt[coord] for pt in points) == pytest.approx(-4.6, abs=0.01)
+        assert max(pt[coord] for pt in points) == pytest.approx(4.6, abs=0.01)
 
 
 def test_figure_keeps_the_slice_text_in_short_file_names(capsys, tmp_path):

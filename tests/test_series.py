@@ -547,6 +547,19 @@ def test_membership_work_runs_once_per_slice_not_per_point(monkeypatch, tmp_path
     # so its points lie on -J: at most two axes per slice
     assert all(0 < counts[name] <= 2 * slices + 1 for name in names), counts
 
+    # The figure grid is one Domain.classify call per slice: no point object
+    # besides the center, no scalar membership, and the disks of J and -J.
+    from sedenion import slices as slices_module
+    counts.clear()
+    for cls, name in ((slices_module.WPoint, "__init__"), (Domain, "contains"),
+                      (Domain, "disks")):
+        monkeypatch.setattr(cls, name, _counting(counts, name, getattr(cls, name)))
+    assert main(["figure", "--center", "0.2+0.7e1", "--n", "100",
+                 "--out", str(tmp_path / "csv")]) == 0
+    assert len(list((tmp_path / "csv").glob("figure_*.csv"))) == slices
+    assert counts["__init__"] == 1 and counts["contains"] == 0, counts
+    assert 0 < counts["disks"] <= 2 * slices, counts
+
 
 def _figure_slice(axis: SliceUnit, n: int = 100) -> list:
     """n x n points at the angles pi * i / (n - 1) of `figure`, i = 1..n.
@@ -686,18 +699,28 @@ def test_memoised_membership_equals_the_unmemoised_rule():
                 return radius_RapJ(a, p, q.axis)
 
             qs = [p, wpoint_from(0.7, 0.0, E1), wpoint_from(p.re + r_a, 0.0, E1)]
+            grids = []  # (axis, points re + im*axis) with im of either sign
             for axis in axes:
-                qs += [wpoint_from(x, y, axis) for x, y in
-                       rng.uniform([-4.0, 0.0], [4.0, 4.0], size=(12, 2))]
-                # on the direct circle |z - z_p| = R_a
-                qs += [wpoint_from(p.re + r_a * math.cos(t), p.im + r_a * math.sin(t), axis)
-                       for t in (0.3, 1.9)]
+                xy = rng.uniform([-4.0, -4.0], [4.0, 4.0], size=(12, 2)).tolist()
+                # on the direct circle |z - z_p| = R_a of J and of -J, the
+                # center hit (on J or -J), the real line and 1e-16 off it
+                xy += [(p.re + r_a * math.cos(t), s * (p.im + r_a * math.sin(t)))
+                       for t in (0.3, 1.9) for s in (1.0, -1.0)]
+                xy += [(p.re, p.im), (p.re, -p.im), (0.7, 0.0), (0.7, -0.0),
+                       (0.7, 1e-16), (0.7, -1e-16)]
+                grids.append((axis, xy))
+                qs += [wpoint_from(x, y, axis) for x, y in xy]
             order = rng.permutation(len(qs))  # interleave the slices
             for band in (0.0, 1e-9, 0.05):
                 for i in order:
                     got = dom.contains(qs[i], band)
                     assert got is _reference_membership(qs[i], p, r_a, r2(qs[i]), band)
                     seen[got] += 1
+                for axis, xy in grids:
+                    codes = dom.classify(*np.array(xy).T, axis, band)
+                    assert codes.dtype == np.int8
+                    assert [Membership.of(c) for c in codes.tolist()] == \
+                        [dom.contains(wpoint_from(x, y, axis), band) for x, y in xy]
             z = p.z
             assert dom.disks(p.axis) == (z, r_a, z, math.inf)
             assert dom.disks(-p.axis) == (z.conjugate(), r_a, z.conjugate(), math.inf)
@@ -1425,15 +1448,6 @@ def test_scan_agrees_on_the_reference_slices():
         excluded = [r for r in res.rows if r.predicted is Membership.BOUNDARY]
         assert len(excluded) == 1
         assert math.hypot(excluded[0].re, excluded[0].im) == pytest.approx(r_bnd)
-
-
-def test_scan_csv_shape():
-    a = demo_sequence()
-    res = convergence_scan(center(), a, E10, [0.5, 1.5], [math.pi / 3, math.pi / 2])
-    lines = res.to_csv().strip().split("\n")
-    assert lines[0] == "theta,re,im,predicted,empirical,terms_used,tail_norm"
-    assert len(lines) == 1 + 4
-    assert all(len(line.split(",")) == 7 for line in lines)
 
 
 def test_scan_rejects_empty_grids():
