@@ -19,9 +19,13 @@ and keeps only two 16x16 index tables with their signs: for each m and k the
 n with e_m * e_n = +-e_k, and for each k and n the matching m.  `cd_mul`,
 `mul_batch` and the multiplication matrices gather coefficients through these
 tables instead of contracting a dense tensor; lower levels use the top-left
-corner of each table, which maps into itself.  The recursion on coefficient
-lists (`cd_mul_recursive`) is kept as the reference path; on Python ints it
-keeps the small worked examples exact.
+corner of each table, which maps into itself.  `mul_batch` folds the signs
+into the gather: it stacks each block of b over its negation, so one `take`
+gives every signed factor +-b_n at once, and it adds the n terms
+a_m * (+-b_n) of each output coefficient in the order m = 0, 1, ..., as
+`cd_mul` does.  The recursion on coefficient lists (`cd_mul_recursive`) is
+kept as the reference path; on Python ints it keeps the small worked
+examples exact.
 
 Level 3 (octonions) is the last normed division algebra; level 4 (sedenions)
 has zero divisors and is where the rest of this package lives.
@@ -143,8 +147,8 @@ def _index_tables() -> tuple[NDArray[np.intp], NDArray[np.float64],
 
 _INV, _SGN, _LIDX, _LSGN = _index_tables()
 
-# Rows per block in `mul_batch`: keeps each temporary to a few hundred KB.
-_BLOCK = 4096
+# Rows per block in `mul_batch`: its (16, 16, rows) term stack is then 512 KB.
+_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +287,10 @@ class CDElement:
         return CDElement(out)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        # np.linalg.norm's own formula, without its overhead; a strided dot
+        # can round differently, so the vector is made contiguous as it does
+        c = self.coeffs.ravel(order="K")
+        return math.sqrt(c @ c)
 
     @property
     def real(self) -> float:
@@ -353,9 +360,15 @@ def cd_mul_recursive(a: CDElement, b: CDElement) -> CDElement:
 def mul_batch(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
     """Row-wise products of two (N, 2**level) coefficient arrays.
 
-    Each output coefficient is summed over m = 0, 1, ... in order, in blocks
-    of rows laid out coefficient-major, so every row comes out bitwise equal
-    to `cd_mul` on that row whatever the row count.
+    Rows go in blocks, laid out coefficient-major.  Each block of b is stacked
+    over its negation, and one `take` with index inv[m, k] (+ n where
+    sgn[m, k] < 0) gives every signed factor +-b_n as an (n, n, rows) stack;
+    one multiply by a_m gives every term.  Each output coefficient is then
+    summed from zero over m = 0, 1, ... in order, one add per m, so every row
+    comes out bitwise equal to `cd_mul` on that row whatever the row count:
+    a_m * (-b_n) equals (a_m * b_n) * -1 exactly.  Rows holding inf or NaN
+    give non-finite values at the same places as `cd_mul`, but the sign bit
+    of a NaN may differ.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -364,14 +377,23 @@ def mul_batch(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.floa
     n = a.shape[1]
     if n & (n - 1) or n > DIM:
         raise ValueError(f"bad dimension {n}")
-    inv, sgn = _INV[:n, :n], _SGN[:n, :n, None]
+    idx = _INV[:n, :n] + n * (_SGN[:n, :n] < 0)
     out = np.empty(a.shape)
+    stack = np.empty((2 * n, _BLOCK))
+    terms = np.empty((n, n, _BLOCK))
+    acc = np.empty((n, _BLOCK))
     for i in range(0, len(a), _BLOCK):
-        at, bt = a[i:i + _BLOCK].T.copy(), b[i:i + _BLOCK].T.copy()
-        acc = np.zeros_like(at)
+        rows = min(_BLOCK, len(a) - i)
+        s, t, c = stack[:, :rows], terms[..., :rows], acc[:, :rows]
+        s[:n] = b[i:i + rows].T
+        np.negative(s[:n], out=s[n:])
+        # idx is always in range; "clip" only spares `take` a buffered copy
+        s.take(idx, axis=0, out=t, mode="clip")
+        t *= a[i:i + rows].T.copy()[:, None]
+        c[...] = 0.0
         for m in range(n):
-            acc += at[m] * (bt[inv[m]] * sgn[m])
-        out[i:i + _BLOCK] = acc.T
+            c += t[m]
+        out[i:i + rows] = c.T
     return out
 
 

@@ -403,12 +403,15 @@ def _region_columns(disks, xs, top) -> list[tuple[float, float, float]]:
     return cols
 
 
-def _panel_svg(ox: float, oy: float, size: float, label: str, upper, lower) -> list[str]:
-    """One panel: region fill, clipped to the panel, and dashed circles; math y up.
+def _panel_svg(ox: float, oy: float, size: float, label: str, upper, lower,
+               clip_id: str) -> list[str]:
+    """One panel: region fill and dashed circles, clipped to the panel; math y up.
 
     `upper` and `lower` are the disks (c1, r1, c2, r2) of J and -J (`Domain.disks`):
     y < 0 shows the region of -J mirrored, and the dashed circles are the disks of
     J.  One center for both disks marks the center plane: one disk of radius r1.
+    A circle that leaves the panel is clipped to it by the clipPath `clip_id`,
+    written before the first such circle.
     """
     span = 4.6
     scale = size / (2 * span)
@@ -419,8 +422,18 @@ def _panel_svg(ox: float, oy: float, size: float, label: str, upper, lower) -> l
     def sy(y):
         return oy + (span - y) * scale
 
-    parts = [f'<rect x="{ox:.2f}" y="{oy:.2f}" width="{size:.2f}" '
-             f'height="{size:.2f}" fill="white" stroke="#444" stroke-width="1"/>']
+    frame = f'x="{ox:.2f}" y="{oy:.2f}" width="{size:.2f}" height="{size:.2f}"'
+    parts = [f'<rect {frame} fill="white" stroke="#444" stroke-width="1"/>']
+
+    def circle(c: complex, r: float, style: str) -> None:
+        x, y, rr = (float(f"{v:.2f}") for v in (sx(c.real), sy(c.imag), r * scale))
+        clip = ""
+        if not (ox <= x - rr and x + rr <= ox + size and oy <= y - rr and y + rr <= oy + size):
+            clip = f' clip-path="url(#{clip_id})"'
+            if not any(part.startswith("<clipPath") for part in parts):
+                parts.append(f'<clipPath id="{clip_id}"><rect {frame}/></clipPath>')
+        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{rr:.2f}" {style}{clip}/>')
+
     parts.append(f'<line x1="{sx(-span):.2f}" y1="{sy(0):.2f}" x2="{sx(span):.2f}" '
                  f'y2="{sy(0):.2f}" stroke="#bbb" stroke-width="0.7"/>')
     parts.append(f'<line x1="{sx(0):.2f}" y1="{sy(-span):.2f}" x2="{sx(0):.2f}" '
@@ -428,8 +441,7 @@ def _panel_svg(ox: float, oy: float, size: float, label: str, upper, lower) -> l
     fill = "#7aa6d877"
     c1, r1, c2, r2 = upper
     if c1 == c2 and math.isfinite(r1):
-        parts.append(f'<circle cx="{sx(c1.real):.2f}" cy="{sy(c1.imag):.2f}" '
-                     f'r="{r1 * scale:.2f}" fill="{fill}" stroke="none"/>')
+        circle(c1, r1, f'fill="{fill}" stroke="none"')
     else:
         xs = [(-span) + 2 * span * k / 800 for k in range(801)]
         for mirror, disks in ((1.0, upper), (-1.0, lower)):
@@ -440,9 +452,7 @@ def _panel_svg(ox: float, oy: float, size: float, label: str, upper, lower) -> l
                 parts.append(f'<polygon points="{pts}" fill="{fill}" stroke="none"/>')
     for c, rr in ((c1, r1), (c2, r2)):
         if math.isfinite(rr):
-            parts.append(f'<circle cx="{sx(c.real):.2f}" cy="{sy(c.imag):.2f}" '
-                         f'r="{rr * scale:.2f}" fill="none" stroke="#335" '
-                         f'stroke-width="1" stroke-dasharray="4 3"/>')
+            circle(c, rr, 'fill="none" stroke="#335" stroke-width="1" stroke-dasharray="4 3"')
     parts.append(f'<text x="{ox + 6:.2f}" y="{oy + 16:.2f}" '
                  f'font-family="monospace" font-size="12">{label}</text>')
     return parts
@@ -459,7 +469,8 @@ def _figure_svg(dom: Domain, slices) -> str:
     for idx, (name, sl) in enumerate(slices):
         ox = gap + (idx % cols) * (size + gap)
         oy = gap + (idx // cols) * (size + gap)
-        parts += _panel_svg(ox, oy, size, f"slice {name}", dom.disks(sl), dom.disks(-sl))
+        parts += _panel_svg(ox, oy, size, f"slice {name}", dom.disks(sl), dom.disks(-sl),
+                            f"panel{idx}")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -506,7 +517,9 @@ def _add_format(sp, choices=("csv", "json")):
 
 
 def _add_seq(sp):
-    sp.add_argument("--center", default="e1", help="series center, element text")
+    sp.add_argument("--center", default="e1",
+                    help="series center, element text; join a value with a leading "
+                         "minus by =, as in --center=-0.2+0.9e3")
     sp.add_argument("--seq", help="coefficient sequence: JSON file path or inline JSON "
                                   "(default: the bundled two-ratio example)")
 
@@ -603,7 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rmin", type=float, default=0.2)
     sp.add_argument("--rmax", type=float, default=4.0)
     sp.add_argument("--rstep", type=float, default=0.2)
-    sp.add_argument("--thetas", help="comma-separated angles (default pi/2)")
+    sp.add_argument("--thetas", help="comma-separated angles (default pi/2); join a "
+                                     "list with a leading minus by =, as in --thetas=-0.5,1")
     sp.add_argument("--max-terms", type=int, default=400)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--band", type=float, default=0.05,

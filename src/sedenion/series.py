@@ -257,12 +257,15 @@ def seq_to_json(a: SeqSpec) -> dict:
     raise TypeError(f"not a sequence spec: {type(a).__name__}")
 
 
-def _ratio_groups(a: GeometricSum | Lacunary) -> list[tuple[float, NDArray[np.float64]]]:
+def _ratio_groups(a: GeometricSum | Lacunary) -> tuple[tuple[float, NDArray[np.float64]], ...]:
     """Distinct ratios with their exactly-summed coefficients, zero sums dropped.
 
     Terms sharing a ratio cancel as one coefficient; a pair (c, r), (-c, r)
-    contributes nothing to any a_l and must not shrink a radius.
+    contributes nothing to any a_l and must not shrink a radius.  Kept on the
+    (frozen) sequence after first use, with read-only coefficient arrays.
     """
+    if hasattr(a, "_groups"):
+        return a._groups
     if isinstance(a, Lacunary):
         pairs = [(a.ratio, np.asarray(a.coeff))]
     else:
@@ -271,7 +274,11 @@ def _ratio_groups(a: GeometricSum | Lacunary) -> list[tuple[float, NDArray[np.fl
             cur = sums.setdefault(ratio, np.zeros(DIM))
             cur += np.asarray(coeff)
         pairs = sorted(sums.items())
-    return [(r, c) for r, c in pairs if np.any(c != 0.0)]
+    groups = tuple((r, c) for r, c in pairs if np.any(c != 0.0))
+    for _, c in groups:
+        c.flags.writeable = False
+    object.__setattr__(a, "_groups", groups)
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -1017,7 +1024,8 @@ def convergence_scan(p: WPoint, a: SeqSpec, slice_unit: SliceUnit,
                      band: float = 0.05) -> ScanResult:
     """Empirical-vs-predicted sweep over z = r*exp(i*theta) on one slice.
 
-    A point with Im z < 0 lies on the slice of -J.  Every membership within
+    A point with Im z < 0 lies on the slice of -J; its row keeps the signed
+    re and im of z, so re + im*J is the point tested.  Every membership within
     `band` of a radius equality classifies Boundary and is excluded from the
     agreement count; Interior must pair with Converged and Exterior with
     Diverged to score as agreement.
@@ -1026,14 +1034,14 @@ def convergence_scan(p: WPoint, a: SeqSpec, slice_unit: SliceUnit,
         raise ValueError("scan grids must be nonempty")
     re, im = polar_grid(radial_grid, angular_grid)
     codes = domain(p, a).classify(re, im, slice_unit, band).ravel().tolist()
-    qs = [wpoint_from(x, y, slice_unit)
-          for x, y in zip(re.ravel().tolist(), im.ravel().tolist())]
+    xs, ys = re.ravel().tolist(), im.ravel().tolist()
+    qs = [wpoint_from(x, y, slice_unit) for x, y in zip(xs, ys)]
     reports = evaluate_points(qs, p, a, max_terms=max_terms, tol=tol)
     thetas = [theta for theta in angular_grid for _ in radial_grid]
     rows = []
     scored = agreed = 0
-    for theta, q, code, report in zip(thetas, qs, codes, reports):
-        rows.append(ScanRow(theta=theta, re=q.re, im=q.im,
+    for theta, x, y, code, report in zip(thetas, xs, ys, codes, reports):
+        rows.append(ScanRow(theta=theta, re=x, im=y,
                             predicted=_MEMBERSHIP[code], empirical=report.verdict,
                             terms_used=report.terms_used, tail_norm=report.tail_norm))
         if code:

@@ -202,16 +202,81 @@ def test_mult_matrices_match_recursion_column_by_column(rng):
         assert np.array_equal(right_mult_matrix(s), right)
 
 
-@pytest.mark.parametrize("rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+def _signed_zero_rows(rng, n):
+    """Pairs of rows whose products hinge on signed zeros.
+
+    Zero and -0.0 factors, e0 times -0.0 (the first term, m = 0, of every
+    coefficient is -0.0), and random picks from {-0.0, 0.0, -1, 1, 2}.  Where
+    every term of a coefficient is -0.0 (at level 0, for one) only a sum
+    started from +0.0 gives +0.0, as `cd_mul` does.
+    """
+    rand = rng.normal(size=n)
+    unit = np.zeros(n)
+    unit[0] = 1.0
+    mixed = [rng.choice([-0.0, 0.0, -1.0, 1.0, 2.0], size=n) for _ in range(4)]
+    return [(np.zeros(n), rand), (np.full(n, -0.0), rand), (rand, np.full(n, -0.0)),
+            (unit, np.full(n, -0.0)), (np.full(n, -0.0), np.zeros(n)),
+            (mixed[0], mixed[1]), (mixed[2], mixed[3])]
+
+
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                  16 * _BLOCK - 1, 16 * _BLOCK, 16 * _BLOCK + 1])
 @pytest.mark.parametrize("level", range(5))
 def test_mul_batch_matches_scalar_products(rng, level, rows):
-    A = rng.normal(size=(rows, 1 << level))
-    B = rng.normal(size=(rows, 1 << level))
-    got = mul_batch(A, B)
-    assert got.shape == A.shape
-    for i in range(rows):
-        want = cd_mul(CDElement(A[i]), CDElement(B[i]))
-        assert got[i].tobytes() == want.coeffs.tobytes()
+    n = 1 << level
+    A = rng.normal(size=(rows, n))
+    B = rng.normal(size=(rows, n))
+    for i, (a, b) in zip(range(rows), _signed_zero_rows(rng, n)):
+        A[i], B[i] = a, b
+    # the same rows laid out C-ordered, Fortran-ordered, and strided by rows
+    # and by columns; then integer rows, converted as cd_mul's input would be
+    wide = np.zeros((2 * rows, 2 * n))
+    wide[::2, ::2], wide[1::2, 1::2] = A, B
+    layouts = [(A, B), (np.asfortranarray(A), np.asfortranarray(B)),
+               (wide[::2, ::2], wide[1::2, 1::2])]
+    ints = (np.rint(4 * A).astype(np.int64), np.rint(4 * B).astype(np.int64))
+    for (X, Y), cases in (((A, B), layouts), (ints, [ints])):
+        want = [cd_mul(CDElement(X[i].astype(float)), CDElement(Y[i].astype(float)))
+                for i in range(rows)]
+        for P, Q in cases:
+            got = mul_batch(P, Q)
+            assert got.shape == A.shape and got.dtype == np.float64
+            for i in range(rows):
+                assert got[i].tobytes() == want[i].coeffs.tobytes()
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_mul_batch_puts_non_finite_values_where_cd_mul_does(rng, level):
+    n = 1 << level
+    rows = 3 * _BLOCK
+    A = rng.normal(size=(rows, n))
+    B = rng.normal(size=(rows, n))
+    special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e308]
+    for M in (A, B):
+        hit = rng.random(size=M.shape) < 0.1
+        M[hit] = rng.choice(special, size=int(hit.sum()))
+    with np.errstate(all="ignore"):
+        got = mul_batch(A, B)
+        wants = [cd_mul(CDElement(A[i]), CDElement(B[i])).coeffs for i in range(rows)]
+    for i, want in enumerate(wants):
+        nan = np.isnan(want)
+        # a NaN's sign bit may differ; everything else is bit for bit
+        assert np.array_equal(np.isnan(got[i]), nan)
+        assert got[i][~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_mul_batch_allocates_less_than_three_outputs(rng):
+    import tracemalloc
+
+    A = rng.normal(size=(100_000, 16))
+    B = rng.normal(size=(100_000, 16))
+    tracemalloc.start()
+    try:
+        out = mul_batch(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * out.nbytes
 
 
 def test_inner_is_euclidean(rng):

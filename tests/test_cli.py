@@ -231,6 +231,25 @@ def test_scan_flags_disagreement_with_exit_1(capsys):
     assert out.splitlines()[-1] == "total scored=1 agreed=0 agreement=0"
 
 
+def test_scan_rows_name_the_points_they_tested(capsys):
+    # theta = 4 lies below the real axis: each row's re + im*e10, with im < 0,
+    # is the point on -e10 that was tested, and contains agrees with its class
+    rc, out, _ = run(capsys, ["scan", "--slices", "e10", "--thetas", "4", "--rstep", "0.5"])
+    assert rc == 0
+    rows = [line.split(",") for line in out.splitlines()[1:] if line.startswith("e10,")]
+    assert rows and all(float(im) < 0 for _, _, _, im, *_ in rows)
+    for _, _, x, y, predicted, *_ in rows:
+        point = f"{x}{'' if y.startswith('-') else '+'}{y}e10"
+        assert run(capsys, ["contains", "--band", "0.05", "--", point])[1] == predicted + "\n"
+
+
+def test_option_values_with_a_leading_minus_take_the_equals_form(capsys):
+    rc, out, _ = run(capsys, ["radii", "--center=-0.2+0.9e3"])
+    assert rc == 0 and out.startswith("R_a=2 ")
+    rc, out, _ = run(capsys, ["scan", "--slices", "e1", "--thetas=-0.5", "--rstep", "1"])
+    assert rc == 0 and out.splitlines()[1].startswith("e1,-0.5,")
+
+
 def test_scan_writes_csv_under_the_output_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SEDENION_OUTDIR", str(tmp_path))
     rc, out, _ = run(capsys, ["scan", "--slices", "e10", "--rmin", "1",
@@ -305,6 +324,33 @@ def test_figure_svg_at_the_default_slices_keeps_its_bytes(capsys, tmp_path, cent
                             "--out", str(tmp_path)])
     assert rc == 0
     assert hashlib.sha256((tmp_path / "figure.svg").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["--center", "0.5+2e1", "--slices", "e10"],  # conj(z_p) disk below the panel
+    ["--center", "3.5", "--slices", "e1,e10,e3"],  # filled disks past the right edge
+], ids=["off-plane", "center-plane"])
+def test_figure_svg_circles_stay_inside_their_panel(capsys, tmp_path, argv):
+    rc, _, _ = run(capsys, ["figure", "--n", "1", "--format", "svg",
+                            "--out", str(tmp_path), *argv])
+    assert rc == 0
+    clips, frame, clipped = {}, None, 0
+    for line in (tmp_path / "figure.svg").read_text().splitlines():
+        attrs = dict(re.findall(r'([\w-]+)="([^"]*)"', line))
+        box = tuple(float(attrs.get(k, "nan")) for k in ("x", "y", "width", "height"))
+        if line.startswith("<rect") and attrs.get("fill") == "white":
+            frame = box
+        elif line.startswith("<clipPath"):
+            clips[attrs["id"]] = box
+        elif line.startswith("<circle"):
+            cx, cy, r = (float(attrs[k]) for k in ("cx", "cy", "r"))
+            x, y, w, h = frame
+            if "clip-path" in attrs:
+                clipped += 1
+                assert clips[attrs["clip-path"][len("url(#"):-1]] == frame
+            else:
+                assert x <= cx - r and cx + r <= x + w and y <= cy - r and cy + r <= y + h
+    assert clipped > 0
 
 
 def _svg_polygons(path) -> list[list[tuple[float, float]]]:
