@@ -41,6 +41,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from . import _tol
+
 MAX_LEVEL = 4
 DIM = 1 << MAX_LEVEL
 
@@ -275,9 +277,9 @@ class CDElement:
     def __hash__(self):
         return hash((self.level, self.key))
 
-    def isclose(self, other: "CDElement", tol: float = 1e-12) -> bool:
+    def isclose(self, other: "CDElement") -> bool:
         a, b = self._pair(other)
-        return bool(np.max(np.abs(a.coeffs - b.coeffs)) <= tol)
+        return bool(np.max(np.abs(a.coeffs - b.coeffs)) <= _tol.ELEMENT_CLOSE)
 
     # -- queries -------------------------------------------------------------
 
@@ -296,8 +298,8 @@ class CDElement:
     def real(self) -> float:
         return float(self.coeffs[0])
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.coeffs)) <= tol)
+    def is_zero(self) -> bool:
+        return not self.coeffs.any()
 
     def __repr__(self):
         return f"CDElement({format_element(self)!r}, level={self.level})"
@@ -504,17 +506,17 @@ def complex_embed(z: complex, axis) -> CDElement:
     return CDElement(out)
 
 
-def complex_coords(x: CDElement, axis, tol: float = 1e-9) -> complex:
+def complex_coords(x: CDElement, axis) -> complex:
     """Coordinates of x in the plane spanned by 1 and the unit I.
 
-    Raises if x does not lie on that plane within `tol * max(1, |x|)`.
+    Raises if x does not lie on that plane within `UNIT_EQ * max(1, |x|)`.
     """
     v = _axis_vector(axis)
     c = x.promote(MAX_LEVEL).coeffs
     re = c[0]
     im = float(np.dot(c[1:], v[1:]))
     residual = np.linalg.norm(c - re * np.eye(DIM)[0] - im * v)
-    if residual > tol * max(1.0, float(np.linalg.norm(c))):
+    if residual > _tol.UNIT_EQ * max(1.0, float(np.linalg.norm(c))):
         raise ValueError("element does not lie on the requested complex slice")
     return complex(re, im)
 

@@ -6,7 +6,9 @@ geometry, convergence radii and domain membership, series evaluation, grid
 scans, and cross-section figure export (CSV always, SVG on request).
 
 Exit codes: 0 success / affirmative answer, 1 failed verification or negative
-answer to a yes-no query, 2 argument or parse errors, 3 internal errors.  All
+answer to a yes-no query, 2 argument or parse errors, 3 internal errors; a
+reader that closes stdout early ends the run with no message and exit 0, or
+the command's own status if it had already answered.  All
 floating output goes through 12-significant-digit formatting so repeated runs
 diff clean.
 """
@@ -29,6 +31,7 @@ from .algebra import (
     table_csv,
     verify_table,
 )
+from . import _tol
 from .zerodiv import (
     kernel_of_left_mult,
     o_left,
@@ -155,7 +158,7 @@ def cmd_kernel(args) -> int:
     lines = [f"dim={ker.dim}"]
     for v in ker.vectors():
         c = v.promote(4).coeffs.copy()
-        c[np.abs(c) < 1e-12] = 0.0  # drop SVD dust from the text rendering
+        c[np.abs(c) < _tol.DISPLAY_DUST] = 0.0  # drop SVD dust from the text rendering
         lines.append(format_element(CDElement(c)))
     _emit(args, lines, {"dim": ker.dim,
                         "basis": [_coeff_list(row) for row in ker.basis]})
@@ -167,7 +170,7 @@ def cmd_decompose(args) -> int:
     lines = []
     for name in ("o_part", "ker_part", "kerc_part"):
         c = getattr(dec, name).promote(4).coeffs.copy()
-        c[np.abs(c) < 1e-12] = 0.0  # projector dust, display only
+        c[np.abs(c) < _tol.DISPLAY_DUST] = 0.0  # projector dust, display only
         lines.append(f"{name}={format_element(CDElement(c))}")
     _emit(args, lines, {k: _coeff_list(getattr(dec, k).promote(4).coeffs)
                         for k in ("o_part", "ker_part", "kerc_part")})
@@ -596,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("contains", help="classify a point against the domain")
     _add_seq(sp)
     sp.add_argument("q", help="query point, element text")
-    sp.add_argument("--band", type=float, default=1e-9,
+    sp.add_argument("--band", type=float, default=_tol.MEMBERSHIP_BAND,
                     help="boundary half-width (default 1e-9)")
     _add_format(sp)
     sp.set_defaults(func=cmd_contains)
@@ -605,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seq(sp)
     sp.add_argument("q", help="query point, element text")
     sp.add_argument("--max-terms", type=int, default=200)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=float, default=_tol.EVAL_TOL)
     _add_format(sp)
     sp.set_defaults(func=cmd_eval)
 
@@ -619,8 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--thetas", help="comma-separated angles (default pi/2); join a "
                                      "list with a leading minus by =, as in --thetas=-0.5,1")
     sp.add_argument("--max-terms", type=int, default=400)
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--band", type=float, default=0.05,
+    sp.add_argument("--tol", type=float, default=_tol.EVAL_TOL)
+    sp.add_argument("--band", type=float, default=_tol.SCAN_BAND,
                     help="exclusion half-width around the radii")
     sp.add_argument("--out", help="write CSV to this file (under the output dir)")
     sp.set_defaults(func=cmd_scan)
@@ -631,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "(default: four representative ones)")
     sp.add_argument("--n", type=int, default=100, help="polar grid size per axis")
     sp.add_argument("--rmax", type=float, default=4.0)
-    sp.add_argument("--band", type=float, default=1e-9)
+    sp.add_argument("--band", type=float, default=_tol.MEMBERSHIP_BAND)
     sp.add_argument("--out", help="output directory (default: SEDENION_OUTDIR or .)")
     _add_format(sp, choices=("csv", "svg"))
     sp.set_defaults(func=cmd_figure)
@@ -641,9 +644,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    status = None
     try:
         _check_shared_flags(args)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout: not bad input.  Later writes, the
+        # interpreter's final flush included, go to the null device.  A
+        # command that had already decided keeps its answer.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0 if status is None else status
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -51,6 +51,7 @@ from .algebra import (
     parse_any,
     real_from_json,
 )
+from . import _tol
 from .zerodiv import kernel_of_left_mult
 from .slices import (
     I0,
@@ -371,9 +372,6 @@ def eval_poly(poly: Polynomial, q: WPoint) -> CDElement:
 # radii
 # ---------------------------------------------------------------------------
 
-_PERP_THRESHOLD = 1e-10
-
-
 def radius_Ra(a: SeqSpec) -> float:
     """Slice radius 1 / limsup |a_l|^(1/l); +inf for the zero sequence."""
     if isinstance(a, (GeometricSum, Lacunary)):
@@ -414,14 +412,13 @@ def _reflected_radius(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
     if isinstance(a, (GeometricSum, Lacunary)):
         best = math.inf
         for ratio, coeff in _ratio_groups(a):
-            if ker.distance(coeff) > _PERP_THRESHOLD * np.linalg.norm(coeff):
+            if ker.distance(coeff) > _tol.PERP_THRESHOLD * np.linalg.norm(coeff):
                 best = min(best, ratio)
         return best
     return _table_radius(a, ker.distance)
 
 
-def radius_Rap(a: SeqSpec, p: WPoint,
-               extra_candidates: Sequence[SliceUnit] = ()) -> tuple[float, SliceUnit | None]:
+def radius_Rap(a: SeqSpec, p: WPoint) -> tuple[float, SliceUnit | None]:
     """The supremum radius R_a^p over companion slice units, with a witness.
 
     The value set {R_a^{p,K}} has at most two elements {R_a, R_a^p}, and a
@@ -429,32 +426,20 @@ def radius_Rap(a: SeqSpec, p: WPoint,
     ker(I_p - K); that kernel determines K up to curve membership, so one
     find_companion call on that coefficient realizes the supremum.  The
     witness is returned only when it beats R_a.  Table sequences scan
-    companion candidates derived from every tabulated coefficient (callers
-    may add candidates via `extra_candidates`) and stay estimates.
+    companion candidates derived from every tabulated coefficient and stay
+    estimates.
     """
     ra = radius_Ra(a)
     if p.is_real:
         return ra, None
-    candidates: list[SliceUnit] = list(extra_candidates)
     if isinstance(a, (GeometricSum, Lacunary)):
-        groups = _ratio_groups(a)
-        if not groups:
-            return ra, None
-        c1 = CDElement(groups[0][1])
-        k = find_companion(p.axis, c1)
-        if k is not None:
-            candidates.append(k)
+        coeffs = [c for _, c in _ratio_groups(a)[:1]]  # the slowest-decaying group
     else:
-        for v in a.values:
-            vec = np.asarray(v)
-            if np.any(vec != 0.0):
-                k = find_companion(p.axis, CDElement(vec))
-                if k is not None:
-                    candidates.append(k)
+        coeffs = [v for v in map(np.asarray, a.values) if np.any(v != 0.0)]
     best, witness = ra, None
-    for k in candidates:
-        val = radius_RapJ(a, p, k)
-        if val > best:
+    for c in coeffs:
+        k = find_companion(p.axis, CDElement(c))
+        if k is not None and (val := radius_RapJ(a, p, k)) > best:
             best, witness = val, k
     return best, witness
 
@@ -551,13 +536,11 @@ class Domain:
 
     def __init__(self, p: WPoint, a: SeqSpec):
         ra = radius_Ra(a)
-        rap, witness = radius_Rap(a, p)
-        if p.is_real:  # radius_Rap gives no witness
+        rap, witness = radius_Rap(a, p)  # a witness exactly when rap > ra
+        if p.is_real:
             case = DomainCase.REAL_CENTER
-        elif witness is None or rap <= ra:
+        elif witness is None:
             case = DomainCase.SIGMA_BALL_ONLY
-            witness = None
-            rap = max(rap, ra)
         else:
             case = DomainCase.HYPER_INTERSECTION
         self.p, self.a = p, a
@@ -580,7 +563,7 @@ class Domain:
         self._slices[key] = pair
         return pair
 
-    def contains(self, q: WPoint, band: float = 1e-9) -> Membership:
+    def contains(self, q: WPoint, band: float = _tol.MEMBERSHIP_BAND) -> Membership:
         """Classify q by the two-disk rule of its slice (`_two_disk_rule`).
 
         Interior / Exterior are strict calls with margin `band`; anything
@@ -590,7 +573,8 @@ class Domain:
         return _MEMBERSHIP[_point_rule(q, self._center if q.is_real else self.disks(q.axis),
                                        band)]
 
-    def classify(self, re, im, j: SliceUnit, band: float = 1e-9) -> NDArray[np.int8]:
+    def classify(self, re, im, j: SliceUnit,
+                 band: float = _tol.MEMBERSHIP_BAND) -> NDArray[np.int8]:
         """Codes -1 (Interior), 0 (Boundary), +1 (Exterior) of the points re + im*J.
 
         `contains(wpoint_from(re, im, J), band)` point for point: im > 0 lies on
@@ -671,7 +655,7 @@ def hyper_sigma_contains(q: WPoint, p: WPoint, r: float, j: HyperSolution) -> bo
 
 
 def domain_contains(q: WPoint, p: WPoint, a: SeqSpec,
-                    band: float = 1e-9) -> Membership:
+                    band: float = _tol.MEMBERSHIP_BAND) -> Membership:
     """Classify q against the convergence domain of the series around p.
 
     A thin layer over `domain(p, a).contains(q, band)`.
@@ -699,8 +683,6 @@ class EvalReport:
     tail_norm: float
 
 
-_WINDOW = 50
-_BLOWUP = 1e6
 # Terms per block: large enough that numpy's per-call cost is spread over many
 # terms, small enough that a point converging after a few dozen terms wastes
 # little work past its stopping index.
@@ -721,7 +703,7 @@ def _geometric_blocks(a: GeometricSum | Lacunary, mp, c_plus, c_minus):
     Each ratio group has fixed channel images (of the coefficient and of its
     rotation by mp), so a term is Re(zeta) * image + Im(zeta) * image summed
     over the live channels, with zeta the channel step divided by the ratio
-    to the power l.  An image below 1e-13 of its input is a formal
+    to the power l.  An image below CHANNEL_DUST of its input is a formal
     annihilation seen through rounding and is dropped (None).  A gap series
     is one group whose rows off its support are exact zeros.  Returns the
     (plus channel?, ratio) of each live channel and a function (start,
@@ -734,8 +716,8 @@ def _geometric_blocks(a: GeometricSum | Lacunary, mp, c_plus, c_minus):
             if op is None:
                 continue
             imgs = [v if isinstance(op, str) else op @ v for v in vs]
-            imgs = [img if np.linalg.norm(img) > 1e-13 * np.linalg.norm(v) else None
-                    for img, v in zip(imgs, vs)]
+            imgs = [img if np.linalg.norm(img) > _tol.CHANNEL_DUST * np.linalg.norm(v)
+                    else None for img, v in zip(imgs, vs)]
             if any(img is not None for img in imgs):
                 channels.append((plus, ratio))
                 images.append(imgs)
@@ -778,22 +760,22 @@ def _block_stop(norms, quiet, tol):
     """The first stopping index of each point in a block of term norms.
 
     `norms` is (terms, points).  Diverged at a norm that is non-finite or
-    above _BLOWUP; Converged at the norm that completes _WINDOW nonzero norms
-    in a row below tol, counting on from the `quiet` run each point's
-    previous block ended with (exact zeros neither reset nor advance the
-    run).  Returns (stop, diverged, runs): the stopping index (the block
+    above EVAL_BLOWUP; Converged at the norm that completes EVAL_WINDOW
+    nonzero norms in a row below tol, counting on from the `quiet` run each
+    point's previous block ended with (exact zeros neither reset nor advance
+    the run).  Returns (stop, diverged, runs): the stopping index (the block
     length where nothing stops), whether that stop is Diverged, and the run
     at the end of the block.
     """
     n = len(norms)
-    blown = ~np.isfinite(norms) | (norms > _BLOWUP)
+    blown = ~np.isfinite(norms) | (norms > _tol.EVAL_BLOWUP)
     loud = norms >= tol
     soft = np.cumsum(~loud & (norms > 0.0), axis=0)
     last_loud = np.maximum.accumulate(
         np.where(loud, np.arange(n)[:, None], -1), axis=0)
     before = np.take_along_axis(soft, np.maximum(last_loud, 0), axis=0)
     runs = soft - np.where(last_loud >= 0, before, -quiet)
-    hits = blown | (runs >= _WINDOW)
+    hits = blown | (runs >= _tol.EVAL_WINDOW)
     stop = np.where(hits.any(axis=0), hits.argmax(axis=0), n)
     diverged = blown[np.minimum(stop, n - 1), np.arange(norms.shape[1])]
     return stop, diverged, runs[-1]
@@ -814,7 +796,7 @@ def _evaluate_chunk(steps, make_block, rows, max_terms, tol):
     zetas = np.ones(steps.shape, dtype=complex)
     total = np.zeros((len(steps), DIM))
     quiet = np.zeros(len(steps), dtype=np.intp)
-    window = np.zeros((0, len(steps)))  # the last _WINDOW norms of each point
+    window = np.zeros((0, len(steps)))  # the last EVAL_WINDOW norms of each point
     for start in range(0, rows, _BLOCK):
         n = min(_BLOCK, rows - start)
         chain = np.empty((n + 1,) + steps.shape, dtype=complex)
@@ -837,22 +819,22 @@ def _evaluate_chunk(steps, make_block, rows, max_terms, tol):
         done = stop < len(block)
         for j in np.flatnonzero(done):
             end = len(window) + stop[j] + 1
-            tail = norms[max(0, end - _WINDOW):end, j].tolist()
+            tail = norms[max(0, end - _tol.EVAL_WINDOW):end, j].tolist()
             verdict = Verdict.DIVERGED if diverged[j] else Verdict.CONVERGED
             out[idx[j]] = _report(total[j], start + int(used[j]), verdict, tail)
         keep = ~done
         idx, steps, zetas, total, quiet = (
             x[keep] for x in (idx, steps, zetas, total, quiet))
-        window = norms[-_WINDOW:, keep]
+        window = norms[-_tol.EVAL_WINDOW:, keep]
         if not idx.size:
             break
-    zeros = np.zeros((min(_WINDOW, max_terms - rows), len(idx)))
-    window = np.concatenate((window, zeros))[-_WINDOW:]
+    zeros = np.zeros((min(_tol.EVAL_WINDOW, max_terms - rows), len(idx)))
+    window = np.concatenate((window, zeros))[-_tol.EVAL_WINDOW:]
     for j, i in enumerate(idx):
         tail = window[:, j].tolist()
         if max(tail) < tol:
             verdict = Verdict.CONVERGED
-        elif len(tail) == _WINDOW and min(tail) > 1.0 and tail[-1] >= tail[0]:
+        elif len(tail) == _tol.EVAL_WINDOW and min(tail) > 1.0 and tail[-1] >= tail[0]:
             verdict = Verdict.DIVERGED
         else:
             verdict = Verdict.UNDETERMINED
@@ -900,7 +882,7 @@ def _channel_step(step: complex, ratio: float | None) -> complex:
 
 
 def evaluate_points(qs: Sequence[WPoint], p: WPoint, a: SeqSpec,
-                    max_terms: int = 200, tol: float = 1e-8) -> list[EvalReport]:
+                    max_terms: int = 200, tol: float = _tol.EVAL_TOL) -> list[EvalReport]:
     """Partial sums of sum_l (q - p)^{*l} a_l with a verdict, for every q in qs.
 
     Each monomial is evaluated through the two-channel operator form
@@ -979,7 +961,7 @@ def evaluate_points(qs: Sequence[WPoint], p: WPoint, a: SeqSpec,
 
 
 def evaluate_series(q: WPoint, p: WPoint, a: SeqSpec,
-                    max_terms: int = 200, tol: float = 1e-8) -> EvalReport:
+                    max_terms: int = 200, tol: float = _tol.EVAL_TOL) -> EvalReport:
     """The report of `evaluate_points` for the single point q."""
     return evaluate_points([q], p, a, max_terms=max_terms, tol=tol)[0]
 
@@ -1020,8 +1002,8 @@ def polar_grid(radii: Sequence[float], thetas: Sequence[float]) -> tuple[NDArray
 
 def convergence_scan(p: WPoint, a: SeqSpec, slice_unit: SliceUnit,
                      radial_grid: Sequence[float], angular_grid: Sequence[float],
-                     max_terms: int = 400, tol: float = 1e-8,
-                     band: float = 0.05) -> ScanResult:
+                     max_terms: int = 400, tol: float = _tol.EVAL_TOL,
+                     band: float = _tol.SCAN_BAND) -> ScanResult:
     """Empirical-vs-predicted sweep over z = r*exp(i*theta) on one slice.
 
     A point with Im z < 0 lies on the slice of -J; its row keeps the signed

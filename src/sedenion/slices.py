@@ -40,6 +40,7 @@ from .algebra import (
     left_mult_matrix,
     parse_any,
 )
+from . import _tol
 from .zerodiv import is_zero_divisor, kernel_of_left_mult
 
 __all__ = [
@@ -66,20 +67,17 @@ __all__ = [
     "axis_sign",
 ]
 
-_DEGENERATE = 1e-12
-_EQ_TOL = 1e-9
-
 
 def _unit_matrix_residual(m: NDArray[np.float64]) -> float:
     return float(np.max(np.abs(m @ m + np.eye(DIM))))
 
 
-def is_slice_unit(x: CDElement, tol: float = _EQ_TOL) -> bool:
+def is_slice_unit(x: CDElement) -> bool:
     """True iff left multiplication by x squares to minus the identity."""
     x = x.promote(MAX_LEVEL)
-    if abs(x.norm() - 1.0) > tol:
+    if abs(x.norm() - 1.0) > _tol.UNIT_EQ:
         return False
-    return _unit_matrix_residual(left_mult_matrix(x)) <= tol
+    return _unit_matrix_residual(left_mult_matrix(x)) <= _tol.UNIT_EQ
 
 
 class SliceUnit:
@@ -99,7 +97,7 @@ class SliceUnit:
             s = parse_any(s)
         s = s.promote(MAX_LEVEL)
         m = left_mult_matrix(s)
-        if abs(s.norm() - 1.0) > _EQ_TOL or _unit_matrix_residual(m) > _EQ_TOL:
+        if abs(s.norm() - 1.0) > _tol.UNIT_EQ or _unit_matrix_residual(m) > _tol.UNIT_EQ:
             raise ValueError(f"not a slice unit: {s}")
         v = s.coeffs
         u = v[1:8]
@@ -109,11 +107,11 @@ class SliceUnit:
         cos_a = float(v[8])
         sin_a = math.hypot(nu, nw)
         alpha = math.atan2(sin_a, cos_a)
-        if sin_a < _DEGENERATE:
+        if sin_a < _tol.DEGENERATE:
             # +-e8: theta and jmath are conventions, not coordinates.
             j8 = np.eye(8)[1]
             cos_t, sin_t = 1.0, 0.0
-        elif nw > _DEGENERATE * sin_a:
+        elif nw > _tol.DEGENERATE * sin_a:
             j8 = np.concatenate([[0.0], w / nw])
             sin_t = nw / sin_a
             cos_t = float(np.dot(u, j8[1:])) / sin_a
@@ -162,19 +160,19 @@ class SliceUnit:
 I0 = SliceUnit(basis(1, level=MAX_LEVEL))
 
 
-def same_unit(a: SliceUnit, b: SliceUnit, tol: float = _EQ_TOL) -> bool:
-    """Equality of slice units as points of the unit sphere, within tol."""
-    return bool(np.max(np.abs(a.s.coeffs - b.s.coeffs)) <= tol)
+def same_unit(a: SliceUnit, b: SliceUnit) -> bool:
+    """Equality of slice units as points of the unit sphere, within UNIT_EQ."""
+    return bool(np.max(np.abs(a.s.coeffs - b.s.coeffs)) <= _tol.UNIT_EQ)
 
 
 def axis_sign(u: SliceUnit, v: SliceUnit) -> int:
-    """+1 when u = v, -1 when u = -v, 0 otherwise (coefficients within _EQ_TOL).
+    """+1 when u = v, -1 when u = -v, 0 otherwise (coefficients within UNIT_EQ).
 
     A nonzero sign means u and v span the same complex plane C_u = C_v.
     """
     if same_unit(u, v):
         return 1
-    if np.max(np.abs(u.s.coeffs + v.s.coeffs)) <= _EQ_TOL:
+    if np.max(np.abs(u.s.coeffs + v.s.coeffs)) <= _tol.UNIT_EQ:
         return -1
     return 0
 
@@ -189,11 +187,11 @@ def polar(i: CDElement | SliceUnit) -> tuple[float, float, CDElement]:
     return unit.alpha, unit.theta, unit.jmath
 
 
-def _octonion_unit(x: CDElement, what: str, tol: float = _EQ_TOL) -> NDArray[np.float64]:
+def _octonion_unit(x: CDElement, what: str) -> NDArray[np.float64]:
     if x.level > 3:
         raise ValueError(f"{what} must be an octonion (level <= 3)")
     v = x.promote(3).coeffs
-    if abs(np.linalg.norm(v) - 1.0) > tol or abs(v[0]) > tol:
+    if abs(np.linalg.norm(v) - 1.0) > _tol.UNIT_EQ or abs(v[0]) > _tol.UNIT_EQ:
         raise ValueError(f"{what} must be a unit imaginary octonion")
     return v
 
@@ -201,7 +199,7 @@ def _octonion_unit(x: CDElement, what: str, tol: float = _EQ_TOL) -> NDArray[np.
 def _check_frame(i1: CDElement, i2: CDElement) -> tuple[NDArray, NDArray]:
     v1 = _octonion_unit(i1, "frame element i1")
     v2 = _octonion_unit(i2, "frame element i2")
-    if abs(float(np.dot(v1, v2))) > _EQ_TOL:
+    if abs(float(np.dot(v1, v2))) > _tol.UNIT_EQ:
         raise ValueError("frame elements must be orthogonal")
     return v1, v2
 
@@ -223,7 +221,7 @@ def from_polar(alpha: float, theta: float, jmath: CDElement) -> SliceUnit:
     to the same point).  Angles must be canonical: alpha in [0, pi], theta
     in [0, pi).
     """
-    if not 0.0 <= alpha <= math.pi + 1e-15:
+    if not 0.0 <= alpha <= math.pi + _tol.ALPHA_SLACK:
         raise ValueError(f"alpha out of [0, pi]: {alpha}")
     if not 0.0 <= theta < math.pi:
         raise ValueError(f"theta out of [0, pi): {theta}")
@@ -240,7 +238,7 @@ def psi(alpha: float, theta: float, frame: tuple[CDElement, CDElement]) -> Slice
     clamped to [0, pi] by contract (values outside raise).  psi(0, theta, f)
     is e8 for every theta and frame.
     """
-    if not 0.0 <= alpha <= math.pi + 1e-15:
+    if not 0.0 <= alpha <= math.pi + _tol.ALPHA_SLACK:
         raise ValueError(f"alpha out of [0, pi]: {alpha}")
     v1, v2 = _check_frame(*frame)
     cos_a, sin_a = math.cos(alpha), math.sin(alpha)
@@ -280,7 +278,7 @@ def iota_frame(j1: SliceUnit, j2: SliceUnit) -> tuple[CDElement, CDElement, floa
     if not is_hyper_solution(j1, j2):
         raise ValueError("pair is a slice-solution; no shared frame exists")
     det = j1.cos_theta * j2.sin_theta - j2.cos_theta * j1.sin_theta
-    if abs(det) < 1e-12:
+    if abs(det) < _tol.DEGENERATE:
         raise ValueError("theta coordinates coincide; frame is not determined")
     b1 = j1.jmath.promote(3).coeffs
     b2 = j2.jmath.promote(3).coeffs
@@ -306,19 +304,19 @@ def hyper_solution(j1: SliceUnit, j2: SliceUnit) -> HyperSolution:
     return HyperSolution(j1=j1, j2=j2, alpha=alpha, frame=(i1, i2))
 
 
-def cker_membership(k: SliceUnit, j1: SliceUnit, j2: SliceUnit,
-                    tol: float = 1e-8) -> bool:
+def cker_membership(k: SliceUnit, j1: SliceUnit, j2: SliceUnit) -> bool:
     """True iff K lies on the kernel curve of the hyper-solution (J1, J2).
 
     Decided by annihilation: K is on the curve iff (J1 - K)c = 0 for every c
-    in ker(J1 - J2).  Raises when (J1, J2) is not a hyper-solution.
+    in ker(J1 - J2), up to CURVE_ACCEPT in every entry of (J1 - K) times a
+    kernel basis.  Raises when (J1, J2) is not a hyper-solution.
     """
     if not is_hyper_solution(j1, j2):
         raise ValueError("kernel curve is defined for hyper-solutions only")
     ker = kernel_of_left_mult(j1.s - j2.s)
     diff = left_mult_matrix(j1.s - k.s)
     resid = diff @ ker.basis.T
-    return float(np.max(np.abs(resid))) <= tol
+    return float(np.max(np.abs(resid))) <= _tol.CURVE_ACCEPT
 
 
 def cker_curve_point(j1: SliceUnit, j2: SliceUnit, theta: float) -> SliceUnit:
@@ -359,32 +357,32 @@ def find_companion(i: SliceUnit, c: CDElement) -> SliceUnit | None:
     -jmath*(d2*d1^(-1)) and with it the frame and the companion K at
     theta + pi/2.  All structural checks (equal nonzero imaginary halves,
     kappa a unit orthogonal to jmath) return None on failure, as does the
-    final acceptance test |(I - K)c| < 1e-8|c|.
+    final acceptance test |(I - K)c| < CURVE_ACCEPT |c|.
 
     Raises ValueError on c = 0; returns None for I = +-e8 (no curve there).
     """
     nc = c.norm()
     if nc == 0.0:
         raise ValueError("companion search needs a nonzero candidate vector")
-    if i.sin_alpha < _DEGENERATE:
+    if i.sin_alpha < _tol.DEGENERATE:
         return None
     v = c.promote(MAX_LEVEL).coeffs
     d1 = CDElement(v[:8])
     d2 = CDElement(v[8:])
     n1, n2 = d1.norm(), d2.norm()
-    if n1 <= 1e-12 * nc or n2 <= 1e-12 * nc:
+    if n1 <= _tol.DEGENERATE * nc or n2 <= _tol.DEGENERATE * nc:
         return None
-    if abs(n1 - n2) > 1e-8 * max(n1, n2):
+    if abs(n1 - n2) > _tol.CURVE_ACCEPT * max(n1, n2):
         return None
-    if abs(d1.real) > 1e-8 * n1 or abs(d2.real) > 1e-8 * n2:
+    if abs(d1.real) > _tol.CURVE_ACCEPT * n1 or abs(d2.real) > _tol.CURVE_ACCEPT * n2:
         return None
     d1_inv = d1.conjugate() / (n1 * n1)
     kappa = -cd_mul(i.jmath.promote(3), cd_mul(d2, d1_inv))
     kv = kappa.coeffs
-    if abs(np.linalg.norm(kv) - 1.0) > 1e-8 or abs(kv[0]) > 1e-8:
+    if abs(np.linalg.norm(kv) - 1.0) > _tol.CURVE_ACCEPT or abs(kv[0]) > _tol.CURVE_ACCEPT:
         return None
     jv = i.jmath.promote(3).coeffs
-    if abs(float(np.dot(kv, jv))) > 1e-8:
+    if abs(float(np.dot(kv, jv))) > _tol.CURVE_ACCEPT:
         return None
     # frame with kappa(theta_I) = jmath, then rotate a quarter turn (mod pi).
     v1 = i.cos_theta * jv - i.sin_theta * kv
@@ -398,7 +396,7 @@ def find_companion(i: SliceUnit, c: CDElement) -> SliceUnit | None:
     except ValueError:
         return None
     resid = np.linalg.norm(left_mult_matrix(i.s - k.s) @ v)
-    if resid >= 1e-8 * nc:
+    if resid >= _tol.CURVE_ACCEPT * nc:
         return None
     return k
 
@@ -413,12 +411,12 @@ def _random_frame(rng: np.random.Generator) -> tuple[NDArray, NDArray]:
         a = rng.normal(size=7)
         b = rng.normal(size=7)
         na = np.linalg.norm(a)
-        if na < 1e-6:
+        if na < _tol.SAMPLE_MIN_NORM:
             continue
         a = a / na
         b = b - np.dot(a, b) * a
         nb = np.linalg.norm(b)
-        if nb < 1e-6:
+        if nb < _tol.SAMPLE_MIN_NORM:
             continue
         b = b / nb
         return np.concatenate([[0.0], a]), np.concatenate([[0.0], b])
@@ -437,19 +435,20 @@ def random_slice_unit(rng) -> SliceUnit:
 def random_hyper_pair(rng) -> tuple[SliceUnit, SliceUnit]:
     """Random hyper-solution pair: shared (alpha, frame), distinct thetas.
 
-    Degenerate draws (sin(alpha) or sin(theta1 - theta2) below 1e-3) are
-    resampled so the pair is numerically workable for frame recovery.
+    Degenerate draws (sin(alpha) or sin(theta1 - theta2) below
+    SAMPLE_MIN_SIN) are resampled so the pair is numerically workable for
+    frame recovery.
     """
     rng = np.random.default_rng(rng)
     while True:
         alpha = rng.uniform(0.0, math.pi)
-        if math.sin(alpha) >= 1e-3:
+        if math.sin(alpha) >= _tol.SAMPLE_MIN_SIN:
             break
     v1, v2 = _random_frame(rng)
     t1 = rng.uniform(0.0, math.pi)
     while True:
         t2 = rng.uniform(0.0, math.pi)
-        if abs(math.sin(t1 - t2)) >= 1e-3:
+        if abs(math.sin(t1 - t2)) >= _tol.SAMPLE_MIN_SIN:
             break
     cos_a, sin_a = math.cos(alpha), math.sin(alpha)
     j1 = _psi_parts(cos_a, sin_a, math.cos(t1), math.sin(t1), v1, v2)
@@ -511,11 +510,11 @@ class WPoint:
         return f"WPoint({str(self.value)!r}, z={self.z})"
 
 
-def wpoint(value: CDElement | str, tol: float = _EQ_TOL) -> WPoint:
+def wpoint(value: CDElement | str) -> WPoint:
     """Wrap a sedenion as a point of W; raises when it lies on no slice.
 
     The imaginary part must be a positive multiple of a slice unit (or zero,
-    giving a real point on the base slice I0).
+    giving a real point on the base slice I0, within UNIT_EQ * max(1, |re|)).
     """
     value = parse_any(value).promote(MAX_LEVEL)
     v = value.coeffs
@@ -523,7 +522,7 @@ def wpoint(value: CDElement | str, tol: float = _EQ_TOL) -> WPoint:
     imvec = v.copy()
     imvec[0] = 0.0
     im = float(np.linalg.norm(imvec))
-    if im <= tol * max(1.0, abs(re)):
+    if im <= _tol.UNIT_EQ * max(1.0, abs(re)):
         return WPoint(re, 0.0, I0, True, value)
     axis = SliceUnit(CDElement(imvec / im))
     return WPoint(re, im, axis, False, value)

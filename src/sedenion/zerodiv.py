@@ -14,7 +14,7 @@ multiplication, and provides the orthogonal decompositions built on them:
 
 where p^c8 := u - v*e8 and O_p = H_p + H_p*e8 with H_p the quaternion algebra
 spanned by 1, u, v, uv, plus the slice-pair projections d_eq / d_perp /
-d_neg_eq / d_pm used by the series module.
+d_neg_eq / d_pm of `pq_project`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .algebra import (
     cd_mul,
     left_mult_matrix,
 )
+from . import _tol
 
 if TYPE_CHECKING:
     from .slices import WPoint
@@ -52,8 +53,6 @@ __all__ = [
     "pq_project",
     "principal_angles",
 ]
-
-_KERNEL_SV_CUTOFF = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +76,13 @@ class Subspace:
         if b.shape[1] != DIM:
             raise ValueError(f"basis vectors must have length {DIM}")
         gram = b @ b.T
-        if gram.size and np.max(np.abs(gram - np.eye(b.shape[0]))) > 1e-10:
-            raise ValueError("basis is not orthonormal within 1e-10")
+        if gram.size and np.max(np.abs(gram - np.eye(b.shape[0]))) > _tol.ORTHONORMAL:
+            raise ValueError(f"basis is not orthonormal within {_tol.ORTHONORMAL}")
         b.flags.writeable = False
         object.__setattr__(self, "basis", b)
 
     @classmethod
-    def from_span(cls, vectors: Iterable, tol: float = 1e-12) -> "Subspace":
+    def from_span(cls, vectors: Iterable) -> "Subspace":
         """Orthonormalize a spanning set (rows, CDElements, or mixtures)."""
         rows = []
         for v in vectors:
@@ -94,7 +93,7 @@ class Subspace:
             return cls(np.zeros((0, DIM)))
         m = np.vstack(rows)
         u, s, vh = np.linalg.svd(m, full_matrices=False)
-        rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
+        rank = int(np.sum(s > _tol.SPAN_RANK_CUTOFF * max(1.0, s[0] if s.size else 1.0)))
         return cls(vh[:rank])
 
     @property
@@ -115,9 +114,9 @@ class Subspace:
         v = x.promote(MAX_LEVEL).coeffs if isinstance(x, CDElement) else np.asarray(x, float)
         return float(np.linalg.norm(v - self.project(v).coeffs))
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x) -> bool:
         v = x.promote(MAX_LEVEL).coeffs if isinstance(x, CDElement) else np.asarray(x, float)
-        return self.distance(v) <= tol * max(1.0, float(np.linalg.norm(v)))
+        return self.distance(v) <= _tol.UNIT_EQ * max(1.0, float(np.linalg.norm(v)))
 
     def complement(self) -> "Subspace":
         if self.dim == 0:
@@ -156,7 +155,7 @@ def principal_angles(a: Subspace, b: Subspace) -> NDArray[np.float64]:
 def kernel_of_left_mult(s: CDElement) -> Subspace:
     """Orthonormal basis of {x : s*x = 0}.
 
-    Uses an SVD with relative cutoff 1e-9 on the singular values; s = 0
+    Uses an SVD with relative cutoff KERNEL_SV_CUTOFF on the singular values; s = 0
     returns the full 16-dimensional space.
     """
     u, sv, vh = np.linalg.svd(left_mult_matrix(s))
@@ -166,8 +165,8 @@ def kernel_of_left_mult(s: CDElement) -> Subspace:
 
 
 def _null_mask(sv: NDArray[np.float64]) -> NDArray[np.bool_]:
-    """The rank rule: singular values (descending) at most 1e-9 of the largest."""
-    return sv <= _KERNEL_SV_CUTOFF * sv[0]
+    """The rank rule: singular values (descending) at most KERNEL_SV_CUTOFF of the largest."""
+    return sv <= _tol.KERNEL_SV_CUTOFF * sv[0]
 
 
 def is_zero_divisor(s: CDElement) -> bool:
@@ -177,17 +176,16 @@ def is_zero_divisor(s: CDElement) -> bool:
     return bool(_null_mask(np.linalg.svd(left_mult_matrix(s), compute_uv=False)).any())
 
 
-def is_special_triple(i: CDElement, j: CDElement, k: CDElement,
-                      tol: float = 1e-9) -> bool:
-    """True iff i, j, k are unit octonions with (ij)k = -i(jk) within tol."""
+def is_special_triple(i: CDElement, j: CDElement, k: CDElement) -> bool:
+    """True iff i, j, k are unit octonions with (ij)k = -i(jk) within UNIT_EQ."""
     for x in (i, j, k):
         if x.level > 3:
             raise ValueError("special triples live in the octonions (level <= 3)")
-        if abs(x.norm() - 1.0) > tol:
+        if abs(x.norm() - 1.0) > _tol.UNIT_EQ:
             return False
     i, j, k = (x.promote(3) for x in (i, j, k))
     assoc = cd_mul(cd_mul(i, j), k) + cd_mul(i, cd_mul(j, k))
-    return assoc.norm() <= tol
+    return assoc.norm() <= _tol.UNIT_EQ
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +224,6 @@ def zero_product_characterization(
     b: CDElement,
     c: CDElement,
     d: CDElement | None = None,
-    tol: float = 1e-9,
 ) -> tuple[bool, ZeroProductCertificate]:
     """Decide whether (a + b*e8)(c + d*e8) = 0, with a checkable certificate.
 
@@ -234,7 +231,8 @@ def zero_product_characterization(
     characterization and tested.  The characterization verdict (norms match,
     normalized {a, b, c} special, d on formula) is always cross-checked
     against the direct product; a disagreement raises instead of picking a
-    side silently.
+    side silently.  Norms and products are compared within UNIT_EQ times the
+    largest input norm (at least 1).
 
     Raises ValueError when a + b*e8 = 0 or c + d*e8 = 0 (with d as tested).
     """
@@ -245,29 +243,29 @@ def zero_product_characterization(
     if na == 0.0 and nb == 0.0:
         raise ValueError("left factor a+b*e8 is zero")
 
-    scale = max(na, nb, nc, d.norm() if d is not None else 0.0, 1.0)
+    eps = _tol.UNIT_EQ * max(na, nb, nc, d.norm() if d is not None else 0.0, 1.0)
 
     d_formula: CDElement | None = None
     if min(na, nb, nc) > 0.0:
         d_formula = cd_mul(a, cd_mul(b, c)) / (na * nb)
 
-    norms_match = abs(na - nb) <= tol * scale and min(na, nb, nc) > tol * scale
+    norms_match = abs(na - nb) <= eps and min(na, nb, nc) > eps
     triple_special = False
     if norms_match:
-        triple_special = is_special_triple(a / na, b / nb, c / nc, tol=tol)
+        triple_special = is_special_triple(a / na, b / nb, c / nc)
 
     if d is None:
         d_test = d_formula if d_formula is not None else CDElement(np.zeros(8))
         d_matches = d_formula is not None
     else:
         d_test = d
-        d_matches = d_formula is not None and (d - d_formula).norm() <= tol * scale
+        d_matches = d_formula is not None and (d - d_formula).norm() <= eps
 
     if c.norm() == 0.0 and d_test.norm() == 0.0:
         raise ValueError("right factor c+d*e8 is zero")
 
     product = cd_mul(_join(a, b), _join(c, d_test))
-    product_is_zero = product.norm() <= tol * scale
+    product_is_zero = product.norm() <= eps
 
     predicted = norms_match and triple_special and d_matches
     if predicted != product_is_zero:

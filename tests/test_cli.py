@@ -709,6 +709,46 @@ def test_installed_entry_point_runs(tmp_path):
     assert proc.stdout.splitlines()[0] == "R_a=2 R_a^p=3 witness=e10"
 
 
+@pytest.mark.parametrize("argv, first, code", [
+    # `sedenion scan | head -1`: about 130 kB, more than a pipe holds
+    (["scan", "--rstep", "0.01", "--max-terms", "50"], b"slice,theta,", 0),
+    # `sedenion radii | true`: a few bytes, met by the flush at the end of the run
+    (["radii"], None, 0),
+    # `sedenion zd-check e1 e2 | true`: the answer (no, exit 1) is already made
+    (["zd-check", "e1", "e2"], None, 1),
+])
+def test_a_closed_stdout_pipe_ends_the_run_with_no_message(argv, first, code):
+    # The reader, not the input, ends the run: exit 0, or the command's own
+    # status if it had returned one.  stdout is block-buffered, as it is for a
+    # pipe by default.
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "sedenion", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if first is not None:
+        assert proc.stdout.readline().startswith(first)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == code
+    assert err == b""
+
+
+def test_help_defaults_name_the_values_in_use():
+    # A help string that spells its default must spell the one argparse uses.
+    from sedenion.cli import build_parser
+    ap = build_parser()
+    sub = next(a for a in ap._actions if a.choices and isinstance(a.choices, dict))
+    seen = 0
+    for name, parser in sub.choices.items():
+        for action in parser._actions:
+            m = re.search(r"\(default ([-+0-9.e]+)\)", action.help or "")
+            if m:
+                assert float(m.group(1)) == action.default, (name, action.dest)
+                seen += 1
+    assert seen >= 1
+
+
 def test_python_m_sedenion_runs():
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-m", "sedenion", "radii"],

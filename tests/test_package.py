@@ -1,9 +1,11 @@
 """Package layout: each layer's public names are the ones `sedenion` exports."""
 
+import ast
 import doctest
 import importlib
 import pathlib
 import re
+import tokenize
 
 import pytest
 
@@ -32,3 +34,25 @@ def test_readme_python_examples_run():
         assert failed == 0, test.name
         attempted += tried
     assert len(blocks) >= 3 and attempted == text.count("\n>>> ")
+
+
+def test_tolerances_live_only_in_the_tol_module():
+    # A numeric literal with a negative exponent is a threshold; _tol.py names
+    # each one by role and holds nothing but such constants.  Strings and
+    # docstrings are not NUMBER tokens, so help text and prose may quote values.
+    src = pathlib.Path(sedenion.__file__).resolve().parent
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "_tol.py":
+            continue
+        with path.open("rb") as fh:
+            for tok in tokenize.tokenize(fh.readline):
+                if tok.type == tokenize.NUMBER and re.search(r"[eE]-", tok.string):
+                    stray.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert stray == []
+    body = ast.parse((src / "_tol.py").read_text()).body
+    assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
+    for node in body[1:]:
+        assert isinstance(node, ast.Assign) and len(node.targets) == 1, ast.dump(node)
+        assert node.targets[0].id.isupper() and isinstance(node.value, ast.Constant)
+        assert type(node.value.value) in (int, float)

@@ -438,16 +438,6 @@ def test_table_radius_edge_cases():
     assert radius_Ra(TableSeq.of(["0", "0"])) == math.inf
 
 
-def test_extra_candidates_recover_the_witness_for_tables():
-    demo = demo_sequence()
-    table = TableSeq.of([CDElement(demo.term(ell)) for ell in range(40)])
-    base, _ = radius_Rap(table, center())
-    rap, witness = radius_Rap(table, center(), extra_candidates=[E10])
-    assert rap >= base
-    assert abs(rap - 3.0) < 0.05
-    assert witness == E10
-
-
 # ---------------------------------------------------------------------------
 # domain reports and membership
 # ---------------------------------------------------------------------------
@@ -676,7 +666,7 @@ def test_memoised_membership_equals_the_unmemoised_rule():
     demo_seqs = (demo_sequence(), Lacunary.of("e4+e15", 2.0),
                  TableSeq.of(["1", "e4+e15", "0.25e4+0.25e15", "0.125e4+0.125e15"]))
     generic = [random_slice_unit(rng) for _ in range(2)]
-    cases = [  # center, sequences, extra axes (tilts straddle _EQ_TOL)
+    cases = [  # center, sequences, extra axes (tilts straddle UNIT_EQ)
         (center(), demo_seqs, [_tilted(1, 2, 5e-10), _tilted(1, 2, 2e-9)]),
         (wpoint_from(0.3, 0.8, E10), demo_seqs,
          [_tilted(10, 11, 5e-10), _tilted(10, 11, 2e-9)]),

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,13 @@ def test_subspace_complement_dims():
     assert np.abs(sub.basis @ comp.basis.T).max() < 1e-12
 
 
+def test_subspace_rejects_a_basis_that_is_not_orthonormal():
+    with pytest.raises(ValueError, match="orthonormal within 1e-10"):
+        Subspace(np.ones((2, 16)))
+    with pytest.raises(ValueError, match="length 16"):
+        Subspace(np.ones((1, 8)))
+
+
 def test_principal_angles_detect_known_rotation():
     for phi in (1e-7, 1e-4, 0.3, 1.2):
         a = Subspace.from_span(np.eye(16)[1:2])
@@ -340,3 +349,47 @@ def test_zero_divisor_test_agrees_with_the_kernel_rank():
             assert zd == (kernel_of_left_mult(s).dim > 0)
             seen[zd] += 1
     assert sum(seen.values()) == 6000 and min(seen.values()) > 1000
+
+
+def _rank_over_q(rows):
+    """Rank of a matrix of Fractions by Gaussian elimination over Q."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            if f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _exact_left_rank(s: CDElement) -> int:
+    """Rank of L(s), built column by column from exact products s * e_n.
+
+    The coefficients are the floats the SVD sees, read as rationals, and the
+    products run through the doubling recursion on Fractions: no numpy.
+    """
+    from sedenion.algebra import _mul_list
+
+    s = [Fraction(float(c)) for c in s.promote(4).coeffs]
+    columns = [_mul_list(s, [Fraction(int(k == n)) for k in range(16)]) for n in range(16)]
+    return _rank_over_q(columns)  # the rank of L(s) is that of its transpose
+
+
+def test_kernel_dimension_matches_the_exact_rank():
+    # The SVD cutoff of kernel_of_left_mult against an exact oracle: zero
+    # divisors (a scaled one probes the relative cutoff) and non-divisors.
+    divisors = [parse_element(t) for t in ("e1-e10", "e1+e10", "e3+e10", "e4+e15",
+                                           "0.5e1-0.5e10")]
+    divisors.append(1e-7 * parse_element("e1-e10"))
+    rng = np.random.default_rng(14)
+    others = [parse_element("e1+e2"), parse_element("1+e1")]
+    others += [CDElement(rng.integers(-3, 4, size=16).astype(float)) for _ in range(4)]
+    for s, dim in [(s, 4) for s in divisors] + [(s, 0) for s in others]:
+        rank = _exact_left_rank(s)
+        assert kernel_of_left_mult(s).dim == 16 - rank == dim, str(s)
