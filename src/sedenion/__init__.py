@@ -6,107 +6,13 @@ triples, and orthogonal decompositions; the slice layer parametrizes the
 units whose left multiplication squares to minus the identity; the series
 layer computes convergence radii and domains of star-power series and
 evaluates them through the two-channel representation formula.
+
+The public names are each layer's `__all__`, re-exported here.
 """
 
-from .algebra import (
-    CDElement,
-    DIM,
-    MAX_LEVEL,
-    basis,
-    cd_mul,
-    cd_mul_recursive,
-    complex_coords,
-    complex_embed,
-    conjugate,
-    element_from_json,
-    element_to_json,
-    format_element,
-    format_real,
-    inner,
-    left_mult_matrix,
-    mul_batch,
-    multiplication_table,
-    norm,
-    one,
-    parse_any,
-    parse_element,
-    right_mult_matrix,
-    table_csv,
-    verify_table,
-    zero,
-)
-from .zerodiv import (
-    OrthoDecomposition,
-    PQProjection,
-    Subspace,
-    ZeroProductCertificate,
-    c8_conjugate,
-    is_special_triple,
-    is_zero_divisor,
-    kernel_of_left_mult,
-    o_left,
-    o_right,
-    ortho_decompose,
-    pq_project,
-    principal_angles,
-    quaternion_algebra_of,
-    zero_product_characterization,
-)
-from .slices import (
-    HyperSolution,
-    I0,
-    SliceUnit,
-    WPoint,
-    axis_sign,
-    cker_curve_point,
-    cker_membership,
-    find_companion,
-    from_polar,
-    hyper_solution,
-    iota_frame,
-    is_hyper_solution,
-    is_slice_unit,
-    kernel_zeta,
-    polar,
-    psi,
-    random_hyper_pair,
-    random_slice_unit,
-    same_unit,
-    wpoint,
-    wpoint_from,
-)
-from .series import (
-    Domain,
-    DomainCase,
-    DomainReport,
-    EvalReport,
-    GeometricSum,
-    Lacunary,
-    Membership,
-    Polynomial,
-    ScanResult,
-    ScanRow,
-    SeqSpec,
-    TableSeq,
-    Verdict,
-    convergence_scan,
-    demo_sequence,
-    domain,
-    domain_contains,
-    domain_report,
-    eval_poly,
-    evaluate_points,
-    evaluate_series,
-    hyper_sigma_contains,
-    polar_grid,
-    radius_Ra,
-    radius_Rap,
-    radius_RapJ,
-    seq_from_json,
-    seq_to_json,
-    sigma_contains,
-    star_mul,
-    star_pow_center,
-)
+from .algebra import *  # noqa: F401,F403
+from .zerodiv import *  # noqa: F401,F403
+from .slices import *  # noqa: F401,F403
+from .series import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

@@ -26,8 +26,9 @@ SPAN_RANK_CUTOFF = 1e-12
 # A Subspace basis is orthonormal when its Gram matrix is this close to the
 # identity in every entry.
 ORTHONORMAL = 1e-10
-# A ratio-group coefficient counts toward R_a^{p,J} when its distance from
-# ker(I_p - J) exceeds this fraction of its norm.
+# A ratio-group coefficient counts toward a radius when its size (its norm for
+# R_a, its distance from ker(I_p - J) for R_a^{p,J}) exceeds this fraction of
+# its norm.
 PERP_THRESHOLD = 1e-10
 
 # -- slice geometry ---------------------------------------------------------

@@ -12,14 +12,14 @@ the unit adjoined at level n, together with conj(a + b*e) = conj(a) - b*e.
 The recursion fixes the basis labelling: e_{m + 2**n} = e_m * e_{2**n}.
 
 The recursion is the ground truth.  Every basis product is a single signed
-basis element, e_m * e_n = +-e_k, so the structure tensor is a signed
-permutation (256 nonzeros out of 16**3) with k = m XOR n.  Module import
-applies the recursion to basis indices (an integer sign rule, `_basis_sign`)
-and keeps only two 16x16 index tables with their signs: for each m and k the
-n with e_m * e_n = +-e_k, and for each k and n the matching m.  `cd_mul`,
-`mul_batch` and the multiplication matrices gather coefficients through these
-tables instead of contracting a dense tensor; lower levels use the top-left
-corner of each table, which maps into itself.  `mul_batch` folds the signs
+basis element, e_m * e_n = +-e_{m XOR n}, so the structure tensor is a signed
+permutation (256 nonzeros out of 16**3).  Module import applies the
+recursion to basis indices (an integer sign rule, `_basis_sign`) and keeps
+one 16x16 sign matrix beside the XOR index m ^ n, which also names the third
+index from the other two: e_m * e_n = +-e_k exactly when n = m ^ k.  `cd_mul`,
+`mul_batch` and the multiplication matrices gather coefficients through the
+XOR index instead of contracting a dense tensor; lower levels use the
+top-left corner, which maps into itself.  `mul_batch` folds the signs
 into the gather: it stacks each block of b over its negation, so one `take`
 gives every signed factor +-b_n at once, and it adds the n terms
 a_m * (+-b_n) of each output coefficient in the order m = 0, 1, ..., as
@@ -69,6 +69,9 @@ __all__ = [
     "format_element",
     "format_real",
     "mul_batch",
+    "parse_any",
+    "element_to_json",
+    "element_from_json",
 ]
 
 
@@ -124,30 +127,14 @@ def _basis_sign(m: int, n: int, half: int = DIM // 2) -> int:
     return (-1 if n == half else 1) * _basis_sign(n - half, m - half, half // 2)
 
 
-_TABLE = [[(_basis_sign(m, n), m ^ n) for n in range(DIM)] for m in range(DIM)]
-
-
-def _index_tables() -> tuple[NDArray[np.intp], NDArray[np.float64],
-                             NDArray[np.intp], NDArray[np.float64]]:
-    """Gather tables of the signed-permutation structure tensor.
-
-    For e_m * e_n = sign * e_k: inv[m, k] = n and sgn[m, k] = sign, so
-    (a*b)_k = sum_m a_m * b_inv[m, k] * sgn[m, k]; lidx[k, n] = m and
-    lsgn[k, n] = sign, so the matrix of x -> s*x is s[lidx] * lsgn.
-    """
-    inv = np.zeros((DIM, DIM), dtype=np.intp)
-    sgn = np.zeros((DIM, DIM))
-    lidx = np.zeros((DIM, DIM), dtype=np.intp)
-    lsgn = np.zeros((DIM, DIM))
-    for m in range(DIM):
-        for n in range(DIM):
-            sign, k = _TABLE[m][n]
-            inv[m, k], sgn[m, k] = n, sign
-            lidx[k, n], lsgn[k, n] = m, sign
-    return inv, sgn, lidx, lsgn
-
-
-_INV, _SGN, _LIDX, _LSGN = _index_tables()
+# e_m * e_n = _SIGN[m, n] * e_{m ^ n}, and _XOR[m, k] = m ^ k is the n with
+# e_m * e_n = +-e_k.  The sign gathers read _SIGN along that index:
+# (a*b)_k = sum_m a_m * b_{m^k} * _SGN[m, k], and the matrix of x -> s*x is
+# s[_XOR] * _LSGN with _LSGN[k, n] the sign of e_{k^n} * e_n.
+_XOR = np.arange(DIM)[:, None] ^ np.arange(DIM)
+_SIGN = np.array([[_basis_sign(m, n) for n in range(DIM)] for m in range(DIM)], dtype=float)
+_SGN = np.take_along_axis(_SIGN, _XOR, axis=1)
+_LSGN = _SIGN[_XOR, np.arange(DIM)]
 
 # Rows per block in `mul_batch`: its (16, 16, rows) term stack is then 512 KB.
 _BLOCK = 256
@@ -348,7 +335,7 @@ def cd_mul(a: CDElement, b: CDElement) -> CDElement:
         raise ValueError(
             f"level mismatch: {a.level} vs {b.level}; promote the lower one first")
     n = a.dim
-    return CDElement(np.einsum("m,mk,mk->k", a.coeffs, b.coeffs[_INV[:n, :n]],
+    return CDElement(np.einsum("m,mk,mk->k", a.coeffs, b.coeffs[_XOR[:n, :n]],
                                _SGN[:n, :n]))
 
 
@@ -363,8 +350,9 @@ def mul_batch(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.floa
     """Row-wise products of two (N, 2**level) coefficient arrays.
 
     Rows go in blocks, laid out coefficient-major.  Each block of b is stacked
-    over its negation, and one `take` with index inv[m, k] (+ n where
-    sgn[m, k] < 0) gives every signed factor +-b_n as an (n, n, rows) stack;
+    over its negation, and one `take` with index m ^ k (+ n where the sign
+    of e_m * e_{m^k} is negative) gives every signed factor +-b_n as an
+    (n, n, rows) stack;
     one multiply by a_m gives every term.  Each output coefficient is then
     summed from zero over m = 0, 1, ... in order, one add per m, so every row
     comes out bitwise equal to `cd_mul` on that row whatever the row count:
@@ -379,7 +367,7 @@ def mul_batch(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.floa
     n = a.shape[1]
     if n & (n - 1) or n > DIM:
         raise ValueError(f"bad dimension {n}")
-    idx = _INV[:n, :n] + n * (_SGN[:n, :n] < 0)
+    idx = _XOR[:n, :n] + n * (_SGN[:n, :n] < 0)
     out = np.empty(a.shape)
     stack = np.empty((2 * n, _BLOCK))
     terms = np.empty((n, n, _BLOCK))
@@ -414,6 +402,17 @@ def norm(a: CDElement) -> float:
     return a.norm()
 
 
+def _pow2_scaled(v: NDArray[np.float64]) -> NDArray[np.float64]:
+    """v times the power of two that puts max|v| in [0.5, 1); zero stays zero.
+
+    A test that depends only on the direction of v gives the same answer on
+    the result, whose norms and dot products neither underflow nor overflow.
+    The scaling is exact, save for a component below 2**-1021 times the
+    largest, which rounds into the subnormal range.
+    """
+    return np.ldexp(v, -math.frexp(max(map(abs, v.tolist())))[1])
+
+
 # ---------------------------------------------------------------------------
 # multiplication table
 # ---------------------------------------------------------------------------
@@ -428,7 +427,8 @@ def multiplication_table(level: int = MAX_LEVEL) -> list[list[tuple[int, int]]]:
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"unsupported level {level} (0..{MAX_LEVEL})")
     n = 1 << level
-    return [row[:n] for row in _TABLE[:n]]
+    signs = _SIGN[:n, :n].astype(int).tolist()
+    return [[(s, m ^ k) for k, s in enumerate(row)] for m, row in enumerate(signs)]
 
 
 def _entry_str(sign: int, k: int) -> str:
@@ -480,13 +480,13 @@ def left_mult_matrix(s: CDElement) -> NDArray[np.float64]:
     """Matrix of x -> s*x on the level-4 coefficient space (16x16)."""
     v = s.promote(MAX_LEVEL).coeffs
     # + 0.0 turns -0.0 entries into +0.0, the zero a sum of products gives.
-    return v[_LIDX] * _LSGN + 0.0
+    return v[_XOR] * _LSGN + 0.0
 
 
 def right_mult_matrix(s: CDElement) -> NDArray[np.float64]:
     """Matrix of x -> x*s on the level-4 coefficient space (16x16)."""
     v = s.promote(MAX_LEVEL).coeffs
-    return v[_INV.T] * _SGN.T + 0.0
+    return v[_XOR] * _SGN.T + 0.0
 
 
 def _axis_vector(axis) -> NDArray[np.float64]:

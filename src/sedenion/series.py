@@ -45,6 +45,7 @@ from .algebra import (
     CDElement,
     DIM,
     MAX_LEVEL,
+    _pow2_scaled,
     cd_mul,
     complex_embed,
     format_element,
@@ -338,18 +339,13 @@ def _center_power(p: WPoint, j: int) -> CDElement:
 def star_pow_center(p: WPoint, ell: int) -> Polynomial:
     """(q - p)^{*ell} expanded in powers of q.
 
-    Uses the binomial expansion with exact integer binomials; once a binomial
-    would leave the exact 64-bit range (ell >= 67) it falls back to repeated
-    star multiplication by the linear factor.
+    Coefficient m is binom(ell, m) (-p)^(ell - m), the power taken inside the
+    commutative plane through p and the binomial an exact integer rounded
+    once to float (correctly rounded for every ell).  The rounding raises
+    OverflowError from ell = 1030 on, where binom(ell, ell // 2) > 1.8e308.
     """
     if ell < 0:
         raise ValueError("star power wants a nonnegative exponent")
-    if ell >= 67:
-        linear = Polynomial.of([-p.value, "1"])
-        acc = Polynomial.of(["1"])
-        for _ in range(ell):
-            acc = star_mul(acc, linear)
-        return acc
     coeffs = []
     for m in range(ell + 1):
         j = ell - m
@@ -374,10 +370,26 @@ def eval_poly(poly: Polynomial, q: WPoint) -> CDElement:
 
 def radius_Ra(a: SeqSpec) -> float:
     """Slice radius 1 / limsup |a_l|^(1/l); +inf for the zero sequence."""
-    if isinstance(a, (GeometricSum, Lacunary)):
-        groups = _ratio_groups(a)
-        return min((r for r, _ in groups), default=math.inf)
-    return _table_radius(a, lambda v: float(np.linalg.norm(v)))
+    # math.sqrt(v @ v) is np.linalg.norm's formula, without its overhead
+    return _radius(a, lambda v: math.sqrt(v @ v))
+
+
+def _radius(a: SeqSpec, size: Callable[[NDArray[np.float64]], float]) -> float:
+    """1 / limsup size(a_l)^(1/l): R_a for the norm, R_a^{p,J} for dist(., ker(I_p - J)).
+
+    For ratio groups, the smallest ratio whose coefficient c has size(c) >
+    PERP_THRESHOLD * |c| (+inf if none), with c first scaled by a power of
+    two so that neither side underflows or overflows.  Tables get the
+    windowed estimate of `_table_radius`.
+    """
+    if isinstance(a, TableSeq):
+        return _table_radius(a, size)
+    best = math.inf
+    for ratio, coeff in _ratio_groups(a):
+        c = _pow2_scaled(coeff)
+        if size(c) > _tol.PERP_THRESHOLD * math.sqrt(c @ c):
+            best = min(best, ratio)
+    return best
 
 
 def _table_radius(a: TableSeq, size) -> float:
@@ -408,14 +420,7 @@ def radius_RapJ(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
 
 def _reflected_radius(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
     """R_a^{p,J} for a slice J off the center plane of p."""
-    ker = kernel_of_left_mult(p.axis.s - j.s)
-    if isinstance(a, (GeometricSum, Lacunary)):
-        best = math.inf
-        for ratio, coeff in _ratio_groups(a):
-            if ker.distance(coeff) > _tol.PERP_THRESHOLD * np.linalg.norm(coeff):
-                best = min(best, ratio)
-        return best
-    return _table_radius(a, ker.distance)
+    return _radius(a, kernel_of_left_mult(p.axis.s - j.s).distance)
 
 
 def radius_Rap(a: SeqSpec, p: WPoint) -> tuple[float, SliceUnit | None]:
@@ -488,12 +493,10 @@ class DomainReport:
     approximate: bool = False
 
 
-# Bound of the domain memo: far above the few dozen (center, sequence) pairs a
-# figure or scan uses, small enough that a stream of fresh centers stays flat.
-_CACHE_SIZE = 1024
-# Bound of each domain's slice memo.  A scan, figure or grid visits its slices
-# one after another, so a few entries serve it; a stream of fresh axes
-# empties the memo when it is full.
+# Bound of the domain memo and of each domain's slice memo.  A CLI command
+# uses one (center, sequence) pair and a grid run three, and each visits its
+# slices one after another, so a few entries serve them; a stream of fresh
+# centers or axes keeps memory flat.
 _SLICE_MEMO = 16
 
 
@@ -591,11 +594,11 @@ class Domain:
         return out
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
+@functools.lru_cache(maxsize=_SLICE_MEMO)
 def domain(p: WPoint, a: SeqSpec) -> Domain:
     """The Domain of a around p, shared by every caller.
 
-    Memoised for the last `_CACHE_SIZE` (center, sequence) pairs, so that
+    Memoised for the last `_SLICE_MEMO` (center, sequence) pairs, so that
     the scalar `domain_report` and `domain_contains` stay warm.
     """
     return Domain(p, a)
@@ -781,7 +784,7 @@ def _block_stop(norms, quiet, tol):
     return stop, diverged, runs[-1]
 
 
-def _evaluate_chunk(steps, make_block, rows, max_terms, tol):
+def _evaluate_chunk(steps, make_block, rows, max_terms, tol, gaps):
     """Partial sums and verdicts of points sharing one channel setup.
 
     `steps` is (points, channels): the complex step of each point in each
@@ -789,7 +792,9 @@ def _evaluate_chunk(steps, make_block, rows, max_terms, tol):
     together, and each one leaves the active set at its own stopping index.
     Every term past `rows` is an exact zero, so a point still running there
     finishes in closed form: its sum stays, zero norms fill its window and
-    it uses all max_terms terms.  Returns one report per point.
+    it uses all max_terms terms.  With `gaps` (a gap series) a point that
+    uses every term is Converged only if its last nonzero term was below
+    tol.  Returns one report per point.
     """
     out = [None] * len(steps)
     idx = np.arange(len(steps))
@@ -832,7 +837,7 @@ def _evaluate_chunk(steps, make_block, rows, max_terms, tol):
     window = np.concatenate((window, zeros))[-_tol.EVAL_WINDOW:]
     for j, i in enumerate(idx):
         tail = window[:, j].tolist()
-        if max(tail) < tol:
+        if max(tail) < tol and (quiet[j] or not gaps):
             verdict = Verdict.CONVERGED
         elif len(tail) == _tol.EVAL_WINDOW and min(tail) > 1.0 and tail[-1] >= tail[0]:
             verdict = Verdict.DIVERGED
@@ -919,7 +924,10 @@ def evaluate_points(qs: Sequence[WPoint], p: WPoint, a: SeqSpec,
     (summation stops there; exactly-zero terms neither reset nor advance the
     count, so gap sequences cannot fake a quiet stretch); Diverged when a
     term norm passes 1e6 or is not finite, or when the final window sits
-    above 1 without decreasing; else Undetermined.
+    above 1 without decreasing; else Undetermined.  A point that runs all
+    max_terms terms is Converged when its final window stays below tol; for
+    a gap series, whose window past the last support term holds only exact
+    zeros, its last nonzero term must also be below tol.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
@@ -954,8 +962,8 @@ def evaluate_points(qs: Sequence[WPoint], p: WPoint, a: SeqSpec,
                     steps.append([_channel_step(step_p if plus else step_m, ratio)
                                   for plus, ratio in channels])
                 steps = np.array(steps, dtype=complex).reshape(len(chunk), len(channels))
-                for i, rep in zip(chunk, _evaluate_chunk(steps, make_block, rows,
-                                                         max_terms, tol)):
+                for i, rep in zip(chunk, _evaluate_chunk(steps, make_block, rows, max_terms,
+                                                         tol, isinstance(a, Lacunary))):
                     reports[i] = rep
     return reports
 

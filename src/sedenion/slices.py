@@ -35,6 +35,7 @@ from .algebra import (
     CDElement,
     DIM,
     MAX_LEVEL,
+    _pow2_scaled,
     basis,
     cd_mul,
     left_mult_matrix,
@@ -359,14 +360,17 @@ def find_companion(i: SliceUnit, c: CDElement) -> SliceUnit | None:
     kappa a unit orthogonal to jmath) return None on failure, as does the
     final acceptance test |(I - K)c| < CURVE_ACCEPT |c|.
 
-    Raises ValueError on c = 0; returns None for I = +-e8 (no curve there).
+    Only the direction of c counts, so c is first scaled by a power of two
+    (`_pow2_scaled`): a coefficient near either end of the float range gets
+    the companion of c * 2**k.  Raises ValueError on c = 0; returns None for
+    I = +-e8 (no curve there).
     """
-    nc = c.norm()
+    v = _pow2_scaled(c.promote(MAX_LEVEL).coeffs)
+    nc = math.sqrt(v @ v)
     if nc == 0.0:
         raise ValueError("companion search needs a nonzero candidate vector")
     if i.sin_alpha < _tol.DEGENERATE:
         return None
-    v = c.promote(MAX_LEVEL).coeffs
     d1 = CDElement(v[:8])
     d2 = CDElement(v[8:])
     n1, n2 = d1.norm(), d2.norm()
@@ -467,19 +471,22 @@ class WPoint:
     `value` is built on first use for `wpoint_from` points; the hash is kept.
     """
 
-    __slots__ = ("_value", "re", "im", "axis", "is_real", "_hash")
+    __slots__ = ("_value", "re", "im", "axis", "_hash")
 
-    def __init__(self, re: float, im: float, axis: SliceUnit, is_real: bool,
+    def __init__(self, re: float, im: float, axis: SliceUnit,
                  value: CDElement | None = None):
         set_ = object.__setattr__
         set_(self, "_value", value)
         set_(self, "re", re)
         set_(self, "im", im)
         set_(self, "axis", axis)
-        set_(self, "is_real", is_real)
 
     def __setattr__(self, name, value):
         raise AttributeError("WPoint is immutable")
+
+    @property
+    def is_real(self) -> bool:
+        return self.im == 0.0
 
     @property
     def value(self) -> CDElement:
@@ -523,9 +530,9 @@ def wpoint(value: CDElement | str) -> WPoint:
     imvec[0] = 0.0
     im = float(np.linalg.norm(imvec))
     if im <= _tol.UNIT_EQ * max(1.0, abs(re)):
-        return WPoint(re, 0.0, I0, True, value)
+        return WPoint(re, 0.0, I0, value)
     axis = SliceUnit(CDElement(imvec / im))
-    return WPoint(re, im, axis, False, value)
+    return WPoint(re, im, axis, value)
 
 
 _E0 = np.eye(DIM)[0]
@@ -536,4 +543,4 @@ def wpoint_from(re: float, im: float, axis: SliceUnit) -> WPoint:
     """Point re + im*axis; a negative im flips the axis to keep im >= 0."""
     if im < 0.0:
         return wpoint_from(re, -im, -axis)
-    return WPoint(re, 0.0, I0, True) if im == 0.0 else WPoint(re, im, axis, False)
+    return WPoint(re, 0.0, I0) if im == 0.0 else WPoint(re, im, axis)

@@ -52,6 +52,7 @@ __all__ = [
     "ortho_decompose",
     "pq_project",
     "principal_angles",
+    "quaternion_algebra_of",
 ]
 
 
