@@ -135,6 +135,12 @@ _XOR = np.arange(DIM)[:, None] ^ np.arange(DIM)
 _SIGN = np.array([[_basis_sign(m, n) for n in range(DIM)] for m in range(DIM)], dtype=float)
 _SGN = np.take_along_axis(_SIGN, _XOR, axis=1)
 _LSGN = _SIGN[_XOR, np.arange(DIM)]
+_EYE = np.eye(DIM)
+for _t in (_XOR, _SIGN, _SGN, _LSGN, _EYE):
+    _t.flags.writeable = False
+del _t
+# The (index, sign) tables of `_mul` at each level: read-only top-left corners.
+_LEVEL_TABLES = tuple((_XOR[:n, :n], _SGN[:n, :n]) for n in (1, 2, 4, 8, DIM))
 
 # Rows per block in `mul_batch`: its (16, 16, rows) term stack is then 512 KB.
 _BLOCK = 256
@@ -191,10 +197,6 @@ class CDElement:
         return CDElement(self.coeffs, level=level)
 
     @property
-    def dim(self) -> int:
-        return 1 << self.level
-
-    @property
     def key(self) -> tuple[float, ...]:
         """Hashable coefficient tuple (always padded to the sedenion level).
 
@@ -211,6 +213,8 @@ class CDElement:
     # -- arithmetic ----------------------------------------------------------
 
     def _pair(self, other: "CDElement") -> tuple["CDElement", "CDElement"]:
+        if self.level == other.level:
+            return self, other
         lv = max(self.level, other.level)
         return self.promote(lv), other.promote(lv)
 
@@ -246,10 +250,7 @@ class CDElement:
         a, b = self._pair(other)
         return cd_mul(a, b)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return CDElement(self.coeffs * float(other))
-        return NotImplemented
+    __rmul__ = __mul__  # reached only for a real left factor, which commutes
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
@@ -313,9 +314,7 @@ def zero(level: int = MAX_LEVEL) -> CDElement:
 
 
 def one(level: int = MAX_LEVEL) -> CDElement:
-    out = np.zeros(1 << level)
-    out[0] = 1.0
-    return CDElement(out)
+    return basis(0, level)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +333,16 @@ def cd_mul(a: CDElement, b: CDElement) -> CDElement:
     if a.level != b.level:
         raise ValueError(
             f"level mismatch: {a.level} vs {b.level}; promote the lower one first")
-    n = a.dim
-    return CDElement(np.einsum("m,mk,mk->k", a.coeffs, b.coeffs[_XOR[:n, :n]],
-                               _SGN[:n, :n]))
+    return CDElement(_mul(a.coeffs, b.coeffs))
+
+
+def _mul(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The product formula on two coefficient vectors of one length 2**level.
+
+    `cd_mul` wraps it; the companion search calls it on plain arrays.
+    """
+    xor, sgn = _LEVEL_TABLES[len(a).bit_length() - 1]
+    return np.einsum("m,mk,mk->k", a, b[xor], sgn)
 
 
 def cd_mul_recursive(a: CDElement, b: CDElement) -> CDElement:
@@ -491,9 +497,7 @@ def right_mult_matrix(s: CDElement) -> NDArray[np.float64]:
 
 def _axis_vector(axis) -> NDArray[np.float64]:
     """Accept a CDElement or anything exposing one via `.s` (slice units)."""
-    if isinstance(axis, CDElement):
-        return axis.promote(MAX_LEVEL).coeffs
-    s = getattr(axis, "s", None)
+    s = axis if isinstance(axis, CDElement) else getattr(axis, "s", None)
     if isinstance(s, CDElement):
         return s.promote(MAX_LEVEL).coeffs
     raise TypeError("axis must be a CDElement or a slice unit")
@@ -502,8 +506,7 @@ def _axis_vector(axis) -> NDArray[np.float64]:
 def complex_embed(z: complex, axis) -> CDElement:
     """Embed x + i*y as x + y*I on the slice spanned by 1 and the unit I."""
     v = _axis_vector(axis)
-    out = z.real * np.eye(DIM)[0] + z.imag * v
-    return CDElement(out)
+    return CDElement(z.real * _EYE[0] + z.imag * v)
 
 
 def complex_coords(x: CDElement, axis) -> complex:
@@ -515,7 +518,7 @@ def complex_coords(x: CDElement, axis) -> complex:
     c = x.promote(MAX_LEVEL).coeffs
     re = c[0]
     im = float(np.dot(c[1:], v[1:]))
-    residual = np.linalg.norm(c - re * np.eye(DIM)[0] - im * v)
+    residual = np.linalg.norm(c - re * _EYE[0] - im * v)
     if residual > _tol.UNIT_EQ * max(1.0, float(np.linalg.norm(c))):
         raise ValueError("element does not lie on the requested complex slice")
     return complex(re, im)

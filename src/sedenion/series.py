@@ -260,7 +260,7 @@ def seq_to_json(a: SeqSpec) -> dict:
 
 
 def _ratio_groups(a: GeometricSum | Lacunary) -> tuple[tuple[float, NDArray[np.float64]], ...]:
-    """Distinct ratios with their exactly-summed coefficients, zero sums dropped.
+    """Distinct ratios, ascending, with their exactly-summed coefficients; zero sums dropped.
 
     Terms sharing a ratio cancel as one coefficient; a pair (c, r), (-c, r)
     contributes nothing to any a_l and must not shrink a radius.  Kept on the
@@ -378,18 +378,18 @@ def _radius(a: SeqSpec, size: Callable[[NDArray[np.float64]], float]) -> float:
     """1 / limsup size(a_l)^(1/l): R_a for the norm, R_a^{p,J} for dist(., ker(I_p - J)).
 
     For ratio groups, the smallest ratio whose coefficient c has size(c) >
-    PERP_THRESHOLD * |c| (+inf if none), with c first scaled by a power of
-    two so that neither side underflows or overflows.  Tables get the
-    windowed estimate of `_table_radius`.
+    PERP_THRESHOLD * |c| (+inf if none): the first such group, as the
+    ratios ascend.  c is first scaled by a power of two so that neither side
+    underflows or overflows.  Tables get the windowed estimate of
+    `_table_radius`.
     """
     if isinstance(a, TableSeq):
         return _table_radius(a, size)
-    best = math.inf
     for ratio, coeff in _ratio_groups(a):
         c = _pow2_scaled(coeff)
         if size(c) > _tol.PERP_THRESHOLD * math.sqrt(c @ c):
-            best = min(best, ratio)
-    return best
+            return ratio
+    return math.inf
 
 
 def _table_radius(a: TableSeq, size) -> float:
@@ -432,9 +432,13 @@ def radius_Rap(a: SeqSpec, p: WPoint) -> tuple[float, SliceUnit | None]:
     find_companion call on that coefficient realizes the supremum.  The
     witness is returned only when it beats R_a.  Table sequences scan
     companion candidates derived from every tabulated coefficient and stay
-    estimates.
+    estimates.  A `Domain` hands its R_a to `_companion_radius` directly.
     """
-    ra = radius_Ra(a)
+    return _companion_radius(a, p, radius_Ra(a))
+
+
+def _companion_radius(a: SeqSpec, p: WPoint, ra: float) -> tuple[float, SliceUnit | None]:
+    """`radius_Rap` with R_a already known (ra)."""
     if p.is_real:
         return ra, None
     if isinstance(a, (GeometricSum, Lacunary)):
@@ -539,7 +543,7 @@ class Domain:
 
     def __init__(self, p: WPoint, a: SeqSpec):
         ra = radius_Ra(a)
-        rap, witness = radius_Rap(a, p)  # a witness exactly when rap > ra
+        rap, witness = _companion_radius(a, p, ra)  # a witness exactly when rap > ra
         if p.is_real:
             case = DomainCase.REAL_CENTER
         elif witness is None:

@@ -35,6 +35,8 @@ from .algebra import (
     CDElement,
     DIM,
     MAX_LEVEL,
+    _EYE,
+    _mul,
     _pow2_scaled,
     basis,
     cd_mul,
@@ -69,16 +71,16 @@ __all__ = [
 ]
 
 
-def _unit_matrix_residual(m: NDArray[np.float64]) -> float:
-    return float(np.max(np.abs(m @ m + np.eye(DIM))))
+def _is_unit(s: CDElement, m: NDArray[np.float64]) -> bool:
+    """|s| = 1 and L_s^2 = -id (m = L_s) within UNIT_EQ; a NaN fails both."""
+    return (abs(s.norm() - 1.0) <= _tol.UNIT_EQ
+            and abs(m @ m + _EYE).max() <= _tol.UNIT_EQ)
 
 
 def is_slice_unit(x: CDElement) -> bool:
     """True iff left multiplication by x squares to minus the identity."""
     x = x.promote(MAX_LEVEL)
-    if abs(x.norm() - 1.0) > _tol.UNIT_EQ:
-        return False
-    return _unit_matrix_residual(left_mult_matrix(x)) <= _tol.UNIT_EQ
+    return _is_unit(x, left_mult_matrix(x))
 
 
 class SliceUnit:
@@ -98,36 +100,34 @@ class SliceUnit:
             s = parse_any(s)
         s = s.promote(MAX_LEVEL)
         m = left_mult_matrix(s)
-        if abs(s.norm() - 1.0) > _tol.UNIT_EQ or _unit_matrix_residual(m) > _tol.UNIT_EQ:
+        if not _is_unit(s, m):
             raise ValueError(f"not a slice unit: {s}")
         v = s.coeffs
         u = v[1:8]
         w = v[9:16]
-        nu = float(np.linalg.norm(u))
-        nw = float(np.linalg.norm(w))
+        nu = math.sqrt(u @ u)  # np.linalg.norm's formula
+        nw = math.sqrt(w @ w)
         cos_a = float(v[8])
         sin_a = math.hypot(nu, nw)
         alpha = math.atan2(sin_a, cos_a)
+        j8 = np.zeros(8)
         if sin_a < _tol.DEGENERATE:
             # +-e8: theta and jmath are conventions, not coordinates.
-            j8 = np.eye(8)[1]
+            j8[1] = 1.0
             cos_t, sin_t = 1.0, 0.0
         elif nw > _tol.DEGENERATE * sin_a:
-            j8 = np.concatenate([[0.0], w / nw])
+            j8[1:] = w / nw
             sin_t = nw / sin_a
-            cos_t = float(np.dot(u, j8[1:])) / sin_a
+            cos_t = float(u @ j8[1:]) / sin_a
         else:
-            j8 = np.concatenate([[0.0], u / nu])
+            j8[1:] = u / nu
             sin_t = 0.0
             cos_t = nu / sin_a
         cos_t = min(1.0, max(-1.0, cos_t))
         sin_t = min(1.0, max(0.0, sin_t))
         theta = math.atan2(sin_t, cos_t)
-        for name, val in (("s", s), ("alpha", alpha), ("theta", theta),
-                          ("jmath", CDElement(j8)),
-                          ("cos_alpha", cos_a), ("sin_alpha", sin_a),
-                          ("cos_theta", cos_t), ("sin_theta", sin_t),
-                          ("matrix", m)):
+        for name, val in zip(self.__slots__, (s, alpha, theta, CDElement(j8),
+                                              cos_a, sin_a, cos_t, sin_t, m)):
             object.__setattr__(self, name, val)
         self.matrix.flags.writeable = False
 
@@ -163,7 +163,7 @@ I0 = SliceUnit(basis(1, level=MAX_LEVEL))
 
 def same_unit(a: SliceUnit, b: SliceUnit) -> bool:
     """Equality of slice units as points of the unit sphere, within UNIT_EQ."""
-    return bool(np.max(np.abs(a.s.coeffs - b.s.coeffs)) <= _tol.UNIT_EQ)
+    return bool(abs(a.s.coeffs - b.s.coeffs).max() <= _tol.UNIT_EQ)
 
 
 def axis_sign(u: SliceUnit, v: SliceUnit) -> int:
@@ -173,7 +173,7 @@ def axis_sign(u: SliceUnit, v: SliceUnit) -> int:
     """
     if same_unit(u, v):
         return 1
-    if np.max(np.abs(u.s.coeffs + v.s.coeffs)) <= _tol.UNIT_EQ:
+    if abs(u.s.coeffs + v.s.coeffs).max() <= _tol.UNIT_EQ:
         return -1
     return 0
 
@@ -315,9 +315,8 @@ def cker_membership(k: SliceUnit, j1: SliceUnit, j2: SliceUnit) -> bool:
     if not is_hyper_solution(j1, j2):
         raise ValueError("kernel curve is defined for hyper-solutions only")
     ker = kernel_of_left_mult(j1.s - j2.s)
-    diff = left_mult_matrix(j1.s - k.s)
-    resid = diff @ ker.basis.T
-    return float(np.max(np.abs(resid))) <= _tol.CURVE_ACCEPT
+    # L_J1 - L_K equals L_{J1 - K} entry for entry (signed coefficients)
+    return bool(abs((j1.matrix - k.matrix) @ ker.basis.T).max() <= _tol.CURVE_ACCEPT)
 
 
 def cker_curve_point(j1: SliceUnit, j2: SliceUnit, theta: float) -> SliceUnit:
@@ -342,12 +341,7 @@ def kernel_zeta(j1: SliceUnit, j2: SliceUnit) -> list[tuple[CDElement, CDElement
     exactly when a distinct pair is not a hyper-solution.  (For the
     degenerate call J1 = J2 the kernel is the whole space.)
     """
-    ker = kernel_of_left_mult(j1.s - j2.s)
-    pairs = []
-    for row in ker.basis:
-        c = CDElement(row)
-        pairs.append((-cd_mul(j1.s, c), c))
-    return pairs
+    return [(-cd_mul(j1.s, c), c) for c in kernel_of_left_mult(j1.s - j2.s).vectors()]
 
 
 def find_companion(i: SliceUnit, c: CDElement) -> SliceUnit | None:
@@ -360,33 +354,31 @@ def find_companion(i: SliceUnit, c: CDElement) -> SliceUnit | None:
     kappa a unit orthogonal to jmath) return None on failure, as does the
     final acceptance test |(I - K)c| < CURVE_ACCEPT |c|.
 
+    It runs on the coefficient array of c (halves d1, d2; kappa by `_mul`;
+    residual (L_I - L_K) c from the units' matrices, equal to L_{I-K} c).
     Only the direction of c counts, so c is first scaled by a power of two
     (`_pow2_scaled`): a coefficient near either end of the float range gets
-    the companion of c * 2**k.  Raises ValueError on c = 0; returns None for
-    I = +-e8 (no curve there).
+    the companion of c * 2**k.  Raises ValueError on c = 0 or non-finite;
+    returns None for I = +-e8 (no curve there).
     """
     v = _pow2_scaled(c.promote(MAX_LEVEL).coeffs)
     nc = math.sqrt(v @ v)
-    if nc == 0.0:
-        raise ValueError("companion search needs a nonzero candidate vector")
+    if not 0.0 < nc < math.inf:
+        raise ValueError("companion search needs a finite nonzero candidate vector")
     if i.sin_alpha < _tol.DEGENERATE:
         return None
-    d1 = CDElement(v[:8])
-    d2 = CDElement(v[8:])
-    n1, n2 = d1.norm(), d2.norm()
-    if n1 <= _tol.DEGENERATE * nc or n2 <= _tol.DEGENERATE * nc:
+    d1, d2 = v[:8], v[8:]
+    n1, n2 = math.sqrt(d1 @ d1), math.sqrt(d2 @ d2)
+    if (n1 <= _tol.DEGENERATE * nc or n2 <= _tol.DEGENERATE * nc
+            or abs(n1 - n2) > _tol.CURVE_ACCEPT * max(n1, n2)
+            or abs(d1[0]) > _tol.CURVE_ACCEPT * n1 or abs(d2[0]) > _tol.CURVE_ACCEPT * n2):
         return None
-    if abs(n1 - n2) > _tol.CURVE_ACCEPT * max(n1, n2):
-        return None
-    if abs(d1.real) > _tol.CURVE_ACCEPT * n1 or abs(d2.real) > _tol.CURVE_ACCEPT * n2:
-        return None
-    d1_inv = d1.conjugate() / (n1 * n1)
-    kappa = -cd_mul(i.jmath.promote(3), cd_mul(d2, d1_inv))
-    kv = kappa.coeffs
-    if abs(np.linalg.norm(kv) - 1.0) > _tol.CURVE_ACCEPT or abs(kv[0]) > _tol.CURVE_ACCEPT:
-        return None
-    jv = i.jmath.promote(3).coeffs
-    if abs(float(np.dot(kv, jv))) > _tol.CURVE_ACCEPT:
+    d1_inv = d1 / (n1 * n1)  # conj(d1) / |d1|^2: negating after dividing is exact
+    d1_inv[1:] = -d1_inv[1:]
+    jv = i.jmath.coeffs
+    kv = -_mul(jv, _mul(d2, d1_inv))
+    if (abs(math.sqrt(kv @ kv) - 1.0) > _tol.CURVE_ACCEPT or abs(kv[0]) > _tol.CURVE_ACCEPT
+            or abs(float(kv @ jv)) > _tol.CURVE_ACCEPT):
         return None
     # frame with kappa(theta_I) = jmath, then rotate a quarter turn (mod pi).
     v1 = i.cos_theta * jv - i.sin_theta * kv
@@ -399,8 +391,8 @@ def find_companion(i: SliceUnit, c: CDElement) -> SliceUnit | None:
         k = _psi_parts(i.cos_alpha, i.sin_alpha, cos_k, sin_k, v1, v2)
     except ValueError:
         return None
-    resid = np.linalg.norm(left_mult_matrix(i.s - k.s) @ v)
-    if resid >= _tol.CURVE_ACCEPT * nc:
+    r = (i.matrix - k.matrix) @ v
+    if math.sqrt(r @ r) >= _tol.CURVE_ACCEPT * nc:
         return None
     return k
 
@@ -491,7 +483,8 @@ class WPoint:
     @property
     def value(self) -> CDElement:
         if self._value is None:
-            v = self.re * _E0 if self.is_real else self.re * _E0 + self.im * self.axis.s.coeffs
+            e0 = _EYE[0]
+            v = self.re * e0 if self.is_real else self.re * e0 + self.im * self.axis.s.coeffs
             object.__setattr__(self, "_value", CDElement(v))
         return self._value
 
@@ -522,6 +515,7 @@ def wpoint(value: CDElement | str) -> WPoint:
 
     The imaginary part must be a positive multiple of a slice unit (or zero,
     giving a real point on the base slice I0, within UNIT_EQ * max(1, |re|)).
+    Raises on coefficients holding inf or NaN.
     """
     value = parse_any(value).promote(MAX_LEVEL)
     v = value.coeffs
@@ -529,14 +523,12 @@ def wpoint(value: CDElement | str) -> WPoint:
     imvec = v.copy()
     imvec[0] = 0.0
     im = float(np.linalg.norm(imvec))
+    if not math.isfinite(re + im):
+        raise ValueError("point coefficients must be finite")
     if im <= _tol.UNIT_EQ * max(1.0, abs(re)):
         return WPoint(re, 0.0, I0, value)
     axis = SliceUnit(CDElement(imvec / im))
     return WPoint(re, im, axis, value)
-
-
-_E0 = np.eye(DIM)[0]
-_E0.flags.writeable = False
 
 
 def wpoint_from(re: float, im: float, axis: SliceUnit) -> WPoint:

@@ -19,6 +19,7 @@ d_neg_eq / d_pm of `pq_project`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -29,6 +30,7 @@ from .algebra import (
     CDElement,
     DIM,
     MAX_LEVEL,
+    _EYE,
     cd_mul,
     left_mult_matrix,
 )
@@ -71,13 +73,13 @@ class Subspace:
     basis: NDArray[np.float64]
 
     def __post_init__(self):
-        b = np.atleast_2d(np.asarray(self.basis, dtype=float))
+        b = np.array(self.basis, dtype=float, copy=None, ndmin=2)
         if b.size == 0:
             b = np.zeros((0, DIM))
         if b.shape[1] != DIM:
             raise ValueError(f"basis vectors must have length {DIM}")
-        gram = b @ b.T
-        if gram.size and np.max(np.abs(gram - np.eye(b.shape[0]))) > _tol.ORTHONORMAL:
+        k = b.shape[0]
+        if k and (k > DIM or not abs(b @ b.T - _EYE[:k, :k]).max() <= _tol.ORTHONORMAL):
             raise ValueError(f"basis is not orthonormal within {_tol.ORTHONORMAL}")
         b.flags.writeable = False
         object.__setattr__(self, "basis", b)
@@ -107,13 +109,12 @@ class Subspace:
 
     def project(self, x) -> CDElement:
         v = x.promote(MAX_LEVEL).coeffs if isinstance(x, CDElement) else np.asarray(x, float)
-        if self.dim == 0:
-            return CDElement(np.zeros(DIM))
-        return CDElement(self.basis.T @ (self.basis @ v))
+        return CDElement(self.basis.T @ (self.basis @ v))  # zero for dim 0
 
     def distance(self, x) -> float:
         v = x.promote(MAX_LEVEL).coeffs if isinstance(x, CDElement) else np.asarray(x, float)
-        return float(np.linalg.norm(v - self.project(v).coeffs))
+        r = v - self.basis.T @ (self.basis @ v)  # `project`, without the element
+        return math.sqrt(r @ r)  # np.linalg.norm's formula
 
     def contains(self, x) -> bool:
         v = x.promote(MAX_LEVEL).coeffs if isinstance(x, CDElement) else np.asarray(x, float)
@@ -121,7 +122,7 @@ class Subspace:
 
     def complement(self) -> "Subspace":
         if self.dim == 0:
-            return Subspace(np.eye(DIM))
+            return Subspace(_EYE)
         u, s, vh = np.linalg.svd(self.basis, full_matrices=True)
         return Subspace(vh[self.dim:])
 
@@ -161,7 +162,7 @@ def kernel_of_left_mult(s: CDElement) -> Subspace:
     """
     u, sv, vh = np.linalg.svd(left_mult_matrix(s))
     if sv[0] == 0.0:
-        return Subspace(np.eye(DIM))
+        return Subspace(_EYE)
     return Subspace(vh[_null_mask(sv)])
 
 
@@ -324,7 +325,7 @@ def quaternion_algebra_of(p: CDElement) -> Subspace:
     """H_p = span(1, u, v, uv) for a zero divisor p = u + v*e8."""
     u, v = _halves(p)
     return Subspace.from_span([
-        CDElement(np.eye(8)[0]),
+        CDElement(_EYE[0, :8]),
         u,
         v,
         cd_mul(u.promote(3), v.promote(3)),

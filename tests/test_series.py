@@ -33,6 +33,7 @@ from sedenion import (
     eval_poly,
     evaluate_points,
     evaluate_series,
+    find_companion,
     hyper_sigma_contains,
     hyper_solution,
     is_hyper_solution,
@@ -53,7 +54,7 @@ from sedenion import (
     wpoint_from,
 )
 
-from util import imag_octonion_unit
+from util import imag_octonion_unit, reference_companion, reference_report
 
 E1 = SliceUnit("e1")
 E10 = SliceUnit("e10")
@@ -458,6 +459,60 @@ def test_domain_is_unchanged_when_a_coefficient_is_scaled_by_a_power_of_two(rng,
         assert (got.r_a, got.r_ap, got.case) == (want.r_a, want.r_ap, want.case), n
         assert want.case is DomainCase.HYPER_INTERSECTION
         assert np.array_equal(got.witness.s.coeffs, want.witness.s.coeffs)
+
+
+def _pin_sequences(c):
+    """A two-ratio sum and a gap series on the coefficient c."""
+    return (GeometricSum.of([("1", 3.0), (CDElement(c), 2.0)]),
+            Lacunary.of(CDElement(c), 2.0))
+
+
+def test_companions_and_domain_reports_match_the_element_formula_bit_for_bit():
+    # Seeded hyper pairs with kernel vectors, generic vectors, the poles +-e8
+    # and 2**+-600 scalings, against the search and radii written on CDElement
+    # arithmetic in util.py.
+    rng = np.random.default_rng(1606)
+    e8 = SliceUnit("e8")
+    reports = Counter()
+    for n in range(40):
+        j1, j2 = random_hyper_pair(rng)
+        ker = kernel_of_left_mult(j1.s - j2.s)
+        kv = rng.normal(size=ker.dim) @ ker.basis
+        for c in (kv, rng.normal(size=16), kv * 2.0 ** 600, kv * 2.0 ** -600, -kv):
+            for i in (j1, j2, e8, -e8):
+                got, want = find_companion(i, CDElement(c)), reference_companion(i, CDElement(c))
+                assert (got is None) == (want is None), n
+                if got is not None:
+                    assert got.s.coeffs.tobytes() == want.s.coeffs.tobytes(), n
+            p = wpoint_from(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 1.5)), j1)
+            for a in _pin_sequences(c):
+                rep = Domain(p, a).report
+                ra, rap, witness, case = reference_report(p, a)
+                assert (rep.r_a, rep.r_ap, rep.case.value) == (ra, rap, case), n
+                assert (rep.witness is None) == (witness is None), n
+                if witness is not None:
+                    assert rep.witness.s.coeffs.tobytes() == witness.s.coeffs.tobytes(), n
+                reports[case] += 1
+    assert reports["HyperIntersection"] and reports["SigmaBallOnly"]
+
+
+def test_a_domain_build_computes_r_a_once(monkeypatch, rng):
+    import sedenion.series as series
+
+    calls = []
+    original = series.radius_Ra
+    monkeypatch.setattr(series, "radius_Ra", lambda a: calls.append(a) or original(a))
+    j1, j2 = random_hyper_pair(rng)
+    ker = kernel_of_left_mult(j1.s - j2.s)
+    kv = ker.basis[0]
+    cases = [(wpoint_from(0.3, 0.8, j1), kv, DomainCase.HYPER_INTERSECTION),
+             (wpoint_from(0.3, 0.8, j1), rng.normal(size=16), DomainCase.SIGMA_BALL_ONLY),
+             (wpoint("2"), kv, DomainCase.REAL_CENTER)]
+    for p, c, case in cases:
+        for a in _pin_sequences(c):
+            calls.clear()
+            assert Domain(p, a).report.case is case
+            assert len(calls) == 1, (case, type(a).__name__)
 
 
 # ---------------------------------------------------------------------------

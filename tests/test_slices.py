@@ -283,6 +283,24 @@ def test_find_companion_recovers_curve_from_kernel_vectors(rng):
         assert cker_membership(k, j1, j2)
 
 
+NAN_E1 = CDElement([0.0, math.nan] + [0.0] * 14)
+
+
+def test_a_nan_coefficient_is_not_a_slice_unit():
+    assert not is_slice_unit(NAN_E1)
+    with pytest.raises(ValueError, match="not a slice unit"):
+        SliceUnit(NAN_E1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_find_companion_rejects_a_non_finite_candidate(bad):
+    c = parse_element("e4+e15").promote(4).coeffs.copy()
+    c[4] = bad
+    for cand in (c, np.full(16, bad)):
+        with pytest.raises(ValueError, match="finite nonzero candidate"):
+            find_companion(SliceUnit("e1"), CDElement(cand))
+
+
 # --- points of the slice cone ----------------------------------------------------------
 
 
@@ -306,6 +324,16 @@ def test_wpoint_parsing_and_fields():
     v[0], v[1] = 3.0, 1e-12
     x = CDElement(v)
     assert wpoint(x).is_real and wpoint(x).value is x
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 9])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_wpoint_rejects_a_non_finite_coefficient(k, bad):
+    v = np.zeros(16)
+    v[1] = 1.0
+    v[k] = bad
+    with pytest.raises(ValueError, match="finite"):
+        wpoint(CDElement(v))
 
 
 def test_wpoint_rejects_points_off_the_cone():

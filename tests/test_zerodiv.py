@@ -203,6 +203,13 @@ def test_subspace_complement_dims():
     assert np.abs(sub.basis @ comp.basis.T).max() < 1e-12
 
 
+def test_subspace_rejects_a_basis_holding_nan():
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Subspace(np.full((1, 16), np.nan))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Subspace(np.vstack([np.eye(16), np.eye(16)[:1]]))
+
+
 def test_subspace_rejects_a_basis_that_is_not_orthonormal():
     with pytest.raises(ValueError, match="orthonormal within 1e-10"):
         Subspace(np.ones((2, 16)))

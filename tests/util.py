@@ -1,8 +1,11 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators and reference computations for the test suite."""
+
+import math
 
 import numpy as np
 
 from sedenion import CDElement, one
+from sedenion._tol import CURVE_ACCEPT, DEGENERATE, PERP_THRESHOLD
 
 SEED = 20210
 
@@ -43,3 +46,99 @@ def random_zero_divisor(rng):
     i1, i2 = orthonormal_frame(rng)
     v = np.concatenate([i1.coeffs, i2.coeffs])
     return CDElement(v)
+
+
+# --- reference companion search and domain report, on CDElement arithmetic ---
+#
+# The companion search and the radii written with element objects, one product
+# per `cd_mul` and every norm by np.linalg.norm.  The package runs the same
+# arithmetic on plain arrays; its outputs must match these bit for bit.
+
+def pow2_scaled(v):
+    """v times the power of two that puts max|v| in [0.5, 1)."""
+    return np.ldexp(v, -math.frexp(float(np.max(np.abs(v))))[1])
+
+
+def reference_companion(i, c):
+    """The companion K of the unit i for the candidate c (an element), or None."""
+    from sedenion import SliceUnit, cd_mul, left_mult_matrix
+
+    v = pow2_scaled(c.promote(4).coeffs)
+    nc = np.linalg.norm(v)
+    if i.sin_alpha < DEGENERATE:
+        return None
+    d1, d2 = CDElement(v[:8]), CDElement(v[8:])
+    n1, n2 = d1.norm(), d2.norm()
+    if n1 <= DEGENERATE * nc or n2 <= DEGENERATE * nc:
+        return None
+    if abs(n1 - n2) > CURVE_ACCEPT * max(n1, n2):
+        return None
+    if abs(d1.real) > CURVE_ACCEPT * n1 or abs(d2.real) > CURVE_ACCEPT * n2:
+        return None
+    kappa = -cd_mul(i.jmath, cd_mul(d2, d1.conjugate() / (n1 * n1)))
+    kv, jv = kappa.coeffs, i.jmath.coeffs
+    if abs(np.linalg.norm(kv) - 1.0) > CURVE_ACCEPT or abs(kv[0]) > CURVE_ACCEPT:
+        return None
+    if abs(float(np.dot(kv, jv))) > CURVE_ACCEPT:
+        return None
+    v1 = i.cos_theta * jv - i.sin_theta * kv
+    v2 = i.sin_theta * jv + i.cos_theta * kv
+    if i.theta + math.pi / 2 < math.pi:
+        cos_k, sin_k = -i.sin_theta, i.cos_theta
+    else:
+        cos_k, sin_k = i.sin_theta, -i.cos_theta
+    j8 = cos_k * v1 + sin_k * v2
+    out = np.zeros(16)
+    out[1:8] = (i.sin_alpha * cos_k) * j8[1:]
+    out[8] = i.cos_alpha
+    out[9:16] = (i.sin_alpha * sin_k) * j8[1:]
+    try:
+        k = SliceUnit(CDElement(out))
+    except ValueError:
+        return None
+    if np.linalg.norm(left_mult_matrix(i.s - k.s) @ v) >= CURVE_ACCEPT * nc:
+        return None
+    return k
+
+
+def reference_groups(a):
+    """(ratio, summed coefficient) of a geometric or gap series, ratios ascending."""
+    from sedenion import Lacunary
+
+    if isinstance(a, Lacunary):
+        return [(a.ratio, np.asarray(a.coeff))]
+    sums = {}
+    for coeff, ratio in a.terms:
+        sums[ratio] = sums.get(ratio, np.zeros(16)) + np.asarray(coeff)
+    return [(r, c) for r, c in sorted(sums.items()) if np.any(c != 0.0)]
+
+
+def reference_radius(groups, size):
+    """The smallest ratio whose scaled coefficient c has size(c) > PERP_THRESHOLD |c|."""
+    best = math.inf
+    for ratio, coeff in groups:
+        c = pow2_scaled(coeff)
+        if size(c) > PERP_THRESHOLD * np.linalg.norm(c):
+            best = min(best, ratio)
+    return best
+
+
+def reference_report(p, a):
+    """(r_a, r_ap, witness, case value) of the domain of a around p."""
+    from sedenion import axis_sign, kernel_of_left_mult
+
+    groups = reference_groups(a)
+    ra = reference_radius(groups, np.linalg.norm)
+    if p.is_real:
+        return ra, ra, None, "RealCenter"
+    best, witness = ra, None
+    k = reference_companion(p.axis, CDElement(groups[0][1]))
+    if k is not None:
+        if axis_sign(k, p.axis):
+            val = ra
+        else:
+            ker = kernel_of_left_mult(p.axis.s - k.s)
+            val = reference_radius(groups, lambda v: np.linalg.norm(v - ker.project(v).coeffs))
+        if val > best:
+            best, witness = val, k
+    return ra, best, witness, "SigmaBallOnly" if witness is None else "HyperIntersection"
