@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -442,9 +442,9 @@ def _entry_str(sign: int, k: int) -> str:
     return f"-{name}" if sign < 0 else name
 
 
-def table_csv(level: int = MAX_LEVEL) -> str:
-    """Multiplication table as CSV with entries like `e3` / `-e11`."""
-    table = multiplication_table(level)
+def table_csv() -> str:
+    """Sedenion multiplication table as CSV with entries like `e3` / `-e11`."""
+    table = multiplication_table()
     n = len(table)
     header = "," + ",".join(_entry_str(1, k) for k in range(n))
     lines = [header]
@@ -454,27 +454,13 @@ def table_csv(level: int = MAX_LEVEL) -> str:
     return "\n".join(lines) + "\n"
 
 
-def verify_table(reference: Sequence[Sequence[tuple[int, int]]] | None = None,
-                 level: int = MAX_LEVEL) -> tuple[int, int]:
-    """Compare the generated table against a reference; returns (matches, total).
-
-    With no reference, the recursion output is compared against the bundled
-    fixture table (level 4 only).
-    """
-    if reference is None:
-        from ._reference_table import REFERENCE_TABLE
-        if level != MAX_LEVEL:
-            raise ValueError("bundled reference covers level 4 only")
-        reference = REFERENCE_TABLE
-    table = multiplication_table(level)
-    total = len(table) ** 2
-    matches = sum(
-        1
-        for m, row in enumerate(table)
-        for n, entry in enumerate(row)
-        if tuple(entry) == tuple(reference[m][n])
-    )
-    return matches, total
+def verify_table() -> tuple[int, int]:
+    """Compare the generated sedenion table with the bundled fixture; returns (matches, total)."""
+    from ._reference_table import REFERENCE_TABLE
+    table = multiplication_table()
+    matches = sum(entry == ref for row, ref_row in zip(table, REFERENCE_TABLE)
+                  for entry, ref in zip(row, ref_row))
+    return matches, len(table) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +505,7 @@ def complex_coords(x: CDElement, axis) -> complex:
     re = c[0]
     im = float(np.dot(c[1:], v[1:]))
     residual = np.linalg.norm(c - re * _EYE[0] - im * v)
-    if residual > _tol.UNIT_EQ * max(1.0, float(np.linalg.norm(c))):
+    if not residual <= _tol.UNIT_EQ * max(1.0, float(np.linalg.norm(c))):  # NaN fails
         raise ValueError("element does not lie on the requested complex slice")
     return complex(re, im)
 

@@ -239,6 +239,8 @@ def cmd_polar(args) -> int:
 
 
 def cmd_cker(args) -> int:
+    if args.curve is not None and args.format == "json":
+        raise ValueError("--curve writes CSV only; drop --format json")
     j1, j2 = SliceUnit(args.j1), SliceUnit(args.j2)
     if args.curve is not None:
         n = args.curve

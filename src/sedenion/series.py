@@ -36,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -381,7 +381,7 @@ def _radius(a: SeqSpec, size: Callable[[NDArray[np.float64]], float]) -> float:
     PERP_THRESHOLD * |c| (+inf if none): the first such group, as the
     ratios ascend.  c is first scaled by a power of two so that neither side
     underflows or overflows.  Tables get the windowed estimate of
-    `_table_radius`.
+    `_table_radius`, on values scaled the same way.
     """
     if isinstance(a, TableSeq):
         return _table_radius(a, size)
@@ -399,7 +399,12 @@ def _table_radius(a: TableSeq, size) -> float:
     window = range(max(1, n - max(1, n // 2)), n)
     est = 0.0
     for ell in window:
-        mag = size(np.asarray(a.values[ell]))
+        v = np.asarray(a.values[ell])
+        shift = math.frexp(abs(v).max())[1]  # _pow2_scaled(v) is v * 2**-shift
+        try:
+            mag = math.ldexp(size(_pow2_scaled(v)), shift)
+        except OverflowError:  # a size past the float range, as math.hypot gives it
+            mag = math.inf
         if mag > 0.0:
             est = max(est, mag ** (1.0 / ell))
     return math.inf if est == 0.0 else 1.0 / est
@@ -481,8 +486,7 @@ class Verdict(Enum):
     UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
-class DomainReport:
+class DomainReport(NamedTuple):
     """Radii and shape of the convergence domain around p.
 
     `witness` is a slice unit realizing r_ap on its kernel curve; present
@@ -675,8 +679,7 @@ def domain_contains(q: WPoint, p: WPoint, a: SeqSpec,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Partial sum with a convergence verdict.
 
     `tail_norm` is the largest term norm inside the final window of at most
@@ -983,8 +986,7 @@ def evaluate_series(q: WPoint, p: WPoint, a: SeqSpec,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     theta: float
     re: float
     im: float
@@ -994,8 +996,7 @@ class ScanRow:
     tail_norm: float
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     rows: tuple[ScanRow, ...]
     scored: int
     agreed: int

@@ -26,7 +26,7 @@ im >= 0 and I_q a slice unit (real points carry the fixed base slice I0 = e1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -192,7 +192,7 @@ def _octonion_unit(x: CDElement, what: str) -> NDArray[np.float64]:
     if x.level > 3:
         raise ValueError(f"{what} must be an octonion (level <= 3)")
     v = x.promote(3).coeffs
-    if abs(np.linalg.norm(v) - 1.0) > _tol.UNIT_EQ or abs(v[0]) > _tol.UNIT_EQ:
+    if not (abs(np.linalg.norm(v) - 1.0) <= _tol.UNIT_EQ and abs(v[0]) <= _tol.UNIT_EQ):
         raise ValueError(f"{what} must be a unit imaginary octonion")
     return v
 
@@ -289,8 +289,7 @@ def iota_frame(j1: SliceUnit, j2: SliceUnit) -> tuple[CDElement, CDElement, floa
     return CDElement(v1), CDElement(v2), alpha
 
 
-@dataclass(frozen=True)
-class HyperSolution:
+class HyperSolution(NamedTuple):
     """A hyper-solution pair with its shared invariants (alpha, frame)."""
 
     j1: SliceUnit

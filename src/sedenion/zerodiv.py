@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -63,7 +63,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of the 16-dimensional coefficient space.
 
@@ -195,8 +195,7 @@ def is_special_triple(i: CDElement, j: CDElement, k: CDElement) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZeroProductCertificate:
+class ZeroProductCertificate(NamedTuple):
     """Evidence trail for a (u + v*e8)(c + d*e8) = 0 query.
 
     `d_formula` is u(vc)/(|u||v|), the only candidate that can close a zero
@@ -308,17 +307,12 @@ def c8_conjugate(p: CDElement) -> CDElement:
     return CDElement(c)
 
 
-@dataclass(frozen=True)
-class OrthoDecomposition:
+class OrthoDecomposition(NamedTuple):
     """x = o_part + ker_part + kerc_part, pairwise orthogonal."""
 
     o_part: CDElement
     ker_part: CDElement
     kerc_part: CDElement
-
-    @property
-    def parts(self) -> tuple[CDElement, CDElement, CDElement]:
-        return (self.o_part, self.ker_part, self.kerc_part)
 
 
 def quaternion_algebra_of(p: CDElement) -> Subspace:
@@ -359,8 +353,7 @@ def ortho_decompose(x: CDElement, p: CDElement) -> OrthoDecomposition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PQProjection:
+class PQProjection(NamedTuple):
     """Components of d relative to a pair of points p, q.
 
     eq_part lies in ker(I_p - I_q) (terms a power series keeps when moving

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -364,4 +366,10 @@ def test_complex_embed_and_coords_roundtrip(rng):
 def test_complex_coords_rejects_off_plane_points():
     x = parse_element("1+e1+e2").promote(4)
     with pytest.raises(ValueError):
+        complex_coords(x, basis(1, 4))
+
+
+def test_complex_coords_rejects_a_nan_coefficient():
+    x = CDElement([0.5, math.nan] + [0.0] * 14)
+    with pytest.raises(ValueError, match="does not lie on the requested complex slice"):
         complex_coords(x, basis(1, 4))

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -153,6 +154,17 @@ def test_cker_curve_csv(capsys, tmp_path):
     assert len(target.read_text().splitlines()) == 5
 
 
+def test_cker_curve_refuses_json_before_any_work(capsys, tmp_path):
+    target = tmp_path / "curve.csv"
+    rc, out, err = run(capsys, ["cker", "e1", "e10", "--curve", "2", "--format", "json",
+                                "--out", str(target)])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not target.exists()
+    rc, out, _ = run(capsys, ["cker", "e1", "e10", "e10", "--format", "json"])
+    assert (rc, out) == (0, '{"member": true}\n')
+
+
 # ---------------------------------------------------------------------------
 # series commands
 # ---------------------------------------------------------------------------
@@ -169,6 +181,19 @@ def test_radii_flags_table_estimates(capsys):
     rc, out, _ = run(capsys, ["radii", "--seq", seq])
     assert rc == 0
     assert "approximate=yes" in out.splitlines()[1]
+
+
+@pytest.mark.parametrize("scale, r_a", [("1e200", "0.0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000840896415254"),
+                                        ("1e-200", "4135185542" + "0" * 57)])
+def test_radii_of_a_table_near_either_end_of_the_float_range(capsys, scale, r_a):
+    value = json.dumps([0, 0, 0, 0, float(scale)] + [0] * 10 + [float(scale)])
+    seq = '{"kind":"table","values":[%s]}' % ",".join([value] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, ["radii", "--seq", seq])
+    assert (rc, err) == (0, "")
+    assert out.startswith(f"R_a={r_a} R_a^p=")
+    assert out.endswith(" witness=e10\ncase=HyperIntersection approximate=yes\n")
 
 
 def test_radii_json_payload(capsys):

@@ -56,3 +56,50 @@ def test_tolerances_live_only_in_the_tol_module():
         assert isinstance(node, ast.Assign) and len(node.targets) == 1, ast.dump(node)
         assert node.targets[0].id.isupper() and isinstance(node.value, ast.Constant)
         assert type(node.value.value) in (int, float)
+
+
+# Each result record: its fields in order, a keyword construction and the
+# repr that construction must print.
+RECORDS = [
+    ("DomainReport", ("r_a", "r_ap", "witness", "case", "approximate"),
+     dict(r_a=2.0, r_ap=3.0, witness=None, case="c"),
+     "DomainReport(r_a=2.0, r_ap=3.0, witness=None, case='c', approximate=False)"),
+    ("EvalReport", ("partial_sum", "terms_used", "verdict", "tail_norm"),
+     dict(partial_sum="s", terms_used=5, verdict="v", tail_norm=0.5),
+     "EvalReport(partial_sum='s', terms_used=5, verdict='v', tail_norm=0.5)"),
+    ("ScanRow", ("theta", "re", "im", "predicted", "empirical", "terms_used", "tail_norm"),
+     dict(theta=0.5, re=1.0, im=-1.0, predicted="p", empirical="e", terms_used=3,
+          tail_norm=0.0),
+     "ScanRow(theta=0.5, re=1.0, im=-1.0, predicted='p', empirical='e', terms_used=3, "
+     "tail_norm=0.0)"),
+    ("ScanResult", ("rows", "scored", "agreed"),
+     dict(rows=(), scored=4, agreed=3),
+     "ScanResult(rows=(), scored=4, agreed=3)"),
+    ("HyperSolution", ("j1", "j2", "alpha", "frame"),
+     dict(j1="a", j2="b", alpha=1.0, frame=("i1", "i2")),
+     "HyperSolution(j1='a', j2='b', alpha=1.0, frame=('i1', 'i2'))"),
+    ("ZeroProductCertificate",
+     ("product_is_zero", "norms_match", "triple_special", "d_matches_formula", "d_formula",
+      "product_norm"),
+     dict(product_is_zero=True, norms_match=True, triple_special=False,
+          d_matches_formula=False, d_formula=None, product_norm=0.0),
+     "ZeroProductCertificate(product_is_zero=True, norms_match=True, triple_special=False, "
+     "d_matches_formula=False, d_formula=None, product_norm=0.0)"),
+    ("OrthoDecomposition", ("o_part", "ker_part", "kerc_part"),
+     dict(o_part="o", ker_part="k", kerc_part="c"),
+     "OrthoDecomposition(o_part='o', ker_part='k', kerc_part='c')"),
+    ("PQProjection", ("eq_part", "perp_part", "neg_eq_part", "pm_part"),
+     dict(eq_part="e", perp_part="p", neg_eq_part="n", pm_part="m"),
+     "PQProjection(eq_part='e', perp_part='p', neg_eq_part='n', pm_part='m')"),
+]
+
+
+@pytest.mark.parametrize("name, fields, kwargs, text", RECORDS, ids=[r[0] for r in RECORDS])
+def test_result_records_are_named_tuples(name, fields, kwargs, text):
+    cls = getattr(sedenion, name)
+    assert issubclass(cls, tuple) and cls._fields == fields
+    record = cls(**kwargs)
+    assert repr(record) == text
+    assert tuple(record) == tuple(getattr(record, f) for f in fields)
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], None)

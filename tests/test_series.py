@@ -45,6 +45,7 @@ from sedenion import (
     radius_Rap,
     random_hyper_pair,
     random_slice_unit,
+    same_unit,
     seq_from_json,
     seq_to_json,
     sigma_contains,
@@ -437,6 +438,26 @@ def test_table_radius_is_a_windowed_estimate():
 def test_table_radius_edge_cases():
     assert radius_Ra(TableSeq.of(["1"])) == math.inf
     assert radius_Ra(TableSeq.of(["0", "0"])) == math.inf
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300, 1.5e308])
+def test_table_radius_near_either_end_of_the_float_range(scale):
+    # Oracle: 1/max_l |a_l|^(1/l) over the window l = 2, 3 of a four-value
+    # table, with |a_l| from math.hypot, which neither overflows nor underflows
+    # below 1.5e308; v @ v of the raw value would do one or the other.  At
+    # 1.5e308 the norm itself is past the float range: inf, so R_a = 0.
+    v = [0.0] * 16
+    v[4] = v[15] = scale
+    table = TableSeq.of([v] * 4)
+    want = 1.0 / max(math.hypot(*v) ** (1.0 / ell) for ell in (2, 3))
+    p = center()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = Domain(p, table).report
+    assert rep.r_a == pytest.approx(want, rel=1e-14)
+    unit = Domain(p, TableSeq.of(["e4+e15"] * 4)).report
+    assert rep.case is unit.case is DomainCase.HYPER_INTERSECTION
+    assert same_unit(rep.witness, E10) and unit.witness == E10
 
 
 @pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** 600], ids=["2^-600", "2^600"])

@@ -292,6 +292,11 @@ def test_a_nan_coefficient_is_not_a_slice_unit():
         SliceUnit(NAN_E1)
 
 
+def test_a_nan_jmath_is_not_a_unit_imaginary_octonion():
+    with pytest.raises(ValueError, match="jmath must be a unit imaginary octonion"):
+        from_polar(1.0, 0.5, CDElement([0.0, math.nan] + [0.0] * 6))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_find_companion_rejects_a_non_finite_candidate(bad):
     c = parse_element("e4+e15").promote(4).coeffs.copy()

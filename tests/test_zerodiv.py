@@ -210,6 +210,14 @@ def test_subspace_rejects_a_basis_holding_nan():
         Subspace(np.vstack([np.eye(16), np.eye(16)[:1]]))
 
 
+def test_subspaces_compare_by_identity_and_hash():
+    # A generated == would compare the basis arrays (ValueError) and a
+    # generated hash would hash one (TypeError).
+    a, b = (kernel_of_left_mult(parse_element("e1-e10")) for _ in range(2))
+    assert a == a and a != b and not a == b
+    assert {a: 1, b: 2}[b] == 2 and hash(a) == hash(a)
+
+
 def test_subspace_rejects_a_basis_that_is_not_orthonormal():
     with pytest.raises(ValueError, match="orthonormal within 1e-10"):
         Subspace(np.ones((2, 16)))
