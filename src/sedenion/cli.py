@@ -25,6 +25,7 @@ import numpy as np
 
 from .algebra import (
     CDElement,
+    element_to_json,
     format_element,
     format_real,
     parse_element,
@@ -53,6 +54,7 @@ from .slices import (
 from .series import (
     Domain,
     Membership,
+    ScanResult,
     convergence_scan,
     demo_sequence,
     domain,
@@ -72,8 +74,11 @@ def _fmt(x: float) -> str:
     return format_real(float(x))
 
 
-def _coeff_list(vec) -> list[float]:
-    return [float(v) for v in np.asarray(vec, dtype=float)]
+def _shown(x: CDElement) -> str:
+    """Element text with SVD or projector dust below DISPLAY_DUST shown as 0."""
+    c = x.promote(4).coeffs.copy()
+    c[np.abs(c) < _tol.DISPLAY_DUST] = 0.0
+    return format_element(CDElement(c))
 
 
 def _check_grid_size(points: float) -> None:
@@ -93,20 +98,35 @@ def _check_shared_flags(args) -> None:
         raise ValueError(f"--max-terms must be between 1 and {_MAX_TERMS}")
 
 
-def _load_seq(args):
-    """Sequence from --seq (path or inline JSON); bundled demo otherwise."""
-    spec = getattr(args, "seq", None)
+def _series(args):
+    """(center, sequence) from --center, then --seq: a JSON file path or inline
+    JSON, the bundled demo when absent."""
+    p = wpoint(args.center)
+    spec = args.seq
     if spec is None:
-        return demo_sequence()
-    text = spec
+        return p, demo_sequence()
     if not spec.lstrip().startswith("{"):
         with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return seq_from_json(text)
+            spec = fh.read()
+    return p, seq_from_json(spec)
 
 
 def _outdir() -> str:
     return os.environ.get("SEDENION_OUTDIR", ".")
+
+
+def _write(path: str, text: str) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+def _print_or_write(text: str, path: str | None) -> None:
+    """CSV text to stdout, or to the file at path and a `wrote` line."""
+    if path:
+        print(f"wrote {_write(path, text)}")
+    else:
+        print(text, end="")
 
 
 def _json_safe(obj):
@@ -149,31 +169,22 @@ def cmd_table(args) -> int:
 def cmd_mul(args) -> int:
     prod = parse_element(args.a) * parse_element(args.b)
     _emit(args, [format_element(prod)],
-          {"text": format_element(prod), "coeffs": _coeff_list(prod.promote(4).coeffs)})
+          {"text": format_element(prod), "coeffs": element_to_json(prod)})
     return 0
 
 
 def cmd_kernel(args) -> int:
     ker = kernel_of_left_mult(parse_element(args.s))
-    lines = [f"dim={ker.dim}"]
-    for v in ker.vectors():
-        c = v.promote(4).coeffs.copy()
-        c[np.abs(c) < _tol.DISPLAY_DUST] = 0.0  # drop SVD dust from the text rendering
-        lines.append(format_element(CDElement(c)))
-    _emit(args, lines, {"dim": ker.dim,
-                        "basis": [_coeff_list(row) for row in ker.basis]})
+    lines = [f"dim={ker.dim}"] + [_shown(v) for v in ker.vectors()]
+    _emit(args, lines, {"dim": ker.dim, "basis": ker.basis.tolist()})
     return 0
 
 
 def cmd_decompose(args) -> int:
     dec = ortho_decompose(parse_element(args.x), parse_element(args.p))
-    lines = []
-    for name in ("o_part", "ker_part", "kerc_part"):
-        c = getattr(dec, name).promote(4).coeffs.copy()
-        c[np.abs(c) < _tol.DISPLAY_DUST] = 0.0  # projector dust, display only
-        lines.append(f"{name}={format_element(CDElement(c))}")
-    _emit(args, lines, {k: _coeff_list(getattr(dec, k).promote(4).coeffs)
-                        for k in ("o_part", "ker_part", "kerc_part")})
+    names = ("o_part", "ker_part", "kerc_part")
+    _emit(args, [f"{k}={_shown(getattr(dec, k))}" for k in names],
+          {k: element_to_json(getattr(dec, k)) for k in names})
     return 0
 
 
@@ -226,7 +237,7 @@ def cmd_polar(args) -> int:
         else:
             raise ValueError("construction needs --frame or --jmath")
         _emit(args, [format_element(s.s)],
-              {"s": format_element(s.s), "coeffs": _coeff_list(s.s.coeffs)})
+              {"s": format_element(s.s), "coeffs": element_to_json(s.s)})
         return 0
     if args.s is None:
         raise ValueError("give a slice unit, or --alpha/--theta to construct one")
@@ -252,13 +263,7 @@ def cmd_cker(args) -> int:
             pt = cker_curve_point(j1, j2, theta)
             row = ",".join(_fmt(c) for c in pt.s.coeffs)
             lines.append(f"{_fmt(theta)},{row}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"wrote {args.out}")
-        else:
-            print(text, end="")
+        _print_or_write("\n".join(lines) + "\n", args.out)
         return 0
     if args.k is None:
         raise ValueError("give a candidate unit K, or --curve N to sample")
@@ -268,8 +273,7 @@ def cmd_cker(args) -> int:
 
 
 def cmd_radii(args) -> int:
-    p = wpoint(args.center)
-    a = _load_seq(args)
+    p, a = _series(args)
     rep = domain(p, a).report
     witness = format_element(rep.witness.s) if rep.witness else "none"
     lines = [f"R_a={_fmt(rep.r_a)} R_a^p={_fmt(rep.r_ap)} witness={witness}",
@@ -280,8 +284,7 @@ def cmd_radii(args) -> int:
 
 
 def cmd_contains(args) -> int:
-    p = wpoint(args.center)
-    a = _load_seq(args)
+    p, a = _series(args)
     q = wpoint(args.q)
     m = domain(p, a).contains(q, band=args.band)
     _emit(args, [m.value], {"membership": m.value})
@@ -289,8 +292,7 @@ def cmd_contains(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    p = wpoint(args.center)
-    a = _load_seq(args)
+    p, a = _series(args)
     q = wpoint(args.q)
     rep = evaluate_series(q, p, a, max_terms=args.max_terms, tol=args.tol)
     lines = [f"verdict={rep.verdict.value} terms={rep.terms_used} "
@@ -299,7 +301,7 @@ def cmd_eval(args) -> int:
     _emit(args, lines, {"verdict": rep.verdict.value, "terms": rep.terms_used,
                         "tail_norm": rep.tail_norm,
                         "value": format_element(rep.partial_sum),
-                        "coeffs": _coeff_list(rep.partial_sum.promote(4).coeffs)})
+                        "coeffs": element_to_json(rep.partial_sum)})
     return 0
 
 
@@ -321,8 +323,14 @@ def _default_slices(dom: Domain) -> list[tuple[str, SliceUnit]]:
     return out
 
 
-def _parse_slices(arg: str) -> list[tuple[str, SliceUnit]]:
-    return [(name, SliceUnit(name)) for name in arg.split(",") if name]
+def _slices(args, p, a) -> list[tuple[str, SliceUnit]]:
+    """The named slices of --slices, at least one; the defaults of domain(p, a) without it."""
+    if args.slices is None:
+        return _default_slices(domain(p, a))
+    slices = [(name, SliceUnit(name)) for name in args.slices.split(",") if name]
+    if not slices:
+        raise ValueError("--slices names no slice unit")
+    return slices
 
 
 def cmd_scan(args) -> int:
@@ -334,10 +342,8 @@ def cmd_scan(args) -> int:
         else [math.pi / 2]
     if not all(map(math.isfinite, angular)):
         raise ValueError("--thetas must be finite")
-    p = wpoint(args.center)
-    a = _load_seq(args)
-    slices = _parse_slices(args.slices) if args.slices \
-        else _default_slices(domain(p, a))
+    p, a = _series(args)
+    slices = _slices(args, p, a)
     steps = (args.rmax - args.rmin) / args.rstep
     _check_grid_size((steps + 1) * len(angular) * len(slices))
     nsteps = int(round(steps))
@@ -358,18 +364,10 @@ def cmd_scan(args) -> int:
         agreed += res.agreed
         summaries.append(f"slice={name} scored={res.scored} agreed={res.agreed} "
                          f"agreement={_fmt(res.agreement)}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        path = args.out if os.path.isabs(args.out) \
-            else os.path.join(_outdir(), args.out)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {path}")
-    else:
-        print(text, end="")
+    _print_or_write("\n".join(lines) + "\n", args.out and os.path.join(_outdir(), args.out))
     for s in summaries:
         print(s)
-    rate = 1.0 if scored == 0 else agreed / scored
+    rate = ScanResult(rows=(), scored=scored, agreed=agreed).agreement
     print(f"total scored={scored} agreed={agreed} agreement={_fmt(rate)}")
     return 0 if rate == 1.0 else 1
 
@@ -465,7 +463,7 @@ def _panel_svg(ox: float, oy: float, size: float, label: str, upper, lower,
 
 def _figure_svg(dom: Domain, slices) -> str:
     size, gap = 300.0, 14.0
-    cols = min(2, len(slices)) if len(slices) > 1 else 1
+    cols = min(2, len(slices))
     rows = (len(slices) + cols - 1) // cols
     w = cols * size + (cols + 1) * gap
     h = rows * size + (rows + 1) * gap
@@ -485,8 +483,9 @@ def cmd_figure(args) -> int:
         raise ValueError("--n wants a positive grid size")
     if not (math.isfinite(args.rmax) and args.rmax > 0):
         raise ValueError("--rmax must be finite and positive")
-    dom = domain(wpoint(args.center), _load_seq(args))
-    slices = _parse_slices(args.slices) if args.slices else _default_slices(dom)
+    p, a = _series(args)
+    dom = domain(p, a)
+    slices = _slices(args, p, a)
     _check_grid_size(args.n * args.n * len(slices))
     outdir = args.out if args.out else _outdir()
     os.makedirs(outdir, exist_ok=True)
@@ -497,15 +496,10 @@ def cmd_figure(args) -> int:
         file = "figure_" + name.replace("+", "p").replace("-", "m").replace(".", "_")
         if len(file.encode()) > 255 - len(".csv"):
             file = f"figure_slice{index}"
-        path = os.path.join(outdir, file + ".csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_figure_csv(dom, sl, args.n, args.rmax, args.band))
-        written.append(path)
+        written.append(_write(os.path.join(outdir, file + ".csv"),
+                              _figure_csv(dom, sl, args.n, args.rmax, args.band)))
     if args.format == "svg":
-        path = os.path.join(outdir, "figure.svg")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_figure_svg(dom, slices))
-        written.append(path)
+        written.append(_write(os.path.join(outdir, "figure.svg"), _figure_svg(dom, slices)))
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -401,12 +401,14 @@ def _table_radius(a: TableSeq, size) -> float:
     for ell in window:
         v = np.asarray(a.values[ell])
         shift = math.frexp(abs(v).max())[1]  # _pow2_scaled(v) is v * 2**-shift
+        s = size(_pow2_scaled(v))
         try:
-            mag = math.ldexp(size(_pow2_scaled(v)), shift)
-        except OverflowError:  # a size past the float range, as math.hypot gives it
-            mag = math.inf
-        if mag > 0.0:
-            est = max(est, mag ** (1.0 / ell))
+            root = math.ldexp(s, shift) ** (1.0 / ell)
+        except OverflowError:  # size(v) past the float range: root first, then
+            q, r = divmod(shift, ell)  # scale; at l = 1 the root is past it too
+            root = math.ldexp(s ** (1.0 / ell) * 2.0 ** (r / ell), q) if ell > 1 else math.inf
+        if root > 0.0:
+            est = max(est, root)
     return math.inf if est == 0.0 else 1.0 / est
 
 

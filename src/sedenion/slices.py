@@ -205,14 +205,14 @@ def _check_frame(i1: CDElement, i2: CDElement) -> tuple[NDArray, NDArray]:
     return v1, v2
 
 
-def _assemble(cos_a: float, sin_a: float, sin_t: float,
-              a_coeff: float, j8: NDArray[np.float64]) -> CDElement:
-    """Slice unit a_coeff*j + (cos_a + sin_a*sin_t*j)*e8 from raw parts."""
+def _assemble(cos_a: float, sin_a: float, cos_t: float, sin_t: float,
+              j8: NDArray[np.float64]) -> SliceUnit:
+    """Slice unit sin_a*cos_t*j + (cos_a + sin_a*sin_t*j)*e8 from raw parts."""
     out = np.zeros(DIM)
-    out[1:8] = a_coeff * j8[1:]
+    out[1:8] = (sin_a * cos_t) * j8[1:]
     out[8] = cos_a
     out[9:16] = (sin_a * sin_t) * j8[1:]
-    return CDElement(out)
+    return SliceUnit(CDElement(out))
 
 
 def from_polar(alpha: float, theta: float, jmath: CDElement) -> SliceUnit:
@@ -229,7 +229,7 @@ def from_polar(alpha: float, theta: float, jmath: CDElement) -> SliceUnit:
     j8 = _octonion_unit(jmath, "jmath")
     cos_a, sin_a = math.cos(alpha), math.sin(alpha)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
-    return SliceUnit(_assemble(cos_a, sin_a, sin_t, sin_a * cos_t, j8))
+    return _assemble(cos_a, sin_a, cos_t, sin_t, j8)
 
 
 def psi(alpha: float, theta: float, frame: tuple[CDElement, CDElement]) -> SliceUnit:
@@ -250,7 +250,7 @@ def psi(alpha: float, theta: float, frame: tuple[CDElement, CDElement]) -> Slice
 def _psi_parts(cos_a: float, sin_a: float, cos_t: float, sin_t: float,
                v1: NDArray[np.float64], v2: NDArray[np.float64]) -> SliceUnit:
     kappa = cos_t * v1 + sin_t * v2
-    return SliceUnit(_assemble(cos_a, sin_a, sin_t, sin_a * cos_t, kappa))
+    return _assemble(cos_a, sin_a, cos_t, sin_t, kappa)
 
 
 # ---------------------------------------------------------------------------

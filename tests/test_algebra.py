@@ -373,3 +373,36 @@ def test_complex_coords_rejects_a_nan_coefficient():
     x = CDElement([0.5, math.nan] + [0.0] * 14)
     with pytest.raises(ValueError, match="does not lie on the requested complex slice"):
         complex_coords(x, basis(1, 4))
+
+
+def test_equal_elements_hash_equally_and_key_sets_and_dicts():
+    a, b = parse_element("1+2e3-e9"), CDElement([1, 0, 0, 2, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0])
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert CDElement([0.0, 1.0]) == CDElement([-0.0, 1.0])
+    assert hash(CDElement([0.0, 1.0])) == hash(CDElement([-0.0, 1.0]))
+    assert basis(1) != basis(1, 4)  # equal coefficients, different levels
+    assert len({a, b, basis(1), basis(1, 4), basis(1, 4) * 1.0}) == 3
+    table = {a: "a", basis(1): "e1 at level 1"}
+    assert table[b] == "a" and basis(1, 4) not in table
+
+
+@pytest.mark.parametrize("coeffs, level, message", [
+    ([[1.0, 2.0]], None, "coefficients must be a flat sequence"),
+    ([1.0, 2.0, 3.0], None, "coefficient count must be a power of two, got 3"),
+    ([], None, "coefficient count must be a power of two, got 0"),
+    ([1.0] * 4, 1, "level 1 too small for 4 coefficients"),
+    ([1.0] * 4, 5, r"level 5 unsupported \(max 4\)"),
+    ([1.0] * 32, None, r"level 5 unsupported \(max 4\)"),
+], ids=["nested", "three", "empty", "level-too-small", "level-5", "32-coefficients"])
+def test_cdelement_constructor_errors(coeffs, level, message):
+    with pytest.raises(ValueError, match=message):
+        CDElement(coeffs, level=level)
+
+
+@pytest.mark.parametrize("e1", [basis(1), basis(1, 4)], ids=["level-1", "level-4"])
+def test_a_real_on_either_side_of_plus_and_minus(e1):
+    pad = [0.0] * ((1 << e1.level) - 2)
+    assert 1 + e1 == e1 + 1 == CDElement([1.0, 1.0] + pad)
+    assert e1 - 1 == CDElement([-1.0, 1.0] + pad)
+    assert 1 - e1 == CDElement([1.0, -1.0] + pad)
+    assert 0.5 - e1 + e1 == CDElement([0.5, 0.0] + pad)

@@ -37,6 +37,15 @@ def test_table_verify_reports_full_agreement(capsys):
     assert out == "256/256 entries match\n"
 
 
+def test_table_json_is_the_csv_grid(capsys):
+    _, csv, _ = run(capsys, ["table"])
+    rc, out, _ = run(capsys, ["table", "--format", "json"])
+    assert rc == 0
+    rows = json.loads(out)
+    assert rows == [line.split(",") for line in csv.splitlines()]
+    assert rows[0][:3] == ["", "1", "e1"] and rows[2][2] == "-1" and rows[2][3] == "e3"
+
+
 def test_table_prints_a_16_by_16_grid(capsys):
     rc, out, _ = run(capsys, ["table"])
     assert rc == 0
@@ -131,6 +140,19 @@ def test_polar_without_arguments_is_an_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["polar", "--alpha", "1.0"], "--alpha needs --theta"),
+    (["polar", "--alpha", "1.0", "--theta", "0.5", "--frame", "e1"],
+     "--frame wants two comma-separated units"),
+    (["polar", "--alpha", "1.0", "--theta", "0.5"], "construction needs --frame or --jmath"),
+    (["cker", "e1", "e10", "--curve", "0"], "--curve wants a positive sample count"),
+    (["cker", "e1", "e10"], "give a candidate unit K, or --curve N to sample"),
+], ids=["polar-alpha-alone", "polar-one-frame-unit", "polar-no-frame-or-jmath",
+        "cker-curve-0", "cker-no-k"])
+def test_incomplete_construction_or_curve_requests_exit_2(capsys, argv, message):
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_cker_membership_exit_codes(capsys):
     rc, out, _ = run(capsys, ["cker", "e1", "e10", "e10"])
     assert (rc, out) == (0, "member=yes\n")
@@ -184,7 +206,8 @@ def test_radii_flags_table_estimates(capsys):
 
 
 @pytest.mark.parametrize("scale, r_a", [("1e200", "0.0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000840896415254"),
-                                        ("1e-200", "4135185542" + "0" * 57)])
+                                        ("1e-200", "4135185542" + "0" * 57),
+                                        ("1.5e308", "0." + "0" * 154 + "686589047969")])
 def test_radii_of_a_table_near_either_end_of_the_float_range(capsys, scale, r_a):
     value = json.dumps([0, 0, 0, 0, float(scale)] + [0] * 10 + [float(scale)])
     seq = '{"kind":"table","values":[%s]}' % ",".join([value] * 4)
@@ -194,6 +217,33 @@ def test_radii_of_a_table_near_either_end_of_the_float_range(capsys, scale, r_a)
     assert (rc, err) == (0, "")
     assert out.startswith(f"R_a={r_a} R_a^p=")
     assert out.endswith(" witness=e10\ncase=HyperIntersection approximate=yes\n")
+
+
+def test_seq_reads_a_json_file_path(capsys, tmp_path):
+    seq = json.dumps({"kind": "geometric", "terms": [{"coeff": "1", "ratio": 3.0},
+                                                     {"coeff": "e4+e15", "ratio": 2.0}]})
+    path = tmp_path / "seq.json"
+    path.write_text(seq, encoding="utf-8")
+    rc, out, err = run(capsys, ["radii", "--seq", str(path)])
+    assert (rc, out, err) == (0, "R_a=2 R_a^p=3 witness=e10\ncase=HyperIntersection\n", "")
+    for argv in (["contains", "2.5e10"], ["eval", "0.5e1"], ["scan", "--rstep", "1"]):
+        assert run(capsys, [*argv, "--seq", str(path)]) == run(capsys, [*argv, "--seq", seq])
+
+
+def test_seq_naming_a_missing_file_exits_2(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    rc, out, err = run(capsys, ["radii", "--seq", missing])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and missing in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [["radii"], ["contains", "e1"], ["eval", "e1"], ["scan"],
+                                     ["figure"]], ids=lambda c: c[0])
+def test_center_is_read_before_seq(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.setenv("SEDENION_OUTDIR", str(tmp_path))
+    argv = [*command, "--seq", str(tmp_path / "missing.json"), "--center", "bad"]
+    assert run(capsys, argv) == (2, "", "error: cannot parse element text at: 'bad'\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_radii_json_payload(capsys):
@@ -634,10 +684,16 @@ def test_figure_n_below_1_exits_2(capsys, tmp_path, n):
      "--rmax must be finite and positive"),
     (["figure", "--rmax", "0", "--n", "2", "--slices", "e10"],
      "--rmax must be finite and positive"),
+    (["scan", "--slices=,"], "--slices names no slice unit"),
+    (["scan", "--slices=,,", "--out", "rows.csv"], "--slices names no slice unit"),
+    (["scan", "--slices="], "--slices names no slice unit"),
+    (["figure", "--slices=,"], "--slices names no slice unit"),
+    (["figure", "--slices=", "--format", "svg"], "--slices names no slice unit"),
 ], ids=["scan-too-many-points", "figure-too-many-points", "scan-zero-step",
         "scan-negative-step", "scan-nan-rmin", "scan-inf-rmax", "scan-inf-step",
         "scan-nan-theta", "scan-inf-theta", "figure-nan-rmax", "figure-inf-rmax",
-        "figure-negative-rmax", "figure-zero-rmax"])
+        "figure-negative-rmax", "figure-zero-rmax", "scan-no-slice", "scan-out-no-slice",
+        "scan-empty-slices", "figure-no-slice", "figure-svg-empty-slices"])
 def test_bad_grids_exit_2_before_any_work(capsys, tmp_path, monkeypatch, argv, message):
     # The grid is refused from its requested size, so even the 4e12-point
     # scan returns at once and nothing is written.

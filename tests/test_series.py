@@ -1,9 +1,11 @@
 """Radii, domain membership, star polynomials, and series evaluation."""
 
+import decimal
 import math
 import tracemalloc
 import warnings
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -445,16 +447,23 @@ def test_table_radius_near_either_end_of_the_float_range(scale):
     # Oracle: 1/max_l |a_l|^(1/l) over the window l = 2, 3 of a four-value
     # table, with |a_l| from math.hypot, which neither overflows nor underflows
     # below 1.5e308; v @ v of the raw value would do one or the other.  At
-    # 1.5e308 the norm itself is past the float range: inf, so R_a = 0.
+    # 1.5e308 the norm itself is past the float range, but its roots are not:
+    # the oracle there is 30-digit decimal arithmetic.  abs=0, because every
+    # radius from 1e160 up is below pytest's default absolute tolerance.
     v = [0.0] * 16
     v[4] = v[15] = scale
     table = TableSeq.of([v] * 4)
-    want = 1.0 / max(math.hypot(*v) ** (1.0 / ell) for ell in (2, 3))
+    if scale == 1.5e308:
+        with decimal.localcontext(prec=30):
+            norm = (Decimal(scale) ** 2 * 2).sqrt()
+            want = float(1 / max(norm ** (Decimal(1) / ell) for ell in (2, 3)))
+    else:
+        want = 1.0 / max(math.hypot(*v) ** (1.0 / ell) for ell in (2, 3))
     p = center()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = Domain(p, table).report
-    assert rep.r_a == pytest.approx(want, rel=1e-14)
+    assert rep.r_a == pytest.approx(want, rel=1e-14, abs=0.0)
     unit = Domain(p, TableSeq.of(["e4+e15"] * 4)).report
     assert rep.case is unit.case is DomainCase.HYPER_INTERSECTION
     assert same_unit(rep.witness, E10) and unit.witness == E10

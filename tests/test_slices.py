@@ -60,6 +60,15 @@ def test_slice_unit_constructor_validates():
         SliceUnit("0.5e1")
 
 
+def test_equal_slice_units_hash_equally_and_key_sets_and_dicts():
+    a, b = SliceUnit("e10"), SliceUnit(parse_element("e10"))
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a != -a and SliceUnit("e1") != SliceUnit("e2")
+    assert len({a, b, -a, SliceUnit("e1"), -(-a)}) == 3
+    table = {a: "J", -a: "-J"}
+    assert table[b] == "J" and table[-b] == "-J" and SliceUnit("e1") not in table
+
+
 # --- polar coordinates ----------------------------------------------------------
 
 
