@@ -151,6 +151,14 @@ _BLOCK = 256
 # ---------------------------------------------------------------------------
 
 
+def _frozen(arr: NDArray[np.float64]) -> NDArray[np.float64]:
+    """arr itself when read-only, else a read-only copy: a caller's array stays its own."""
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 class CDElement:
     """Immutable Cayley-Dickson element: a level and a 2**level coefficient vector.
 
@@ -180,9 +188,8 @@ class CDElement:
             lv = level
         if lv > MAX_LEVEL:
             raise ValueError(f"level {lv} unsupported (max {MAX_LEVEL})")
-        arr.flags.writeable = False
         object.__setattr__(self, "level", lv)
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", _frozen(arr))
 
     def __setattr__(self, name, value):
         raise AttributeError("CDElement is immutable")

@@ -115,6 +115,14 @@ def _outdir() -> str:
     return os.environ.get("SEDENION_OUTDIR", ".")
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that `_write(path, ...)` would raise; no new file is left."""
+    existed = os.path.exists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
+
+
 def _write(path: str, text: str) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -257,6 +265,7 @@ def cmd_cker(args) -> int:
         n = args.curve
         if n < 1:
             raise ValueError("--curve wants a positive sample count")
+        _check_grid_size(n)
         lines = ["theta," + ",".join(f"c{k}" for k in range(16))]
         for i in range(n):
             theta = math.pi * i / n
@@ -346,6 +355,9 @@ def cmd_scan(args) -> int:
     slices = _slices(args, p, a)
     steps = (args.rmax - args.rmin) / args.rstep
     _check_grid_size((steps + 1) * len(angular) * len(slices))
+    out = args.out and os.path.join(_outdir(), args.out)
+    if out:
+        _check_writable(out)
     nsteps = int(round(steps))
     radial = [round(args.rmin + k * args.rstep, 12) for k in range(nsteps + 1)]
     radial = [r for r in radial if r > 0]
@@ -364,7 +376,7 @@ def cmd_scan(args) -> int:
         agreed += res.agreed
         summaries.append(f"slice={name} scored={res.scored} agreed={res.agreed} "
                          f"agreement={_fmt(res.agreement)}")
-    _print_or_write("\n".join(lines) + "\n", args.out and os.path.join(_outdir(), args.out))
+    _print_or_write("\n".join(lines) + "\n", out)
     for s in summaries:
         print(s)
     rate = ScanResult(rows=(), scored=scored, agreed=agreed).agreement

@@ -313,10 +313,8 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         return " | ".join(f"q^{i}: {format_element(c)}"
-                          for i, c in enumerate(self.coeffs))
+                          for i, c in enumerate(self.coeffs)) or "0"
 
 
 def star_mul(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -420,7 +418,7 @@ def radius_RapJ(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
     ker(I_p - J) count, so it can only be larger (+inf when every
     coefficient sits inside the kernel).
     """
-    if p.is_real or axis_sign(j, p.axis):
+    if _plane_sign(p, j):
         return radius_Ra(a)
     return _reflected_radius(a, p, j)
 
@@ -513,6 +511,15 @@ _SLICE_MEMO = 16
 _Disks = tuple[complex, float, complex, float]
 
 
+def _plane_sign(p: WPoint, j: SliceUnit) -> int:
+    """+1 or -1 when C_J is the center plane of p, as J = I_p or J = -I_p, else 0.
+
+    Every slice is the center plane of a real p (+1).  The axis object of p
+    itself needs no axis test.
+    """
+    return 1 if p.is_real or j is p.axis else axis_sign(j, p.axis)
+
+
 def _slice_disks(p: WPoint, r: float, j: SliceUnit,
                  reflected: Callable[[], float]) -> _Disks:
     """The two disks (c1, r1, c2, r2) of a domain on the slice C_J.
@@ -522,10 +529,9 @@ def _slice_disks(p: WPoint, r: float, j: SliceUnit,
     |z - conj(z_p)| < reflected(), which runs only there.  On the center
     plane (every J for a real p) the domain is the one disk of radius r
     around p as seen from C_J: z_p for J = I_p, conj(z_p) for J = -I_p; the
-    second disk repeats that center with an infinite radius.  The axis
-    object of p itself needs no axis test.
+    second disk repeats that center with an infinite radius.
     """
-    sign = 1 if p.is_real or j is p.axis else axis_sign(j, p.axis)
+    sign = _plane_sign(p, j)
     if not sign:
         return p.z, r, p.z.conjugate(), reflected()
     c = p.z if sign > 0 else p.z.conjugate()
@@ -550,12 +556,8 @@ class Domain:
     def __init__(self, p: WPoint, a: SeqSpec):
         ra = radius_Ra(a)
         rap, witness = _companion_radius(a, p, ra)  # a witness exactly when rap > ra
-        if p.is_real:
-            case = DomainCase.REAL_CENTER
-        elif witness is None:
-            case = DomainCase.SIGMA_BALL_ONLY
-        else:
-            case = DomainCase.HYPER_INTERSECTION
+        case = (DomainCase.REAL_CENTER if p.is_real else DomainCase.SIGMA_BALL_ONLY
+                if witness is None else DomainCase.HYPER_INTERSECTION)
         self.p, self.a = p, a
         self.report = DomainReport(r_a=ra, r_ap=rap, witness=witness, case=case,
                                    approximate=isinstance(a, TableSeq))
@@ -709,25 +711,23 @@ def _matvecs(m, rows):
     return np.matmul(m, rows[..., None])[..., 0]
 
 
-def _geometric_blocks(a: GeometricSum | Lacunary, mp, c_plus, c_minus):
+def _geometric_blocks(a: GeometricSum | Lacunary, mp, live):
     """Channels and block maker of a geometric sum or a gap series.
 
-    Each ratio group has fixed channel images (of the coefficient and of its
-    rotation by mp), so a term is Re(zeta) * image + Im(zeta) * image summed
-    over the live channels, with zeta the channel step divided by the ratio
-    to the power l.  An image below CHANNEL_DUST of its input is a formal
-    annihilation seen through rounding and is dropped (None).  A gap series
-    is one group whose rows off its support are exact zeros.  Returns the
-    (plus channel?, ratio) of each live channel and a function (start,
+    Each ratio group has fixed images in each live channel (of the
+    coefficient and of its rotation by mp), so a term is Re(zeta) * image +
+    Im(zeta) * image summed over them, with zeta the channel step divided by
+    the ratio to the power l.  An image below CHANNEL_DUST of its input is a
+    formal annihilation seen through rounding and is dropped (None).  A gap
+    series is one group whose rows off its support are exact zeros.  Returns
+    the (plus channel?, ratio) of each channel kept and a function (start,
     zetas) -> terms over a (n, points, channels) stack of powers.
     """
     channels, images = [], []
     for ratio, coeff in _ratio_groups(a):
         vs = (coeff, mp @ coeff)
-        for plus, op in ((True, c_plus), (False, c_minus)):
-            if op is None:
-                continue
-            imgs = [v if isinstance(op, str) else op @ v for v in vs]
+        for plus, op in live:
+            imgs = [v if op is None else op @ v for v in vs]
             imgs = [img if np.linalg.norm(img) > _tol.CHANNEL_DUST * np.linalg.norm(v)
                     else None for img, v in zip(imgs, vs)]
             if any(img is not None for img in imgs):
@@ -749,11 +749,9 @@ def _geometric_blocks(a: GeometricSum | Lacunary, mp, c_plus, c_minus):
     return channels, block
 
 
-def _table_blocks(values, mp, c_plus, c_minus):
+def _table_blocks(values, mp, live):
     """Channels and block maker of a table: rows from `values`, rotated by mp."""
     values = np.array(values)
-    live = [(plus, op) for plus, op in ((True, c_plus), (False, c_minus))
-            if op is not None]
 
     def block(start, zetas):
         coeffs = values[start:start + len(zetas), None, :]
@@ -762,7 +760,7 @@ def _table_blocks(values, mp, c_plus, c_minus):
         for k, (_, op) in enumerate(live):
             zeta = zetas[:, :, k]
             chan = zeta.real[..., None] * coeffs + zeta.imag[..., None] * rotated
-            out += chan if isinstance(op, str) else _matvecs(op, chan)
+            out += chan if op is None else _matvecs(op, chan)
         return out
 
     return [(plus, None) for plus, _ in live], block
@@ -794,7 +792,7 @@ def _block_stop(norms, quiet, tol):
 
 
 def _evaluate_chunk(steps, make_block, rows, max_terms, tol, gaps):
-    """Partial sums and verdicts of points sharing one channel setup.
+    """Partial sums and verdicts of points on one slice.
 
     `steps` is (points, channels): the complex step of each point in each
     live channel.  The points run through blocks of the first `rows` terms
@@ -858,41 +856,24 @@ def _evaluate_chunk(steps, make_block, rows, max_terms, tol, gaps):
 
 def _report(total, terms: int, verdict: Verdict, tail: list[float]) -> EvalReport:
     # Python's max over the window: a NaN at its end is skipped, not returned
-    return EvalReport(partial_sum=CDElement(total.copy()), terms_used=terms,
+    return EvalReport(partial_sum=CDElement(total), terms_used=terms,
                       verdict=verdict, tail_norm=max(tail))
 
 
-def _channel_setup(q: WPoint, p: WPoint) -> tuple[object, int]:
-    """Key and axis sign of q's channel setup.
+def _channels(q: WPoint, p: WPoint):
+    """The rotation mp and the live channels (plus channel?, C) of q's slice.
 
-    The sign is +1 / -1 when q lies on the center plane with the same /
-    opposite axis as p (q or p real counts as +1), else 0.  Complex powers
-    act through the center axis, or through I_q for a real p, so the key is
-    the sign alone on the center plane of a non-real p and I_q otherwise;
-    points with equal keys share the rotation mp and the operators C_pm.
-    """
-    sign = 1 if q.is_real or p.is_real else axis_sign(q.axis, p.axis)
-    return (sign if sign and not p.is_real else q.axis.key), sign
-
-
-def _channel_operators(q: WPoint, p: WPoint, sign: int):
-    """The rotation mp and the channel operators (C_plus, C_minus) for q.
-
-    When the axes are (anti)aligned the operators are snapped to the exact
-    identity and None (a dead channel); otherwise C_pm = (id -+ M_q M_p)/2.
+    Complex powers act through the center axis, or through I_q for a real p.
+    On the center plane (a real q lies on it) one channel lives, C_plus for
+    I_q = I_p and C_minus for I_q = -I_p, and C is the exact identity (None);
+    off it both live, with C_pm = (id -+ M_q M_p)/2.
     """
     mp = (q.axis if p.is_real else p.axis).matrix
-    if sign > 0:
-        return mp, "id", None
-    if sign < 0:
-        return mp, None, "id"
+    sign = _plane_sign(p, p.axis if q.is_real else q.axis)
+    if sign:
+        return mp, [(sign > 0, None)]
     prod = q.axis.matrix @ mp
-    return mp, (np.eye(DIM) - prod) / 2.0, (np.eye(DIM) + prod) / 2.0
-
-
-def _channel_step(step: complex, ratio: float | None) -> complex:
-    # Python complex division: numpy's rounds differently in the last bit
-    return step if ratio is None else step / ratio
+    return mp, [(True, (np.eye(DIM) - prod) / 2.0), (False, (np.eye(DIM) + prod) / 2.0)]
 
 
 def evaluate_points(qs: Sequence[WPoint], p: WPoint, a: SeqSpec,
@@ -905,18 +886,18 @@ def evaluate_points(qs: Sequence[WPoint], p: WPoint, a: SeqSpec,
 
     with w = z_q, z = z_p, complex powers acting through the center axis,
     and C_pm = (id -+ M_q M_p)/2 built from left-multiplication matrices.
-    When the axes are (anti)aligned the operators are snapped to exact
-    identity/zero: the dead channel is only zero up to rounding, and a
-    1e-16-sized operator times a geometrically growing power would otherwise
-    poison the sum.
+    On the center plane (I_q = +-I_p, a real q or a real p) only one channel
+    lives, and it is the exact identity: the other operator is only zero up
+    to rounding, and a 1e-16-sized operator times a geometrically growing
+    power would otherwise poison the sum.
 
-    Points are grouped by channel setup (the sign of I_q against I_p, or
-    I_q itself off the center plane) and run in chunks of at most 256
-    points, 64 terms per point at a time as one (64, points, 16) array; each
-    point adds its terms in order up to its own stopping index, so every
-    report carries the same rounding as adding one term at a time for that
-    point alone.  No floating-point warning escapes: a non-finite term is
-    the Diverged verdict.  A center hit (q = p) gets a_0 at once.
+    Points are grouped by slice (whether q is real, and I_q) and run in
+    chunks of at most 256 points, 64 terms per point at a time as one
+    (64, points, 16) array; each point adds its terms in order up to its own
+    stopping index, so every report carries the same rounding as adding one
+    term at a time for that point alone.  No floating-point warning escapes:
+    a non-finite term is the Diverged verdict.  A center hit (q = p) gets
+    a_0 at once.
 
     Geometric sums and gap series go through their ratio groups, whose four
     channel images (C_pm of the coefficient and of its I_p rotation) are
@@ -942,33 +923,29 @@ def evaluate_points(qs: Sequence[WPoint], p: WPoint, a: SeqSpec,
         raise ValueError("max_terms must be at least 1")
     center = p.key
     reports: list[EvalReport | None] = [None] * len(qs)
-    groups: dict[object, tuple[int, list[int]]] = {}  # key -> (sign, point indices)
-    setups: dict[tuple[bool, int], tuple[object, int]] = {}  # by axis object
+    slices: dict[tuple, list[int]] = {}  # (q real?, axis key) -> point indices
     for i, q in enumerate(qs):
         if q.key == center:
             reports[i] = _report(a.term(0), 1, Verdict.CONVERGED, [0.0])
-            continue
-        memo = (q.is_real, id(q.axis))
-        if memo not in setups:
-            setups[memo] = _channel_setup(q, p)
-        key, sign = setups[memo]
-        groups.setdefault(key, (sign, []))[1].append(i)
+        else:
+            slices.setdefault((q.is_real, q.axis.key), []).append(i)
     with np.errstate(all="ignore"):
-        for sign, members in groups.values():
-            mp, c_plus, c_minus = _channel_operators(qs[members[0]], p, sign)
+        for members in slices.values():
+            mp, live = _channels(qs[members[0]], p)
             if isinstance(a, TableSeq):
-                channels, make_block = _table_blocks(a.values, mp, c_plus, c_minus)
+                channels, make_block = _table_blocks(a.values, mp, live)
                 rows = min(max_terms, len(a.values))
             else:
-                channels, make_block = _geometric_blocks(a, mp, c_plus, c_minus)
+                channels, make_block = _geometric_blocks(a, mp, live)
                 rows = max_terms
             for lo in range(0, len(members), _CHUNK):
                 chunk = members[lo:lo + _CHUNK]
                 steps = []
                 for i in chunk:
                     w, z = qs[i].z, p.z
-                    step_p, step_m = w - z, w.conjugate() - z
-                    steps.append([_channel_step(step_p if plus else step_m, ratio)
+                    step = {True: w - z, False: w.conjugate() - z}  # C_plus, C_minus
+                    # Python complex division: numpy's rounds differently in the last bit
+                    steps.append([step[plus] if ratio is None else step[plus] / ratio
                                   for plus, ratio in channels])
                 steps = np.array(steps, dtype=complex).reshape(len(chunk), len(channels))
                 for i, rep in zip(chunk, _evaluate_chunk(steps, make_block, rows, max_terms,

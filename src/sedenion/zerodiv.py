@@ -31,6 +31,7 @@ from .algebra import (
     DIM,
     MAX_LEVEL,
     _EYE,
+    _frozen,
     cd_mul,
     left_mult_matrix,
 )
@@ -81,8 +82,7 @@ class Subspace:
         k = b.shape[0]
         if k and (k > DIM or not abs(b @ b.T - _EYE[:k, :k]).max() <= _tol.ORTHONORMAL):
             raise ValueError(f"basis is not orthonormal within {_tol.ORTHONORMAL}")
-        b.flags.writeable = False
-        object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "basis", _frozen(b))
 
     @classmethod
     def from_span(cls, vectors: Iterable) -> "Subspace":

@@ -399,6 +399,20 @@ def test_cdelement_constructor_errors(coeffs, level, message):
         CDElement(coeffs, level=level)
 
 
+def test_an_element_keeps_a_read_only_copy_of_a_writable_array():
+    v = np.zeros(16)
+    e = CDElement(v)
+    v[0] = 5.0  # the caller's array stays writable and its own
+    assert e.coeffs[0] == 0.0
+    base = np.zeros((2, 16))
+    e = CDElement(base[0])
+    h = hash(e)
+    base[0, 0] = 7.0
+    assert e.coeffs[0] == 0.0 and hash(e) == h == hash(CDElement(np.zeros(16)))
+    assert not e.coeffs.flags.writeable
+    assert CDElement(e.coeffs).coeffs is e.coeffs  # a read-only array is shared
+
+
 @pytest.mark.parametrize("e1", [basis(1), basis(1, 4)], ids=["level-1", "level-4"])
 def test_a_real_on_either_side_of_plus_and_minus(e1):
     pad = [0.0] * ((1 << e1.level) - 2)

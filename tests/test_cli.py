@@ -187,6 +187,24 @@ def test_cker_curve_refuses_json_before_any_work(capsys, tmp_path):
     assert (rc, out) == (0, '{"member": true}\n')
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("called after the command should have been refused")
+
+
+def test_cker_curve_refuses_more_samples_than_the_grid_limit(capsys, tmp_path, monkeypatch):
+    # The sample count is refused from its requested size: no curve point is
+    # computed, so the limit itself never runs.
+    import sedenion.cli as cli
+
+    monkeypatch.setattr(cli, "cker_curve_point", _never)
+    target = tmp_path / "curve.csv"
+    rc, out, err = run(capsys, ["cker", "e1", "e10", "--curve", str(10**6 + 1),
+                                "--out", str(target)])
+    assert (rc, out) == (2, "")
+    assert err == "error: grid of 1e+06 points exceeds the limit of 1000000\n"
+    assert not target.exists()
+
+
 # ---------------------------------------------------------------------------
 # series commands
 # ---------------------------------------------------------------------------
@@ -335,6 +353,36 @@ def test_scan_writes_csv_under_the_output_dir(capsys, tmp_path, monkeypatch):
     body = path.read_text().splitlines()
     assert body[0].startswith("slice,theta")
     assert len(body) == 3
+
+
+def test_scan_refuses_an_unwritable_out_before_any_row(capsys, tmp_path, monkeypatch):
+    import sedenion.cli as cli
+
+    monkeypatch.setenv("SEDENION_OUTDIR", str(tmp_path))
+    monkeypatch.setattr(cli, "convergence_scan", _never)
+    rc, out, err = run(capsys, ["scan", "--rstep", "0.02", "--out", "nodir/x.csv"])
+    assert (rc, out) == (2, "")
+    path = tmp_path / "nodir" / "x.csv"
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_scan_refused_after_the_out_check_leaves_the_out_path_as_it_was(
+        capsys, tmp_path, monkeypatch):
+    # Radii all below zero leave an empty grid, which convergence_scan
+    # refuses after --out passed its check: no file appears, and an existing
+    # one keeps its text.
+    monkeypatch.setenv("SEDENION_OUTDIR", str(tmp_path))
+    argv = ["scan", "--rmin", "-2", "--rmax", "-1", "--out", "rows.csv"]
+    for before in (None, "old rows\n"):
+        if before is not None:
+            (tmp_path / "rows.csv").write_text(before)
+        rc, out, err = run(capsys, argv)
+        assert (rc, out, err) == (2, "", "error: scan grids must be nonempty\n")
+        if before is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert (tmp_path / "rows.csv").read_text() == before
 
 
 def test_figure_writes_per_slice_csv_and_svg(capsys, tmp_path, monkeypatch):

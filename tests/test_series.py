@@ -147,6 +147,11 @@ def test_unknown_sequence_kind_is_rejected():
         seq_from_json({"kind": "fourier"})
 
 
+def test_only_sequence_specs_go_to_json():
+    with pytest.raises(TypeError, match="not a sequence spec: dict"):
+        seq_to_json({"kind": "table", "values": ["1"]})
+
+
 # ---------------------------------------------------------------------------
 # star polynomials
 # ---------------------------------------------------------------------------
@@ -167,6 +172,17 @@ def test_star_mul_identity_and_zero():
     assert star_mul(p, one) == p
     assert star_mul(one, p) == p
     assert star_mul(p, Polynomial(())).degree == -1
+
+
+def test_polynomials_drop_trailing_zero_coefficients():
+    # (e1 - e10)(e4 + e15) = 0, so this product of two nonzero polynomials
+    # is the zero polynomial: no coefficient, degree -1, printed as 0.
+    p = Polynomial.of(["0", "e1-e10"])
+    assert p.degree == 1
+    prod = star_mul(p, Polynomial.of(["e4+e15"]))
+    assert prod.coeffs == () and prod.degree == -1 and str(prod) == "0"
+    assert Polynomial.of(["1", "e1", "0", "0"]).degree == 1
+    assert str(Polynomial.of(["1", "e1", "0"])) == "q^0: 1 | q^1: e1"
 
 
 def test_star_mul_is_not_associative():
@@ -354,7 +370,7 @@ def test_reflected_radius_agrees_with_the_surviving_channel_images(rng):
     # SVD kernel of I_p - J; evaluation keeps the ratio groups whose C_minus
     # image survives the 1e-13 filter.  The smallest kept ratio is the radius.
     from sedenion import kernel_of_left_mult, random_hyper_pair, random_slice_unit
-    from sedenion.series import _channel_operators, _channel_setup, _geometric_blocks
+    from sedenion.series import _channels, _geometric_blocks
 
     kernel_coeffs = 0
     for n in range(200):
@@ -375,8 +391,7 @@ def test_reflected_radius_agrees_with_the_surviving_channel_images(rng):
             pairs.append((CDElement(c), float(ratio)))
         a = Lacunary.of(*pairs[0]) if len(pairs) == 1 else GeometricSum.of(pairs)
         q = wpoint_from(0.3, 1.0, j2)
-        mp, c_plus, c_minus = _channel_operators(q, p, _channel_setup(q, p)[1])
-        channels, _ = _geometric_blocks(a, mp, c_plus, c_minus)
+        channels, _ = _geometric_blocks(a, *_channels(q, p))
         reflected = [ratio for plus, ratio in channels if not plus]
         assert min(reflected, default=math.inf) == radius_RapJ(a, p, j2), n
     assert kernel_coeffs > 50

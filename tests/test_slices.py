@@ -380,6 +380,11 @@ def _eager_value(re, im, axis):
     return CDElement(re * e0 + im * axis.s.coeffs)
 
 
+def test_wpoint_repr_shows_the_value_and_the_complex_coordinate():
+    assert repr(wpoint("0.5+2e1")) == "WPoint('0.5+2e1', z=(0.5+2j))"
+    assert repr(wpoint_from(3.0, 0.0, SliceUnit("e10"))) == "WPoint('3', z=(3+0j))"
+
+
 def test_lazy_wpoint_value_is_bitwise_the_eager_expression(rng):
     n = 100
     last = math.pi * (n - 1) / (n - 1)  # a hair past pi: sin(last) < 0

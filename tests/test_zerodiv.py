@@ -85,6 +85,12 @@ def test_kernel_of_zero_is_everything():
     assert kernel_of_left_mult(zero(4)).dim == 16
 
 
+def test_zero_is_not_a_zero_divisor():
+    # a zero divisor is nonzero by definition, though 0 * x = 0 for every x
+    from sedenion import zero
+    assert not is_zero_divisor(zero(4)) and not is_zero_divisor(zero(0))
+
+
 def test_is_zero_divisor_examples(rng):
     assert is_zero_divisor(parse_element("e1-e10").promote(4))
     assert is_zero_divisor(parse_element("e1+e10").promote(4))
@@ -234,6 +240,30 @@ def test_principal_angles_detect_known_rotation():
         got = principal_angles(a, b)
         assert got.shape == (1,)
         assert abs(got[0] - phi) < 1e-9 * max(1.0, 1.0 / phi) or abs(got[0] - phi) < 1e-12
+
+
+def test_empty_subspaces():
+    empty = Subspace.from_span([])
+    assert empty.dim == 0 and empty.basis.shape == (0, 16)
+    assert np.array_equal(empty.complement().basis, np.eye(16))
+    assert principal_angles(empty, span_of(KER_MINUS_SPAN)).shape == (0,)
+    assert principal_angles(span_of(KER_MINUS_SPAN), empty).shape == (0,)
+
+
+def test_principal_angles_pad_unequal_dimensions_with_right_angles():
+    line = Subspace.from_span([basis(1, 4)])
+    plane = Subspace.from_span([basis(1, 4), basis(2, 4)])
+    for got in (principal_angles(line, plane), principal_angles(plane, line)):
+        assert got.shape == (2,) and abs(got[0]) < 1e-12 and got[1] == np.pi / 2
+
+
+def test_a_subspace_keeps_a_read_only_copy_of_a_writable_array():
+    b = np.eye(16)[:2]
+    sub = Subspace(b)
+    b[0, 0] = 5.0  # the caller's array stays writable and its own
+    assert sub.basis[0, 0] == 1.0 and not sub.basis.flags.writeable
+    ker = span_of(KER_MINUS_SPAN)
+    assert Subspace(ker.basis).basis is ker.basis  # a read-only array is shared
 
 
 def test_principal_angles_of_identical_spans_vanish():
