@@ -70,8 +70,11 @@ _MAX_GRID_POINTS = 10**6
 _MAX_TERMS = 10**6
 
 
-def _fmt(x: float) -> str:
-    return format_real(float(x))
+def _written(x: CDElement, show=format_element) -> tuple[str, str | None]:
+    """The (text, JSON) forms of element x: show(x), or `none` and null when a
+    coefficient is inf or NaN, which element text has no token for."""
+    text = show(x) if np.isfinite(x.coeffs).all() else None
+    return text or "none", text
 
 
 def _shown(x: CDElement) -> str:
@@ -176,8 +179,8 @@ def cmd_table(args) -> int:
 
 def cmd_mul(args) -> int:
     prod = parse_element(args.a) * parse_element(args.b)
-    _emit(args, [format_element(prod)],
-          {"text": format_element(prod), "coeffs": element_to_json(prod)})
+    text, js = _written(prod)
+    _emit(args, [text], {"text": js, "coeffs": element_to_json(prod)})
     return 0
 
 
@@ -191,7 +194,7 @@ def cmd_kernel(args) -> int:
 def cmd_decompose(args) -> int:
     dec = ortho_decompose(parse_element(args.x), parse_element(args.p))
     names = ("o_part", "ker_part", "kerc_part")
-    _emit(args, [f"{k}={_shown(getattr(dec, k))}" for k in names],
+    _emit(args, [f"{k}={_written(getattr(dec, k), _shown)[0]}" for k in names],
           {k: element_to_json(getattr(dec, k)) for k in names})
     return 0
 
@@ -201,9 +204,9 @@ def cmd_zd_check(args) -> int:
     a, b, c, d = o_left(x), o_right(x), o_left(y), o_right(y)
     is_zero, cert = zero_product_characterization(a, b, c, d)
     yn = lambda f: "yes" if f else "no"
-    formula = "none" if cert.d_formula is None else format_element(cert.d_formula)
+    formula, formula_js = ("none",) * 2 if cert.d_formula is None else _written(cert.d_formula)
     lines = [f"product_zero={yn(is_zero)}",
-             f"product_norm={_fmt(cert.product_norm)}",
+             f"product_norm={format_real(cert.product_norm)}",
              f"norms_match={yn(cert.norms_match)}",
              f"triple_special={yn(cert.triple_special)}",
              f"d_matches_formula={yn(cert.d_matches_formula)}",
@@ -213,7 +216,7 @@ def cmd_zd_check(args) -> int:
                         "norms_match": cert.norms_match,
                         "triple_special": cert.triple_special,
                         "d_matches_formula": cert.d_matches_formula,
-                        "d_formula": formula})
+                        "d_formula": formula_js})
     return 0 if is_zero else 1
 
 
@@ -223,7 +226,7 @@ def cmd_hyper(args) -> int:
         _emit(args, ["hyper=no"], {"hyper": False})
         return 1
     i1, i2, alpha = iota_frame(j1, j2)
-    lines = [f"hyper=yes alpha={_fmt(alpha)} "
+    lines = [f"hyper=yes alpha={format_real(alpha)} "
              f"i1={format_element(i1)} i2={format_element(i2)}"]
     _emit(args, lines, {"hyper": True, "alpha": alpha,
                         "i1": format_element(i1), "i2": format_element(i2)})
@@ -250,7 +253,7 @@ def cmd_polar(args) -> int:
     if args.s is None:
         raise ValueError("give a slice unit, or --alpha/--theta to construct one")
     u = SliceUnit(args.s)
-    lines = [f"alpha={_fmt(u.alpha)} theta={_fmt(u.theta)} "
+    lines = [f"alpha={format_real(u.alpha)} theta={format_real(u.theta)} "
              f"jmath={format_element(u.jmath)}"]
     _emit(args, lines, {"alpha": u.alpha, "theta": u.theta,
                         "jmath": format_element(u.jmath)})
@@ -270,8 +273,8 @@ def cmd_cker(args) -> int:
         for i in range(n):
             theta = math.pi * i / n
             pt = cker_curve_point(j1, j2, theta)
-            row = ",".join(_fmt(c) for c in pt.s.coeffs)
-            lines.append(f"{_fmt(theta)},{row}")
+            row = ",".join(format_real(c) for c in pt.s.coeffs)
+            lines.append(f"{format_real(theta)},{row}")
         _print_or_write("\n".join(lines) + "\n", args.out)
         return 0
     if args.k is None:
@@ -285,7 +288,7 @@ def cmd_radii(args) -> int:
     p, a = _series(args)
     rep = domain(p, a).report
     witness = format_element(rep.witness.s) if rep.witness else "none"
-    lines = [f"R_a={_fmt(rep.r_a)} R_a^p={_fmt(rep.r_ap)} witness={witness}",
+    lines = [f"R_a={format_real(rep.r_a)} R_a^p={format_real(rep.r_ap)} witness={witness}",
              f"case={rep.case.value}" + (" approximate=yes" if rep.approximate else "")]
     _emit(args, lines, {"R_a": rep.r_a, "R_ap": rep.r_ap, "witness": witness,
                         "case": rep.case.value, "approximate": rep.approximate})
@@ -304,12 +307,13 @@ def cmd_eval(args) -> int:
     p, a = _series(args)
     q = wpoint(args.q)
     rep = evaluate_series(q, p, a, max_terms=args.max_terms, tol=args.tol)
+    value, value_js = _written(rep.partial_sum)
     lines = [f"verdict={rep.verdict.value} terms={rep.terms_used} "
-             f"tail_norm={_fmt(rep.tail_norm)}",
-             f"value={format_element(rep.partial_sum)}"]
+             f"tail_norm={format_real(rep.tail_norm)}",
+             f"value={value}"]
     _emit(args, lines, {"verdict": rep.verdict.value, "terms": rep.terms_used,
                         "tail_norm": rep.tail_norm,
-                        "value": format_element(rep.partial_sum),
+                        "value": value_js,
                         "coeffs": element_to_json(rep.partial_sum)})
     return 0
 
@@ -369,18 +373,18 @@ def cmd_scan(args) -> int:
                                max_terms=args.max_terms, tol=args.tol,
                                band=args.band)
         for r in res.rows:
-            lines.append(f"{name},{_fmt(r.theta)},{_fmt(r.re)},{_fmt(r.im)},"
+            lines.append(f"{name},{format_real(r.theta)},{format_real(r.re)},{format_real(r.im)},"
                          f"{r.predicted.value},{r.empirical.value},"
-                         f"{r.terms_used},{_fmt(r.tail_norm)}")
+                         f"{r.terms_used},{format_real(r.tail_norm)}")
         scored += res.scored
         agreed += res.agreed
         summaries.append(f"slice={name} scored={res.scored} agreed={res.agreed} "
-                         f"agreement={_fmt(res.agreement)}")
+                         f"agreement={format_real(res.agreement)}")
     _print_or_write("\n".join(lines) + "\n", out)
     for s in summaries:
         print(s)
     rate = ScanResult(rows=(), scored=scored, agreed=agreed).agreement
-    print(f"total scored={scored} agreed={agreed} agreement={_fmt(rate)}")
+    print(f"total scored={scored} agreed={agreed} agreement={format_real(rate)}")
     return 0 if rate == 1.0 else 1
 
 
@@ -394,11 +398,11 @@ def _figure_csv(dom: Domain, sl: SliceUnit, n: int, rmax: float, band: float) ->
     radii = [rmax * k / n for k in range(1, n + 1)]
     re, im = polar_grid(radii, thetas)
     codes = dom.classify(re, im, sl, band).tolist()
-    rs = [_fmt(r) for r in radii]
+    rs = [format_real(r) for r in radii]
     lines = ["theta,r,re,im,class"]
     for theta, xs, ys, cs in zip(thetas, re.tolist(), im.tolist(), codes):
-        t = _fmt(theta)
-        lines += [f"{t},{r},{_fmt(x)},{_fmt(y)},{Membership.of(c).value}"
+        t = format_real(theta)
+        lines += [f"{t},{r},{format_real(x)},{format_real(y)},{Membership.of(c).value}"
                   for r, x, y, c in zip(rs, xs, ys, cs)]
     return "\n".join(lines) + "\n"
 

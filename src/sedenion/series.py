@@ -55,7 +55,6 @@ from .algebra import (
 from . import _tol
 from .zerodiv import kernel_of_left_mult
 from .slices import (
-    I0,
     SliceUnit,
     WPoint,
     find_companion,
@@ -328,12 +327,6 @@ def star_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(tuple(out))
 
 
-def _center_power(p: WPoint, j: int) -> CDElement:
-    """(-p)^j taken inside the commutative plane through p."""
-    zj = (-p.z) ** j
-    return complex_embed(zj, p.axis.s if not p.is_real else I0.s)
-
-
 def star_pow_center(p: WPoint, ell: int) -> Polynomial:
     """(q - p)^{*ell} expanded in powers of q.
 
@@ -344,20 +337,16 @@ def star_pow_center(p: WPoint, ell: int) -> Polynomial:
     """
     if ell < 0:
         raise ValueError("star power wants a nonnegative exponent")
-    coeffs = []
-    for m in range(ell + 1):
-        j = ell - m
-        coeffs.append(float(math.comb(ell, j)) * _center_power(p, j))
-    return Polynomial(tuple(coeffs))
+    return Polynomial(tuple(float(math.comb(ell, j)) * complex_embed((-p.z) ** j, p.axis.s)
+                            for j in range(ell, -1, -1)))
 
 
 def eval_poly(poly: Polynomial, q: WPoint) -> CDElement:
     """sum_i q^i * c_i with q^i computed in the commutative plane through q."""
-    axis = q.axis.s if not q.is_real else I0.s
     acc = CDElement(np.zeros(DIM))
     w = 1.0 + 0.0j
     for c in poly.coeffs:
-        acc = acc + cd_mul(complex_embed(w, axis), c)
+        acc = acc + cd_mul(complex_embed(w, q.axis.s), c)
         w *= q.z
     return acc
 
@@ -392,22 +381,22 @@ def _radius(a: SeqSpec, size: Callable[[NDArray[np.float64]], float]) -> float:
 
 def _table_radius(a: TableSeq, size) -> float:
     n = len(a.values)
-    if n <= 1:
-        return math.inf
-    window = range(max(1, n - max(1, n // 2)), n)
-    est = 0.0
-    for ell in window:
+    radius = math.inf  # min of 1 / root over the back half, l >= 1: fl(1/x) is monotone
+    for ell in range(max(1, n - max(1, n // 2)), n):
         v = np.asarray(a.values[ell])
         shift = math.frexp(abs(v).max())[1]  # _pow2_scaled(v) is v * 2**-shift
         s = size(_pow2_scaled(v))
         try:
             root = math.ldexp(s, shift) ** (1.0 / ell)
-        except OverflowError:  # size(v) past the float range: root first, then
-            q, r = divmod(shift, ell)  # scale; at l = 1 the root is past it too
-            root = math.ldexp(s ** (1.0 / ell) * 2.0 ** (r / ell), q) if ell > 1 else math.inf
+        except OverflowError:  # size(v) past the float range
+            if ell == 1:  # and so is its root, but not the reciprocal
+                radius = min(radius, math.ldexp(1.0 / s, -shift))
+                continue
+            q, r = divmod(shift, ell)  # root first, then scale
+            root = math.ldexp(s ** (1.0 / ell) * 2.0 ** (r / ell), q)
         if root > 0.0:
-            est = max(est, root)
-    return math.inf if est == 0.0 else 1.0 / est
+            radius = min(radius, 1.0 / root)
+    return radius
 
 
 def radius_RapJ(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
@@ -719,9 +708,9 @@ def _geometric_blocks(a: GeometricSum | Lacunary, mp, live):
     Im(zeta) * image summed over them, with zeta the channel step divided by
     the ratio to the power l.  An image below CHANNEL_DUST of its input is a
     formal annihilation seen through rounding and is dropped (None).  A gap
-    series is one group whose rows off its support are exact zeros.  Returns
-    the (plus channel?, ratio) of each channel kept and a function (start,
-    zetas) -> terms over a (n, points, channels) stack of powers.
+    series is one group (`_evaluate_chunk` zeroes its rows off the support).
+    Returns the (plus channel?, ratio) of each channel kept and a function
+    (start, zetas) -> terms over a (n, points, channels) stack of powers.
     """
     channels, images = [], []
     for ratio, coeff in _ratio_groups(a):
@@ -733,7 +722,6 @@ def _geometric_blocks(a: GeometricSum | Lacunary, mp, live):
             if any(img is not None for img in imgs):
                 channels.append((plus, ratio))
                 images.append(imgs)
-    gaps = isinstance(a, Lacunary)
 
     def block(start, zetas):
         out = np.zeros(zetas.shape[:2] + (DIM,))
@@ -742,8 +730,6 @@ def _geometric_blocks(a: GeometricSum | Lacunary, mp, live):
                 out += zetas[:, :, k].real[..., None] * re_img
             if im_img is not None:
                 out += zetas[:, :, k].imag[..., None] * im_img
-        if gaps:
-            out[~_on_support(np.arange(start, start + len(zetas)))] = 0.0
         return out
 
     return channels, block
@@ -799,9 +785,10 @@ def _evaluate_chunk(steps, make_block, rows, max_terms, tol, gaps):
     together, and each one leaves the active set at its own stopping index.
     Every term past `rows` is an exact zero, so a point still running there
     finishes in closed form: its sum stays, zero norms fill its window and
-    it uses all max_terms terms.  With `gaps` (a gap series) a point that
-    uses every term is Converged only if its last nonzero term was below
-    tol.  Returns one report per point.
+    it uses all max_terms terms.  With `gaps` (a gap series) each block's
+    rows off the support 1, 2, 4, ... are zeroed, and a point that uses every
+    term is Converged only if its last nonzero term was below tol.  Returns
+    one report per point.
     """
     out = [None] * len(steps)
     idx = np.arange(len(steps))
@@ -817,6 +804,8 @@ def _evaluate_chunk(steps, make_block, rows, max_terms, tol, gaps):
         chain = np.multiply.accumulate(chain, axis=0)
         zetas = chain[n]
         block = make_block(start, chain[:n])
+        if gaps:
+            block[~_on_support(np.arange(start, start + n))] = 0.0
         norms = np.sqrt(np.matmul(block[..., None, :], block[..., :, None]))[..., 0, 0]
         stop, diverged, quiet = _block_stop(norms, quiet, tol)
         # The partial sums, in term order: total + row 0 + row 1 + ..., with
@@ -922,6 +911,7 @@ def evaluate_points(qs: Sequence[WPoint], p: WPoint, a: SeqSpec,
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
     center = p.key
+    gaps = isinstance(a, Lacunary)
     reports: list[EvalReport | None] = [None] * len(qs)
     slices: dict[tuple, list[int]] = {}  # (q real?, axis key) -> point indices
     for i, q in enumerate(qs):
@@ -949,7 +939,7 @@ def evaluate_points(qs: Sequence[WPoint], p: WPoint, a: SeqSpec,
                                   for plus, ratio in channels])
                 steps = np.array(steps, dtype=complex).reshape(len(chunk), len(channels))
                 for i, rep in zip(chunk, _evaluate_chunk(steps, make_block, rows, max_terms,
-                                                         tol, isinstance(a, Lacunary))):
+                                                         tol, gaps)):
                     reports[i] = rep
     return reports
 

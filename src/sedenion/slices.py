@@ -459,13 +459,19 @@ def random_hyper_pair(rng) -> tuple[SliceUnit, SliceUnit]:
 class WPoint:
     """A point q = re + im*axis with im >= 0; real points sit on the base slice I0.
 
-    `value` is built on first use for `wpoint_from` points; the hash is kept.
+    The constructor puts each point in that one form: a negative im flips onto
+    the kept -axis, im == 0.0 (-0.0 too) is stored as 0.0 on I0, a NaN im
+    stays.  `value` is built on first use unless passed in; the hash is kept.
     """
 
     __slots__ = ("_value", "re", "im", "axis", "_hash")
 
     def __init__(self, re: float, im: float, axis: SliceUnit,
                  value: CDElement | None = None):
+        if im < 0.0:
+            im, axis = -im, -axis
+        elif im == 0.0:
+            im, axis = 0.0, I0
         set_ = object.__setattr__
         set_(self, "_value", value)
         set_(self, "re", re)
@@ -526,12 +532,9 @@ def wpoint(value: CDElement | str) -> WPoint:
         raise ValueError("point coefficients must be finite")
     if im <= _tol.UNIT_EQ * max(1.0, abs(re)):
         return WPoint(re, 0.0, I0, value)
-    axis = SliceUnit(CDElement(imvec / im))
-    return WPoint(re, im, axis, value)
+    return WPoint(re, im, SliceUnit(CDElement(imvec / im)), value)
 
 
 def wpoint_from(re: float, im: float, axis: SliceUnit) -> WPoint:
-    """Point re + im*axis; a negative im flips the axis to keep im >= 0."""
-    if im < 0.0:
-        return wpoint_from(re, -im, -axis)
-    return WPoint(re, 0.0, I0) if im == 0.0 else WPoint(re, im, axis)
+    """The point re + im*axis, in the form of `WPoint` (im >= 0, real on I0)."""
+    return WPoint(re, im, axis)

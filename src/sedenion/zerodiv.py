@@ -96,7 +96,7 @@ class Subspace:
             return cls(np.zeros((0, DIM)))
         m = np.vstack(rows)
         u, s, vh = np.linalg.svd(m, full_matrices=False)
-        rank = int(np.sum(s > _tol.SPAN_RANK_CUTOFF * max(1.0, s[0] if s.size else 1.0)))
+        rank = int(np.sum(s > _tol.SPAN_RANK_CUTOFF * max(1.0, s[0])))
         return cls(vh[:rank])
 
     @property

@@ -591,6 +591,25 @@ def test_json_output_writes_non_finite_as_null(capsys):
     assert data["R_a"] is None and data["R_ap"] is None
 
 
+NINES = "9" * 300
+
+
+@pytest.mark.parametrize("argv, line, field", [
+    (["mul", f"{NINES}e1+{NINES}e2", f"{NINES}e1-{NINES}e2"], "none", "text"),
+    (["eval", "0.5", "--seq", '{"kind":"lacunary","coeff":"e1","ratio":1e-320}'],
+     "value=none", "value"),
+], ids=["mul", "eval"])
+def test_an_element_with_a_non_finite_coefficient_is_written_none(capsys, argv, line, field):
+    # Element text has no token for inf or NaN: `-nan-infe3` would not parse back.
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0 and line in out.splitlines()
+    assert "nan" not in out and "inf" not in out
+    rc, out, _ = run(capsys, argv + ["--format", "json"])
+    data = json.loads(out)
+    assert rc == 0 and data[field] is None
+    assert any(c is None for c in data["coeffs"])  # the array keeps null per coefficient
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

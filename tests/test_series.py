@@ -23,6 +23,7 @@ from sedenion import (
     SliceUnit,
     TableSeq,
     Verdict,
+    WPoint,
     axis_sign,
     cd_mul,
     cker_curve_point,
@@ -457,29 +458,33 @@ def test_table_radius_edge_cases():
     assert radius_Ra(TableSeq.of(["0", "0"])) == math.inf
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300, 1.5e308])
-def test_table_radius_near_either_end_of_the_float_range(scale):
+@pytest.mark.parametrize("scale, n", [
+    pytest.param(s, 4, id=str(s)) for s in (1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300, 1.5e308)
+] + [pytest.param(1.5e308, 2, id="1.5e+308-two-values")])
+def test_table_radius_near_either_end_of_the_float_range(scale, n):
     # Oracle: 1/max_l |a_l|^(1/l) over the window l = 2, 3 of a four-value
-    # table, with |a_l| from math.hypot, which neither overflows nor underflows
-    # below 1.5e308; v @ v of the raw value would do one or the other.  At
-    # 1.5e308 the norm itself is past the float range, but its roots are not:
-    # the oracle there is 30-digit decimal arithmetic.  abs=0, because every
-    # radius from 1e160 up is below pytest's default absolute tolerance.
+    # table (l = 1 of a two-value one), with |a_l| from math.hypot, which
+    # neither overflows nor underflows below 1.5e308; v @ v of the raw value
+    # would do one or the other.  At 1.5e308 the norm itself is past the float
+    # range, but its roots l >= 2 and its reciprocal are not: the oracle there
+    # is 30-digit decimal arithmetic.  abs=0, because every radius from 1e160
+    # up is below pytest's default absolute tolerance.
     v = [0.0] * 16
     v[4] = v[15] = scale
-    table = TableSeq.of([v] * 4)
+    table = TableSeq.of([v] * n)
+    window = (2, 3) if n == 4 else (1,)
     if scale == 1.5e308:
         with decimal.localcontext(prec=30):
             norm = (Decimal(scale) ** 2 * 2).sqrt()
-            want = float(1 / max(norm ** (Decimal(1) / ell) for ell in (2, 3)))
+            want = float(1 / max(norm ** (Decimal(1) / ell) for ell in window))
     else:
-        want = 1.0 / max(math.hypot(*v) ** (1.0 / ell) for ell in (2, 3))
+        want = 1.0 / max(math.hypot(*v) ** (1.0 / ell) for ell in window)
     p = center()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = Domain(p, table).report
     assert rep.r_a == pytest.approx(want, rel=1e-14, abs=0.0)
-    unit = Domain(p, TableSeq.of(["e4+e15"] * 4)).report
+    unit = Domain(p, TableSeq.of(["e4+e15"] * n)).report
     assert rep.case is unit.case is DomainCase.HYPER_INTERSECTION
     assert same_unit(rep.witness, E10) and unit.witness == E10
 
@@ -773,6 +778,23 @@ def test_equal_sequences_hash_alike_and_share_one_domain():
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
+def test_one_sedenion_is_one_point_to_the_memo_and_the_rule():
+    # A real point lies on every slice; built on e10 it is still the point
+    # wpoint("3") on I0, so it is the center hit and keys the same domain.
+    a = Lacunary.of("e4+e15", 2)
+    p, q = wpoint("3"), WPoint(3.0, 0.0, E10)
+    assert domain(q, a) is domain(p, a)
+    rep = evaluate_series(q, p, a)
+    assert (rep.terms_used, rep.verdict) == (1, Verdict.CONVERGED)
+    # 0.5 - 1.5 e10 is 0.5 + 1.5 (-e10): the disks of -e10 decide, whichever
+    # constructor built it.  c in ker(e1 + e10) lifts R_a^{p,-e10} from 2 to 3,
+    # and the reflected distance |0.5 + 2.5i| lies between them.
+    c = kernel_of_left_mult(E1.s + E10.s).vectors()[0]
+    a = GeometricSum.of([("1", 3.0), (c, 2.0)])
+    for q in (WPoint(0.5, -1.5, E10), wpoint_from(0.5, -1.5, E10)):
+        assert domain_contains(q, center(), a) is Membership.INTERIOR
+
+
 def _tilted(i: int, j: int, t: float) -> SliceUnit:
     """cos(t) e_i + sin(t) e_j: the slice unit e_i turned by t toward e_j."""
     s = np.zeros(16)
@@ -1019,6 +1041,45 @@ def test_evaluation_matches_the_two_channel_closed_form_off_center(rng):
                 if np.linalg.norm(image) > 1e-10 * np.linalg.norm(chan):
                     expect += image
         assert np.linalg.norm(rep.partial_sum.coeffs - expect) < 1e-7
+
+
+def _definition_sums(q, p, a, terms, powers):
+    """Partial sums of sum_l (q - p)^{*l} a_l by the definition: (q - p)^{*l}
+    expanded in powers of q (`star_pow_center`, kept in `powers`), each
+    coefficient c_m times a_l on the right, the polynomial evaluated at q."""
+    total = CDElement(np.zeros(16))
+    for ell in range(terms):
+        poly = powers.setdefault(ell, star_pow_center(p, ell))
+        a_l = CDElement(a.term(ell))
+        total = total + eval_poly(Polynomial(tuple(cd_mul(c, a_l) for c in poly.coeffs)), q)
+    return total
+
+
+def test_block_evaluation_matches_the_definition_route(rng):
+    # The evaluator runs two channels on complex steps; the definition route
+    # shares none of that code.  The error is measured against the size of the
+    # expansion, sum_l (|q| + |p|)^l |a_l|, whose terms cancel.
+    c = kernel_of_left_mult(E1.s - E10.s).vectors()[0]
+    seqs = [demo_sequence(), Lacunary.of("e4+e15", 2),
+            GeometricSum.of([("e5", 1.5), (c, 4.0)])]
+    centers = [center(), wpoint("0.5"),
+               wpoint_from(float(rng.uniform(-1, 1)), float(rng.uniform(0.3, 1)),
+                           random_slice_unit(rng))]
+    axes = [E1, E10, -E10, SliceUnit("e3"), random_slice_unit(rng)]
+    worst = 0.0
+    for p in centers:
+        powers = {}
+        for a in seqs:
+            for axis in axes:
+                qs = [wpoint_from(float(x), float(y), axis)
+                      for x, y in rng.uniform(-2.0, 2.0, size=(4, 2))]
+                for q, rep in zip(qs, evaluate_points(qs, p, a, max_terms=30, tol=0.0)):
+                    want = _definition_sums(q, p, a, rep.terms_used, powers)
+                    scale = sum((abs(q.z) + abs(p.z)) ** ell * np.linalg.norm(a.term(ell))
+                                for ell in range(rep.terms_used))
+                    err = np.linalg.norm(rep.partial_sum.coeffs - want.coeffs) / scale
+                    worst = max(worst, err)
+    assert worst < 1e-13
 
 
 def test_evaluation_converges_in_the_waived_region_of_curve_slices():

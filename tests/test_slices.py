@@ -8,6 +8,7 @@ from sedenion import (
     HyperSolution,
     I0,
     SliceUnit,
+    WPoint,
     axis_sign,
     basis,
     cd_mul,
@@ -360,6 +361,20 @@ def test_wpoint_from_flips_negative_imaginary_parts():
     assert q.im == 2.0
     assert same_unit(q.axis, -SliceUnit("e10"))
     assert q.value == wpoint("0.5-2e10").value
+
+
+def test_the_wpoint_constructor_puts_each_point_in_one_form():
+    e10 = SliceUnit("e10")
+    for im in (0.0, -0.0):  # a real point lies on every slice and is stored on I0
+        q = WPoint(3.0, im, e10)
+        assert (q.im, q.axis) == (0.0, I0) and q.is_real
+        assert q == wpoint("3") and hash(q) == hash(wpoint("3"))
+    q = WPoint(0.5, -1.5, e10)  # 0.5 - 1.5 e10 = 0.5 + 1.5 (-e10), on the kept -e10
+    assert (q.re, q.im) == (0.5, 1.5) and q.axis is -e10
+    assert q == wpoint_from(0.5, -1.5, e10) == wpoint("0.5-1.5e10")
+    assert q.value == wpoint("0.5-1.5e10").value
+    q = WPoint(0.5, math.nan, e10)  # a NaN im stays as given
+    assert math.isnan(q.im) and q.axis is e10 and not q.is_real
 
 
 def test_wpoint_keys_hash_consistently():
