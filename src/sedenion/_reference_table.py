@@ -38,9 +38,9 @@ def _parse_entry(cell: str) -> tuple[int, int]:
     return (sign, k)
 
 
-REFERENCE_TABLE: list[list[tuple[int, int]]] = [
-    [_parse_entry(cell) for cell in line.split(",")]
+REFERENCE_TABLE: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+    tuple(_parse_entry(cell) for cell in line.split(","))
     for line in _ROWS.splitlines()
-]
+)
 
 assert len(REFERENCE_TABLE) == 16 and all(len(r) == 16 for r in REFERENCE_TABLE)

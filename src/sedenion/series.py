@@ -61,7 +61,6 @@ from .slices import (
     HyperSolution,
     axis_sign,
     cker_membership,
-    same_unit,
     wpoint_from,
 )
 
@@ -407,14 +406,17 @@ def radius_RapJ(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
     ker(I_p - J) count, so it can only be larger (+inf when every
     coefficient sits inside the kernel).
     """
-    if _plane_sign(p, j):
-        return radius_Ra(a)
-    return _reflected_radius(a, p, j)
+    return radius_Ra(a) if _plane_sign(p, j) else _reflected_radius(a, p, j)
 
 
 def _reflected_radius(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
-    """R_a^{p,J} for a slice J off the center plane of p."""
-    return _radius(a, kernel_of_left_mult(p.axis.s - j.s).distance)
+    """R_a^{p,J} for a slice J off the center plane of p: never below R_a, bit for bit.
+
+    Ratio groups give a later ratio than R_a's, or +inf; a table term's kernel
+    distance is read as at most its norm, the size R_a reads.
+    """
+    distance = kernel_of_left_mult(p.axis.s - j.s).distance
+    return _radius(a, lambda v: min(distance(v), math.sqrt(v @ v)))
 
 
 def radius_Rap(a: SeqSpec, p: WPoint) -> tuple[float, SliceUnit | None]:
@@ -534,13 +536,13 @@ class Domain:
     case.  On each slice C_J the domain is two disks that depend only on
     (p, a, J), so a memo keyed by the axis of J keeps the disks of each
     slice: one axis test and, off the center plane, one kernel for the
-    reflected radius R_a^{p,J}.  A real q lies on the center plane and is
-    tested against its disks, kept apart.  The memo holds at most
-    `_SLICE_MEMO` axes; it is the only state a Domain changes after
-    construction.
+    reflected radius R_a^{p,J}.  A point reads the disks of its slice; a real
+    one (on I0) is as far from z_p as from conj(z_p), and R_a^{p,J} >= R_a,
+    so the reflected disk never decides it.  At most `_SLICE_MEMO` axes are
+    kept: the only state a Domain changes after construction.
     """
 
-    __slots__ = ("p", "a", "report", "_center", "_slices")
+    __slots__ = ("p", "a", "report", "_slices")
 
     def __init__(self, p: WPoint, a: SeqSpec):
         ra = radius_Ra(a)
@@ -550,21 +552,18 @@ class Domain:
         self.p, self.a = p, a
         self.report = DomainReport(r_a=ra, r_ap=rap, witness=witness, case=case,
                                    approximate=isinstance(a, TableSeq))
-        self._center = _slice_disks(p, ra, p.axis, None)  # I_p: no reflected disk
         self._slices: dict[tuple[float, ...], _Disks] = {}
 
     def disks(self, j: SliceUnit) -> _Disks:
         """The disks (c1, r1, c2, r2) of the domain on the slice of J (`_slice_disks`)."""
         key = j.key
-        try:
-            return self._slices[key]
-        except KeyError:
-            pass
-        pair = _slice_disks(self.p, self.report.r_a, j,
-                            lambda: _reflected_radius(self.a, self.p, j))
-        if len(self._slices) >= _SLICE_MEMO:
-            self._slices.clear()
-        self._slices[key] = pair
+        pair = self._slices.get(key)
+        if pair is None:
+            pair = _slice_disks(self.p, self.report.r_a, j,
+                                lambda: _reflected_radius(self.a, self.p, j))
+            if len(self._slices) >= _SLICE_MEMO:
+                self._slices.clear()
+            self._slices[key] = pair
         return pair
 
     def contains(self, q: WPoint, band: float = _tol.MEMBERSHIP_BAND) -> Membership:
@@ -574,21 +573,21 @@ class Domain:
         within the band of a radius equality is Boundary (the series behavior
         there is not decided by the radii).
         """
-        return _MEMBERSHIP[_point_rule(q, self._center if q.is_real else self.disks(q.axis),
-                                       band)]
+        return _MEMBERSHIP[_point_rule(q, self.disks(q.axis), band)]
 
     def classify(self, re, im, j: SliceUnit,
                  band: float = _tol.MEMBERSHIP_BAND) -> NDArray[np.int8]:
         """Codes -1 (Interior), 0 (Boundary), +1 (Exterior) of the points re + im*J.
 
-        `contains(wpoint_from(re, im, J), band)` point for point: im > 0 lies on
-        the slice of J, im < 0 on -J at height |im|, im == 0 on the center plane.
+        `contains(wpoint_from(re, im, J), band)` point for point: im >= 0 reads
+        the disks of J (a real point gets the code of every slice), im < 0 those
+        of -J at height |im|.
         """
         re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
         out = np.zeros(im.shape, dtype=np.int8)  # a NaN is Boundary, as in contains
-        for half, sign in ((im > 0.0, 1), (im < 0.0, -1), (im == 0.0, 0)):
+        for half, lower in ((im >= 0.0, False), (im < 0.0, True)):
             if half.any():
-                c1, r1, c2, r2 = self.disks(j if sign > 0 else -j) if sign else self._center
+                c1, r1, c2, r2 = self.disks(-j if lower else j)
                 x, y = re[half], np.abs(im[half])  # np.hypot rounds as abs(complex)
                 out[half] = _two_disk_rule(np.hypot(x - c1.real, y - c1.imag), r1,
                                            np.hypot(x - c2.real, y - c2.imag), r2, band)
@@ -640,21 +639,20 @@ def sigma_contains(q: WPoint, p: WPoint, r: float) -> bool:
     The two-disk rule with reflected radius r off the center plane.  Centers
     always belong (r = 0 included).
     """
-    disks = _slice_disks(p, r, p.axis if q.is_real else q.axis, lambda: r)
-    return _point_rule(q, disks, 0.0) < 0
+    return _point_rule(q, _slice_disks(p, r, q.axis, lambda: r), 0.0) < 0
 
 
 def hyper_sigma_contains(q: WPoint, p: WPoint, r: float, j: HyperSolution) -> bool:
     """Membership of q in the hyper-sigma-ball of radius r for the pair J.
 
-    The center must sit on the slice of J.j1 (a real center sits on I0).
-    The two-disk rule with reflected radius r, waived (+inf) on slices whose
-    axis lies on the kernel curve of J.
+    The center must sit on the slice of J.j1, as a real center does for every
+    J.j1.  The two-disk rule with reflected radius r, waived (+inf) on slices
+    whose axis lies on the kernel curve of J.
     """
-    if not same_unit(p.axis, j.j1):
+    if not _plane_sign(p, j.j1) > 0:
         raise ValueError("hyper-sigma-ball center must lie on the slice of j1")
-    k = p.axis if q.is_real else q.axis
-    disks = _slice_disks(p, r, k, lambda: math.inf if cker_membership(k, j.j1, j.j2) else r)
+    disks = _slice_disks(p, r, q.axis,
+                         lambda: math.inf if cker_membership(q.axis, j.j1, j.j2) else r)
     return _point_rule(q, disks, 0.0) < 0
 
 
@@ -844,9 +842,9 @@ def _evaluate_chunk(steps, make_block, rows, max_terms, tol, gaps):
 
 
 def _report(total, terms: int, verdict: Verdict, tail: list[float]) -> EvalReport:
-    # Python's max over the window: a NaN at its end is skipped, not returned
-    return EvalReport(partial_sum=CDElement(total), terms_used=terms,
-                      verdict=verdict, tail_norm=max(tail))
+    # a NaN norm reads as inf: Python's max would skip it at the end of the window
+    return EvalReport(partial_sum=CDElement(total), terms_used=terms, verdict=verdict,
+                      tail_norm=max(math.inf if math.isnan(x) else x for x in tail))
 
 
 def _channels(q: WPoint, p: WPoint):

@@ -601,13 +601,27 @@ NINES = "9" * 300
 ], ids=["mul", "eval"])
 def test_an_element_with_a_non_finite_coefficient_is_written_none(capsys, argv, line, field):
     # Element text has no token for inf or NaN: `-nan-infe3` would not parse back.
+    # eval's verdict line holds a norm, a real number that may read inf.
     rc, out, _ = run(capsys, argv)
     assert rc == 0 and line in out.splitlines()
-    assert "nan" not in out and "inf" not in out
+    elements = [s for s in out.splitlines() if not s.startswith("verdict=")]
+    assert not any("nan" in s or "inf" in s for s in elements)
     rc, out, _ = run(capsys, argv + ["--format", "json"])
     data = json.loads(out)
     assert rc == 0 and data[field] is None
     assert any(c is None for c in data["coeffs"])  # the array keeps null per coefficient
+
+
+def test_a_non_finite_term_norm_reads_inf_next_to_diverged(capsys):
+    # Term 1 of this gap series, (0.5 / 1e-320) e1, is past the float range and
+    # comes out NaN; its norm reads inf, where max() would skip it at the end
+    # of the window and print 0.
+    argv = ["eval", "0.5", "--seq", '{"kind":"lacunary","coeff":"e1","ratio":1e-320}']
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0 and out.splitlines()[0] == "verdict=Diverged terms=2 tail_norm=inf"
+    rc, out, _ = run(capsys, argv + ["--format", "json"])
+    data = json.loads(out)
+    assert rc == 0 and (data["verdict"], data["terms"], data["tail_norm"]) == ("Diverged", 2, None)
 
 
 def test_unknown_subcommand_exits_2(capsys):

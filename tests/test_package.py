@@ -7,6 +7,7 @@ import pathlib
 import re
 import tokenize
 
+import numpy as np
 import pytest
 
 import sedenion
@@ -56,6 +57,33 @@ def test_tolerances_live_only_in_the_tol_module():
         assert isinstance(node, ast.Assign) and len(node.targets) == 1, ast.dump(node)
         assert node.targets[0].id.isupper() and isinstance(node.value, ast.Constant)
         assert type(node.value.value) in (int, float)
+
+
+def _mutable(value) -> bool:
+    """A list, dict, set or writable array, also inside a tuple."""
+    if isinstance(value, tuple):
+        return any(map(_mutable, value))
+    return isinstance(value, (list, dict, set, bytearray)) or (
+        isinstance(value, np.ndarray) and value.flags.writeable)
+
+
+def test_no_module_holds_mutable_state():
+    # Module-level names hold constants: no list, dict, set or writable
+    # array (`__all__` and the interpreter's own dunders aside), and the one
+    # memo is the bounded `series.domain`.
+    src = pathlib.Path(sedenion.__file__).resolve().parent
+    stray, memos = [], set()
+    for path in sorted(src.glob("*.py")):
+        name = "sedenion" if path.stem == "__init__" else f"sedenion.{path.stem}"
+        for attr, value in vars(importlib.import_module(name)).items():
+            if attr.startswith("__") and attr.endswith("__"):
+                continue
+            if _mutable(value):
+                stray.append(f"{name}.{attr}")
+            if hasattr(value, "cache_info"):
+                memos.add(f"{value.__module__}.{value.__qualname__}")
+    assert stray == []
+    assert memos == {"sedenion.series.domain"}
 
 
 # Each result record: its fields in order, a keyword construction and the

@@ -398,6 +398,40 @@ def test_reflected_radius_agrees_with_the_surviving_channel_images(rng):
     assert kernel_coeffs > 50
 
 
+def test_reflected_radius_is_never_below_the_slice_radius():
+    # R_a^{p,J} >= R_a bit for bit, through the disks of a Domain and through
+    # radius_RapJ, so a real point (as far from z_p as from conj(z_p)) is
+    # never decided by the reflected disk.  Tables whose values are
+    # orthogonal to the kernel have dist(a_l, ker) = |a_l| up to rounding,
+    # which can put the computed distance an ulp above the norm.
+    rng = np.random.default_rng(2121)
+    checked = Counter()
+    for n in range(30):
+        j1, j2 = random_hyper_pair(rng)
+        p = wpoint_from(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 1.5)), j1)
+        ker = kernel_of_left_mult(j1.s - j2.s)
+        kv = rng.normal(size=ker.dim) @ ker.basis
+        g = rng.normal(size=16)
+        perp = g - ker.basis.T @ (ker.basis @ g)
+        vals = rng.normal(size=(6, 16))
+        orth = vals - (vals @ ker.basis.T) @ ker.basis
+        seqs = (GeometricSum.of([("1", 3.0), (CDElement(kv), 2.0)]),
+                GeometricSum.of([(CDElement(perp), 2.0), (CDElement(kv), 1.5)]),
+                Lacunary.of(CDElement(kv), 2.0), Lacunary.of(CDElement(g), 2.0),
+                TableSeq.of([CDElement(v) for v in orth]),
+                TableSeq.of([CDElement(v) for v in vals]),
+                TableSeq.of(["1"] + [CDElement(kv * 0.5 ** k + perp * 1e-3) for k in range(5)]))
+        slices = (j2, -j2, cker_curve_point(j1, j2, float(rng.uniform(0.2, 2.9))),
+                  random_slice_unit(rng), I0, -I0)
+        for a in seqs:
+            dom, ra = Domain(p, a), radius_Ra(a)
+            for j in slices:
+                assert dom.disks(j)[3] >= dom.report.r_a == ra, (n, a, j)
+                assert radius_RapJ(a, p, j) >= ra, (n, a, j)
+                checked[type(a).__name__, radius_RapJ(a, p, j) > ra] += 1
+    assert len(checked) == 6, checked  # every kind, at and above R_a
+
+
 def test_supremum_radius_with_witness():
     a = demo_sequence()
     rap, witness = radius_Rap(a, center())
@@ -638,7 +672,8 @@ def test_membership_work_runs_once_per_slice_not_per_point(monkeypatch, tmp_path
     # (center, sequence) and the slice, so a warm slice of 10,000 points and
     # a 100 x 100 figure each run them at most once per slice and per
     # domain.  The centers are used by no other test, so their domains are
-    # built here.
+    # built here.  The grid's real ray theta = 0 lies on the slice I0, so the
+    # warm-up visits E10 and, through one real point, I0.
     import sedenion.series as series
     from sedenion.cli import main
 
@@ -648,8 +683,9 @@ def test_membership_work_runs_once_per_slice_not_per_point(monkeypatch, tmp_path
         monkeypatch.setattr(series, name, _counting(counts, name, getattr(series, name)))
     p, a = wpoint_from(0.25, 0.75, E1), demo_sequence()
     assert domain_contains(wpoint_from(0.1, 0.2, E10), p, a) is Membership.INTERIOR
+    assert domain_contains(wpoint("0.5"), p, a) is Membership.INTERIOR
     warm = dict(counts)
-    assert all(warm[name] <= 2 for name in names)  # one domain, one slice
+    assert all(warm[name] <= 3 for name in names)  # one domain, two slices
     got = Counter(domain_contains(wpoint_from(4.0 * k / 100 * math.cos(t),
                                               4.0 * k / 100 * math.sin(t), E10), p, a)
                   for t in np.linspace(0.0, math.pi, 100) for k in range(1, 101))
@@ -812,15 +848,16 @@ def test_memoised_membership_equals_the_unmemoised_rule():
     demo_seqs = (demo_sequence(), Lacunary.of("e4+e15", 2.0),
                  TableSeq.of(["1", "e4+e15", "0.25e4+0.25e15", "0.125e4+0.125e15"]))
     generic = [random_slice_unit(rng) for _ in range(2)]
-    cases = [  # center, sequences, extra axes (tilts straddle UNIT_EQ)
-        (center(), demo_seqs, [_tilted(1, 2, 5e-10), _tilted(1, 2, 2e-9)]),
+    cases = [  # center, sequences, extra axes (tilts straddle UNIT_EQ), a hyper pair
+        (center(), demo_seqs, [_tilted(1, 2, 5e-10), _tilted(1, 2, 2e-9)], (E1, E10)),
         (wpoint_from(0.3, 0.8, E10), demo_seqs,
-         [_tilted(10, 11, 5e-10), _tilted(10, 11, 2e-9)]),
-        (wpoint_from(-0.2, 0.9, j1), kernel_seqs, [j2, -j2]),
-        (wpoint("0.5"), demo_seqs, [E1, E10]),
+         [_tilted(10, 11, 5e-10), _tilted(10, 11, 2e-9)], (E10, E1)),
+        (wpoint_from(-0.2, 0.9, j1), kernel_seqs, [j2, -j2], (j1, j2)),
+        (wpoint("0.5"), demo_seqs, [E1, E10], (j1, j2)),
     ]
-    seen = Counter()
-    for p, seqs, extra in cases:
+    seen, real = Counter(), Counter()
+    for p, seqs, extra, pair in cases:
+        sol = hyper_solution(*pair)
         for a in seqs:
             dom = domain(p, a)
             axes = [p.axis, -p.axis, *extra, *generic]
@@ -857,6 +894,29 @@ def test_memoised_membership_equals_the_unmemoised_rule():
                     assert codes.dtype == np.int8
                     assert [Membership.of(c) for c in codes.tolist()] == \
                         [dom.contains(wpoint_from(x, y, axis), band) for x, y in xy]
+            # A real point lies on every slice; it is stored on I0, which is
+            # off the center plane of the centers on e10 and j1.  On each
+            # slice its code is the one-disk rule |x - z_p| vs R_a, from the
+            # scalar and the array path alike, and so are both ball memberships.
+            reals = [0.7, p.re, p.re + 2.5, p.re - 4.0]
+            if p.im < r_a < math.inf:  # on the circle |x - z_p| = R_a
+                h = math.sqrt(r_a * r_a - p.im * p.im)
+                reals += [p.re + h, p.re - h]
+            for band in (0.0, 1e-9, 0.05):
+                want = [_reference_membership(wpoint_from(x, 0.0, E1), p, r_a, None, band)
+                        for x in reals]
+                real.update(want)
+                for axis in axes + [I0, -I0]:
+                    for zero in (0.0, -0.0):
+                        codes = dom.classify(reals, [zero] * len(reals), axis, band)
+                        assert [Membership.of(c) for c in codes.tolist()] == want
+                        assert [dom.contains(wpoint_from(x, zero, axis), band)
+                                for x in reals] == want
+            for x in reals:
+                q = wpoint_from(x, -0.0, E10)
+                ok = _reference_membership(q, p, r_a, None, 0.0) is Membership.INTERIOR
+                assert sigma_contains(q, p, r_a) is ok
+                assert hyper_sigma_contains(q, p, r_a, sol) is ok
             z = p.z
             assert dom.disks(p.axis) == (z, r_a, z, math.inf)
             assert dom.disks(-p.axis) == (z.conjugate(), r_a, z.conjugate(), math.inf)
@@ -866,6 +926,7 @@ def test_memoised_membership_equals_the_unmemoised_rule():
     assert d.disks(_tilted(1, 2, 2e-9)) == (1j, 2.0, -1j, 2.0)
     assert d.disks(E10) == (1j, 2.0, -1j, 3.0) and d.disks(-E10) == (1j, 2.0, -1j, 2.0)
     assert all(seen[m] > 50 for m in Membership), seen
+    assert all(real[m] > 10 for m in Membership), real
 
 
 def test_sigma_ball_membership_fixtures():
@@ -898,6 +959,15 @@ def test_hyper_sigma_ball_checks_the_center_slice():
     sol = hyper_solution(E1, E10)
     with pytest.raises(ValueError):
         hyper_sigma_contains(wpoint("e1"), wpoint("1+e3"), 1.0, sol)
+    # A real center lies on the slice of every J1, though it is stored on I0.
+    rng = np.random.default_rng(3)
+    sol = hyper_solution(*random_hyper_pair(rng))
+    for p, r in ((wpoint("0.5"), 1.0), (wpoint("-2"), 0.25)):
+        for q in (wpoint("0.7"), wpoint("-1.4"), wpoint_from(p.re, 0.2, sol.j2),
+                  wpoint_from(p.re + 0.3, 0.3, random_slice_unit(rng))):
+            assert hyper_sigma_contains(q, p, r, sol) == sigma_contains(q, p, r)
+    assert hyper_sigma_contains(wpoint("0.7"), wpoint("0.5"), 1.0, sol)
+    assert not hyper_sigma_contains(wpoint("1.6"), wpoint("0.5"), 1.0, sol)
 
 
 def test_domain_membership_fixtures():
@@ -1281,7 +1351,9 @@ def reference_evaluate(q, p, a, max_terms, tol=1e-8):
         elif len(window) == 50 and min(window) > 1.0 and window[-1] >= window[0]:
             verdict = Verdict.DIVERGED
     return EvalReport(partial_sum=CDElement(total), terms_used=terms,
-                      verdict=verdict, tail_norm=max(window) if window else 0.0)
+                      verdict=verdict,
+                      tail_norm=max((math.inf if math.isnan(x) else x for x in window),
+                                    default=0.0))
 
 
 def _exact_support_sum(x, y, ratio, terms):

@@ -9,6 +9,7 @@ from sedenion import (
     basis,
     c8_conjugate,
     cd_mul,
+    cd_mul_recursive,
     is_special_triple,
     is_zero_divisor,
     kernel_of_left_mult,
@@ -438,3 +439,45 @@ def test_kernel_dimension_matches_the_exact_rank():
     for s, dim in [(s, 4) for s in divisors] + [(s, 0) for s in others]:
         rank = _exact_left_rank(s)
         assert kernel_of_left_mult(s).dim == 16 - rank == dim, str(s)
+
+
+# --- box-kites: integer facts of the sedenion zero divisors ---------------------
+
+
+def test_box_kites_of_the_42_assessors():
+    # de Marrais, "The 42 assessors and the box-kites they fly" (2000): the
+    # diagonals e_i +- e_j (1 <= i <= 7, 9 <= j <= 15, j != i + 8) are zero
+    # divisors with 4-dimensional annihilators (Moreno 1998); 336 ordered
+    # pairs of them multiply to 0, and an assessor {i, j} zero-divides
+    # exactly 4 others, which fall into 7 box-kites of 6.  The counts are
+    # recorded from the literature, not from the package.
+    assessors = [(i, j) for i in range(1, 8) for j in range(9, 16) if j != i + 8]
+    diagonals = [(i, j, s) for i, j in assessors for s in (1.0, -1.0)]
+    elements = {}
+    for i, j, s in diagonals:
+        x = basis(i, 4) + s * basis(j, 4)
+        assert is_zero_divisor(x) and kernel_of_left_mult(x).dim == 4, (i, j, s)
+        elements[i, j, s] = x
+    assert len(assessors) == 42 and len(elements) == 84
+    zero = [(u, v) for u in diagonals for v in diagonals
+            if cd_mul_recursive(elements[u], elements[v]).is_zero()]
+    assert len(zero) == 336
+    for (i, j, s), (k, l, t) in zero:
+        ok, cert = zero_product_characterization(
+            basis(i, 3), s * basis(j - 8, 3), basis(k, 3), t * basis(l - 8, 3))
+        assert ok and cert.product_norm == 0.0, (i, j, s, k, l, t)
+    partners = {a: {v[:2] for u, v in zero if u[:2] == a} for a in assessors}
+    assert all(len(p) == 4 and a not in p for a, p in partners.items())
+    assert all(a in partners[b] for a in assessors for b in partners[a])  # undirected
+    components, seen = [], set()
+    for a in assessors:
+        if a not in seen:
+            todo, part = [a], set()
+            while todo:
+                b = todo.pop()
+                if b not in part:
+                    part.add(b)
+                    todo += partners[b]
+            seen |= part
+            components.append(len(part))
+    assert sorted(components) == [6] * 7
