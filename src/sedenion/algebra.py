@@ -415,6 +415,11 @@ def norm(a: CDElement) -> float:
     return a.norm()
 
 
+def _pow2_exponent(v: NDArray[np.float64]) -> int:
+    """The e with max|v| in [2**(e-1), 2**e), so v * 2**-e is `_pow2_scaled(v)`; 0 for v = 0."""
+    return math.frexp(max(map(abs, v.tolist())))[1]
+
+
 def _pow2_scaled(v: NDArray[np.float64]) -> NDArray[np.float64]:
     """v times the power of two that puts max|v| in [0.5, 1); zero stays zero.
 
@@ -423,7 +428,7 @@ def _pow2_scaled(v: NDArray[np.float64]) -> NDArray[np.float64]:
     The scaling is exact, save for a component below 2**-1021 times the
     largest, which rounds into the subnormal range.
     """
-    return np.ldexp(v, -math.frexp(max(map(abs, v.tolist())))[1])
+    return np.ldexp(v, -_pow2_exponent(v))
 
 
 # ---------------------------------------------------------------------------

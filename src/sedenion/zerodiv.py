@@ -32,6 +32,7 @@ from .algebra import (
     MAX_LEVEL,
     _EYE,
     _frozen,
+    _pow2_exponent,
     cd_mul,
     left_mult_matrix,
 )
@@ -232,14 +233,20 @@ def zero_product_characterization(
     characterization and tested.  The characterization verdict (norms match,
     normalized {a, b, c} special, d on formula) is always cross-checked
     against the direct product; a disagreement raises instead of picking a
-    side silently.  Norms and products are compared within UNIT_EQ times the
-    largest input norm (at least 1).
+    side silently.  The decision is made on the factors scaled by powers of
+    two, (a, b) by one and (c, d) by another, that put their largest
+    coefficient in [0.5, 1), so no norm or product under- or overflows; norms
+    and products are compared within UNIT_EQ times the largest scaled norm
+    (at least 1).  `d_formula` and `product_norm` are scaled back, and a norm
+    past the float range reads as inf.
 
     Raises ValueError when a + b*e8 = 0 or c + d*e8 = 0 (with d as tested).
     """
-    a, b, c = (x.promote(3) for x in (a, b, c))
-    if d is not None:
-        d = d.promote(3)
+    halves = [None if x is None else x.promote(3).coeffs for x in (a, b, c, d)]
+    left, right = (_pow2_exponent(np.concatenate([x for x in pair if x is not None]))
+                   for pair in (halves[:2], halves[2:]))
+    a, b, c, d = (None if x is None else CDElement(np.ldexp(x, -shift))
+                  for x, shift in zip(halves, (left, left, right, right)))
     na, nb, nc = a.norm(), b.norm(), c.norm()
     if na == 0.0 and nb == 0.0:
         raise ValueError("left factor a+b*e8 is zero")
@@ -267,12 +274,16 @@ def zero_product_characterization(
 
     product = cd_mul(_join(a, b), _join(c, d_test))
     product_is_zero = product.norm() <= eps
+    with np.errstate(over="ignore"):
+        product_norm = float(np.ldexp(product.norm(), left + right))
+        if d_formula is not None:
+            d_formula = CDElement(np.ldexp(d_formula.coeffs, right))
 
     predicted = norms_match and triple_special and d_matches
     if predicted != product_is_zero:
         raise ArithmeticError(
             "zero-product characterization disagrees with the direct product "
-            f"(predicted {predicted}, product norm {product.norm():.3e})")
+            f"(predicted {predicted}, product norm {product_norm:.3e})")
 
     cert = ZeroProductCertificate(
         product_is_zero=product_is_zero,
@@ -280,7 +291,7 @@ def zero_product_characterization(
         triple_special=triple_special,
         d_matches_formula=d_matches,
         d_formula=d_formula,
-        product_norm=product.norm(),
+        product_norm=product_norm,
     )
     return product_is_zero, cert
 

@@ -12,8 +12,10 @@ import warnings
 
 import pytest
 
+import numpy as np
+
 from sedenion.cli import main
-from sedenion import format_real
+from sedenion import CDElement, basis, cd_mul_recursive, format_real
 
 
 def run(capsys, argv):
@@ -97,6 +99,43 @@ def test_zd_check_certificate_and_exit_codes(capsys):
     rc, out, _ = run(capsys, ["zd-check", "e1", "e2"])
     assert rc == 1
     assert "product_zero=no" in out
+
+
+def _exact_text(x, k: int) -> str:
+    """Element text of x * 2**k, every coefficient written out in full decimal."""
+    terms = []
+    for i, c in enumerate(np.ldexp(x.promote(4).coeffs, k).tolist()):
+        if c:
+            terms.append(f"{'-' if c < 0 else '+'}{abs(c):.1100f}".rstrip("0").rstrip(".")
+                         + f"e{i}")
+    return "".join(terms)
+
+
+def test_zd_check_answers_alike_at_every_power_of_two_scale(capsys):
+    # (2^k x)(2^k y) = 4^k xy, so whether the product is zero, and the exit
+    # code, cannot depend on k, even where |x|^2 or |x||y| leaves the float
+    # range.  Zero products: the 336 ordered pairs of box-kite diagonals
+    # e_i +- e_j (de Marrais 2000).  Nonzero ones: e1+e10 times e4+e15,
+    # seeded pairs of diagonals whose product is not zero, and seeded
+    # elements.  Every product is decided exactly by the recursive formula.
+    diagonals = [basis(i, 4) + s * basis(j, 4) for i in range(1, 8)
+                 for j in range(9, 16) if j != i + 8 for s in (1.0, -1.0)]
+    products = [(x, y, cd_mul_recursive(x, y).is_zero()) for x in diagonals for y in diagonals]
+    zero = [(x, y) for x, y, is_zero in products if is_zero]
+    assert len(zero) == 336
+    rng = np.random.default_rng(52)
+    nonzero = [(x, y) for x, y, is_zero in products if not is_zero]
+    nonzero = [nonzero[i] for i in rng.choice(len(nonzero), size=24, replace=False)]
+    nonzero += [(basis(1, 4) + basis(10, 4), basis(4, 4) + basis(15, 4)), (basis(1), basis(2))]
+    nonzero += [tuple(CDElement(rng.normal(size=16)) for _ in range(2)) for _ in range(6)]
+    for pairs, want in ((zero, (0, "product_zero=yes")), (nonzero, (1, "product_zero=no"))):
+        for x, y in pairs:
+            for k in (0, 500, -500, 1000, -1000):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rc, out, err = run(capsys, ["zd-check", "--", _exact_text(x, k),
+                                                _exact_text(y, k)])
+                assert (rc, out.splitlines()[0], err) == (*want, ""), (str(x), str(y), k)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +351,17 @@ def test_scan_summary_and_success_exit(capsys):
     assert lines[0] == "slice,theta,re,im,predicted,empirical,terms_used,tail_norm"
     assert lines[-2] == "slice=e1 scored=3 agreed=3 agreement=1"
     assert lines[-1] == "total scored=3 agreed=3 agreement=1"
+
+
+def test_scan_agrees_with_itself_just_above_the_kernel_threshold(capsys):
+    # 1e-11*e2 is orthogonal to ker(e1 - e10) but below PERP_THRESHOLD of
+    # the coefficient, so it counts toward neither R_a^{p,e10} nor the
+    # reflected channel of evaluation: no Interior point diverges.
+    seq = json.dumps({"kind": "geometric", "terms": [
+        {"coeff": "1", "ratio": 3}, {"coeff": "0.00000000001e2+e4+e15", "ratio": 2}]})
+    rc, out, _ = run(capsys, ["scan", "--slices", "e10", "--seq", seq,
+                              "--rstep", "0.25", "--rmax", "3.25"])
+    assert (rc, out.splitlines()[-1]) == (0, "total scored=12 agreed=12 agreement=1")
 
 
 def test_scan_flags_disagreement_with_exit_1(capsys):

@@ -57,6 +57,19 @@ def test_tolerances_live_only_in_the_tol_module():
         assert isinstance(node, ast.Assign) and len(node.targets) == 1, ast.dump(node)
         assert node.targets[0].id.isupper() and isinstance(node.value, ast.Constant)
         assert type(node.value.value) in (int, float)
+    # Every constant decides something: another module reads it as `_tol.NAME`.
+    names = sorted(node.targets[0].id for node in body[1:])
+    read = {node.attr for path in src.glob("*.py") if path.name != "_tol.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "_tol"}
+    assert [name for name in names if name not in read] == []
+    # README's tolerance table names exactly these constants, each once.
+    readme = (src.parent.parent / "README.md").read_text()
+    table = readme.split("| role | value | name | read by |\n", 1)[1].split("\n\n", 1)[0]
+    listed = [name for row in table.splitlines()[1:]
+              for name in re.findall(r"`(\w+)`", row.split("|")[3])]
+    assert sorted(listed) == names
 
 
 def _mutable(value) -> bool:

@@ -42,6 +42,7 @@ from sedenion import (
     is_hyper_solution,
     kernel_of_left_mult,
     parse_element,
+    polar_grid,
     psi,
     radius_Ra,
     radius_RapJ,
@@ -58,7 +59,14 @@ from sedenion import (
     wpoint_from,
 )
 
-from util import imag_octonion_unit, reference_companion, reference_report
+from util import (
+    PERP_THRESHOLD,
+    g2_automorphism,
+    imag_octonion_unit,
+    pow2_scaled,
+    reference_companion,
+    reference_report,
+)
 
 E1 = SliceUnit("e1")
 E10 = SliceUnit("e10")
@@ -368,34 +376,46 @@ def test_directional_radius_takes_exactly_two_values(rng):
 
 def test_reflected_radius_agrees_with_the_surviving_channel_images(rng):
     # Two routes to R_a^{p,J}: radius_RapJ projects each coefficient off the
-    # SVD kernel of I_p - J; evaluation keeps the ratio groups whose C_minus
-    # image survives the 1e-13 filter.  The smallest kept ratio is the radius.
+    # SVD kernel of I_p - J; evaluation keeps the ratio groups that ride the
+    # channel C_minus of J, and C_plus of J is C_minus of -J.  The smallest
+    # ratio riding each channel is its radius, also for kernel vectors pushed
+    # off the kernel by a relative epsilon on either side of PERP_THRESHOLD.
     from sedenion import kernel_of_left_mult, random_hyper_pair, random_slice_unit
     from sedenion.series import _channels, _geometric_blocks
 
-    kernel_coeffs = 0
-    for n in range(200):
+    kernel_coeffs = Counter()
+    for n in range(300):
         if n % 2:
             j1, j2 = random_slice_unit(rng), random_slice_unit(rng)
         else:
             j1, j2 = random_hyper_pair(rng)
         p = wpoint_from(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 1.5)), j1)
-        ker = kernel_of_left_mult(j1.s - j2.s)
+        kernels = {"minus": kernel_of_left_mult(j1.s - j2.s),
+                   "plus": kernel_of_left_mult(j1.s + j2.s)}
         pairs = []
         for ratio in rng.choice([1.5, 2.0, 3.0, 5.0], size=rng.integers(1, 4),
                                 replace=False):
-            if ker.dim and rng.uniform() < 0.6:
+            side = "minus" if rng.uniform() < 0.5 else "plus"
+            ker = kernels[side]
+            if ker.dim and rng.uniform() < 0.7:
                 c = rng.normal(size=ker.dim) @ ker.basis
-                kernel_coeffs += 1
+                if rng.uniform() < 0.5:
+                    eps = 10.0 ** rng.uniform(-14, -8)
+                    push = rng.normal(size=16)
+                    c = c + eps * np.linalg.norm(c) * push / np.linalg.norm(push)
+                    kernel_coeffs[side, "pushed"] += 1
+                else:
+                    kernel_coeffs[side, "exact"] += 1
             else:
                 c = rng.normal(size=16)
             pairs.append((CDElement(c), float(ratio)))
         a = Lacunary.of(*pairs[0]) if len(pairs) == 1 else GeometricSum.of(pairs)
         q = wpoint_from(0.3, 1.0, j2)
         channels, _ = _geometric_blocks(a, *_channels(q, p))
-        reflected = [ratio for plus, ratio in channels if not plus]
-        assert min(reflected, default=math.inf) == radius_RapJ(a, p, j2), n
-    assert kernel_coeffs > 50
+        for plus, j in ((False, j2), (True, -j2)):
+            riding = [ratio for on_plus, ratio in channels if on_plus is plus]
+            assert min(riding, default=math.inf) == radius_RapJ(a, p, j), (n, plus)
+    assert min(kernel_coeffs.values()) > 20, kernel_coeffs
 
 
 def test_reflected_radius_is_never_below_the_slice_radius():
@@ -465,6 +485,63 @@ def test_supremum_radius_sampled_over_all_hyper_partners(rng):
     assert set(values) <= {2.0, 3.0}
     assert max(values) == rap == 3.0
     assert radius_RapJ(a, p, witness) == 3.0
+
+
+def test_domains_and_evaluation_are_equivariant_under_g2():
+    # An automorphism g of the algebra maps the series of a around p to the
+    # series of g(a) around g(p), term by term: (gq - gp)^{*l} g(a_l) =
+    # g((q - p)^{*l} a_l).  So radii, the disks of gJ, the channels that
+    # carry each ratio group and the verdicts do not move, and each partial
+    # sum moves by g.  Rotated inputs are generic: no coefficient is basis
+    # aligned, so every kernel and threshold decision sees rounding.
+    from sedenion.series import _channels, _geometric_blocks
+
+    rng = np.random.default_rng(23)
+    cases = [(center(), demo_sequence())]
+    while len(cases) < 4:
+        j1, j2 = random_hyper_pair(rng)
+        ker = kernel_of_left_mult(j1.s - j2.s)
+        c = CDElement(rng.normal(size=ker.dim) @ ker.basis)
+        p = wpoint_from(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 1.5)), j1)
+        cases.append((p, GeometricSum.of([("1", 3.0), (c, 2.0)])))
+    re, im = (x.ravel().tolist() for x in polar_grid([0.5, 1.5, 2.5, 3.5], [0.4, 1.5, 2.6]))
+    seen = Counter()
+    for _ in range(20):
+        g = g2_automorphism(rng)
+        rotate = lambda j: SliceUnit(CDElement(g @ j.s.coeffs))
+        for p, a in cases:
+            gp = wpoint_from(p.re, p.im, rotate(p.axis))
+            ga = GeometricSum.of((CDElement(g @ np.asarray(c)), r) for c, r in a.terms)
+            dom, gdom = Domain(p, a), Domain(gp, ga)
+            rep, grep = dom.report, gdom.report
+            assert (rep.r_a, rep.r_ap, rep.case) == (grep.r_a, grep.r_ap, grep.case)
+            assert rep.case is DomainCase.HYPER_INTERSECTION
+            for j in (p.axis, rep.witness, -rep.witness, random_slice_unit(rng)):
+                gj = rotate(j)
+                assert dom.disks(j)[1::2] == gdom.disks(gj)[1::2]
+                seen[dom.disks(j)[3]] += 1
+                qs = [wpoint_from(x, y, j) for x, y in zip(re, im)]
+                gqs = [wpoint_from(x, y, gj) for x, y in zip(re, im)]
+                assert (_geometric_blocks(a, *_channels(qs[0], p))[0]
+                        == _geometric_blocks(ga, *_channels(gqs[0], gp))[0])
+                for rep_q, grep_q in zip(evaluate_points(qs, p, a), evaluate_points(gqs, gp, ga)):
+                    assert rep_q.verdict is grep_q.verdict
+                    moved = g @ rep_q.partial_sum.coeffs
+                    size = max(1.0, float(np.linalg.norm(moved)))
+                    assert np.linalg.norm(moved - grep_q.partial_sum.coeffs) <= 1e-12 * size
+                    seen[rep_q.verdict] += 1
+    assert seen[math.inf] and seen[3.0] and seen[2.0]
+    assert seen[Verdict.CONVERGED] and seen[Verdict.DIVERGED]
+
+
+def test_g2_automorphisms_respect_the_product(rng):
+    for _ in range(40):
+        g = g2_automorphism(rng)
+        for _ in range(5):
+            x, y = rng.normal(size=16), rng.normal(size=16)
+            lhs = g @ cd_mul(CDElement(x), CDElement(y)).coeffs
+            rhs = cd_mul(CDElement(g @ x), CDElement(g @ y)).coeffs
+            assert np.abs(lhs - rhs).max() <= 1e-14 * max(1.0, np.abs(lhs).max())
 
 
 def test_supremum_radius_without_a_companion_sticks_to_the_slice_radius():
@@ -1234,29 +1311,31 @@ def test_tail_is_uniform_on_compacts_inside_the_domain(rng):
 # ---------------------------------------------------------------------------
 
 
-def _reference_channel_images(op, v0, v1):
-    out = []
-    for v in (v0, v1):
-        if op is None:
-            out.append(None)
-        elif isinstance(op, str):
-            out.append(v if np.any(v) else None)
-        else:
-            image = op @ v
-            small = np.linalg.norm(image) <= 1e-13 * np.linalg.norm(v)
-            out.append(None if small else image)
-    return out
+def _reference_channel_images(op, ker, v0, v1):
+    """The images of a group (v0, mp v0) in the channel op; None where it does not ride.
+
+    Off the center plane a group rides op exactly when its coefficient
+    counts against PERP_THRESHOLD by its distance from the kernel `ker` of
+    op, the rule of the reflected radius.
+    """
+    if op is None:
+        return [None, None]
+    if isinstance(op, str):
+        return [v0, v1]
+    c = pow2_scaled(v0)
+    rides = np.linalg.norm(c - ker.project(c).coeffs) > PERP_THRESHOLD * np.linalg.norm(c)
+    return [op @ v0, op @ v1] if rides else [None, None]
 
 
-def _reference_geometric_terms(groups, mp, c_plus, c_minus, step_p, step_m,
+def _reference_geometric_terms(groups, mp, c_plus, c_minus, kers, step_p, step_m,
                                gaps=False):
     """Terms of a geometric sum; with `gaps`, zero rows off l = 1, 2, 4, ..."""
     comps = []
     for ratio, coeff in groups:
         v0 = np.asarray(coeff, dtype=float)
         v1 = mp @ v0
-        images = (_reference_channel_images(c_plus, v0, v1)
-                  + _reference_channel_images(c_minus, v0, v1))
+        images = (_reference_channel_images(c_plus, kers[0], v0, v1)
+                  + _reference_channel_images(c_minus, kers[1], v0, v1))
         comps.append((step_p / ratio, step_m / ratio, images))
     zetas = [[1.0 + 0.0j, 1.0 + 0.0j] for _ in comps]
     ell = 0
@@ -1305,6 +1384,7 @@ def reference_evaluate(q, p, a, max_terms, tol=1e-8):
                           verdict=Verdict.CONVERGED, tail_norm=0.0)
     mp = (q.axis if p.is_real else p.axis).matrix
     sign = 1 if q.is_real or p.is_real else axis_sign(q.axis, p.axis)
+    kers = (None, None)
     if sign > 0:
         c_plus, c_minus = "id", None
     elif sign < 0:
@@ -1313,12 +1393,14 @@ def reference_evaluate(q, p, a, max_terms, tol=1e-8):
         prod = q.axis.matrix @ mp
         c_plus = (np.eye(16) - prod) / 2.0
         c_minus = (np.eye(16) + prod) / 2.0
+        kers = (kernel_of_left_mult(p.axis.s + q.axis.s),
+                kernel_of_left_mult(p.axis.s - q.axis.s))
     w, z = q.z, p.z
     step_p = w - z
     step_m = w.conjugate() - z
     if isinstance(a, (GeometricSum, Lacunary)):
         terms_iter = _reference_geometric_terms(_ratio_groups(a), mp, c_plus,
-                                                c_minus, step_p, step_m,
+                                                c_minus, kers, step_p, step_m,
                                                 gaps=isinstance(a, Lacunary))
     else:
         terms_iter = _reference_generic_terms(a, mp, c_plus, c_minus, step_p, step_m)
@@ -1746,6 +1828,24 @@ def test_scan_verdicts_respect_the_channel_moduli(seq):
                 assert row.empirical is not Verdict.DIVERGED, (name, row)
                 checked["inside"] += 1
     assert min(checked.values()) > 100
+
+
+@pytest.mark.parametrize("eps", ["0.000000001", "0.0000000001", "0.00000000003",
+                                 "0.00000000001", "0.000000000001", "0.0000000000001",
+                                 "0.00000000000001"])
+def test_scan_never_contradicts_itself_near_the_kernel_threshold(eps):
+    # {1 at ratio 3, eps*e2 + e4+e15 at ratio 2}: e2 is orthogonal to
+    # ker(e1 - e10), so on the slice of e10 R_a^{p,J} is 2 when eps counts
+    # against PERP_THRESHOLD and 3 below it.  Evaluation must read the
+    # same rule: an Interior point never diverges and an Exterior one never
+    # converges, on either side of the threshold.
+    a = GeometricSum.of([("1", 3.0), (f"{eps}e2+e4+e15", 2.0)])
+    radial = [0.25 * k for k in range(1, 14)]
+    res = convergence_scan(center(), a, E10, radial, [math.pi / 2, 1.2, 2.0])
+    pairs = Counter((r.predicted, r.empirical) for r in res.rows)
+    assert pairs[Membership.INTERIOR, Verdict.DIVERGED] == 0, pairs
+    assert pairs[Membership.EXTERIOR, Verdict.CONVERGED] == 0, pairs
+    assert res.scored > 20
 
 
 def test_scan_rejects_empty_grids():

@@ -37,6 +37,26 @@ def special_triple(rng):
     return i1, i2, i3
 
 
+def g2_automorphism(rng):
+    """16x16 matrix of a seeded automorphism of the sedenions.
+
+    A basic triple (i, j, k) of unit imaginary octonions, k outside the
+    quaternion algebra of (i, j), fixes an automorphism of the octonions:
+    e1 -> i, e2 -> j, e4 -> k, e3 -> ij, e5 -> ik, e6 -> jk, e7 -> (ij)k.
+    It acts the same on both octonion halves of a sedenion (Brown 1967:
+    Aut(S) = Aut(O) x S3).
+    """
+    from sedenion import basis, cd_mul
+
+    i, j, k = special_triple(rng)
+    images = {0: one(3), 1: i, 2: j, 4: k}
+    for m, (x, y) in ((3, (1, 2)), (5, (1, 4)), (6, (2, 4)), (7, (3, 4))):
+        assert cd_mul(basis(x, 3), basis(y, 3)) == basis(m, 3)  # the table's convention
+        images[m] = cd_mul(images[x], images[y])
+    g = np.column_stack([images[m].promote(3).coeffs for m in range(8)])
+    return np.kron(np.eye(2), g)
+
+
 def random_element(rng, dim=16, scale=1.0):
     return CDElement(scale * rng.normal(size=dim))
 
