@@ -28,8 +28,7 @@ SPAN_RANK_CUTOFF = 1e-12
 ORTHONORMAL = 1e-10
 # A ratio-group coefficient counts toward a radius when its size (its norm for
 # R_a, its distance from ker(I_p - J) for R_a^{p,J}) exceeds this fraction of
-# its norm; evaluation carries a group in the reflected channel of the slice
-# of J exactly when it counts toward R_a^{p,J}.
+# its norm.
 PERP_THRESHOLD = 1e-10
 
 # -- slice geometry ---------------------------------------------------------
@@ -67,6 +66,11 @@ EVAL_TOL = 1e-8
 EVAL_WINDOW = 50
 # A term norm above this is Diverged.
 EVAL_BLOWUP = 1e6
+# A channel image below this fraction of its input is rounding dust of a
+# formally dead direction and is dropped.  A scan scores no point whose
+# membership moves when the floor of R_a^{p,J} drops from PERP_THRESHOLD to
+# this one.
+CHANNEL_DUST = 1e-13
 
 # -- display ----------------------------------------------------------------
 

@@ -36,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -361,27 +361,23 @@ def radius_Ra(a: SeqSpec) -> float:
     return _radius(a, lambda v: math.sqrt(v @ v))
 
 
-def _radius(a: SeqSpec, size: Callable[[NDArray[np.float64]], float]) -> float:
+def _radius(a: SeqSpec, size: Callable[[NDArray[np.float64]], float],
+            floor: float = _tol.PERP_THRESHOLD) -> float:
     """1 / limsup size(a_l)^(1/l): R_a for the norm, R_a^{p,J} for dist(., ker(I_p - J)).
 
-    For ratio groups, the first (smallest) ratio of `_counting_ratios`, or
-    +inf.  Tables get the windowed estimate of `_table_radius`, on values
-    scaled by a power of two the same way.
+    For ratio groups, the smallest ratio whose coefficient c has size(c) >
+    floor * |c| (+inf if none): the first such group, as the ratios ascend.
+    c is first scaled by a power of two so that neither side underflows or
+    overflows.  Tables get the windowed estimate of `_table_radius`, on
+    values scaled the same way, with no floor.
     """
     if isinstance(a, TableSeq):
         return _table_radius(a, size)
-    return next(_counting_ratios(a, size), math.inf)
-
-
-def _counting_ratios(a: GeometricSum | Lacunary, size) -> Iterator[float]:
-    """Ratios, ascending, of the groups whose coefficient c counts: size(c) > PERP_THRESHOLD |c|.
-
-    c is first scaled by a power of two, so neither side under- or overflows.
-    """
     for ratio, coeff in _ratio_groups(a):
         c = _pow2_scaled(coeff)
-        if size(c) > _tol.PERP_THRESHOLD * math.sqrt(c @ c):
-            yield ratio
+        if size(c) > floor * math.sqrt(c @ c):
+            return ratio
+    return math.inf
 
 
 def _table_radius(a: TableSeq, size) -> float:
@@ -412,13 +408,18 @@ def radius_RapJ(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
     ker(I_p - J) count, so it can only be larger (+inf when every
     coefficient sits inside the kernel).
     """
-    return radius_Ra(a) if _plane_sign(p, j) else _radius(a, _kernel_size(p.axis.s - j.s))
+    return radius_Ra(a) if _plane_sign(p, j) else _reflected_radius(a, p, j)
 
 
-def _kernel_size(s: CDElement) -> Callable[[NDArray[np.float64]], float]:
-    """R_a^{p,J}'s size, s = I_p - J: dist(., ker(s)), at most the norm, so never below R_a."""
-    distance = kernel_of_left_mult(s).distance
-    return lambda v: min(distance(v), math.sqrt(v @ v))
+def _reflected_radius(a: SeqSpec, p: WPoint, j: SliceUnit,
+                      floor: float = _tol.PERP_THRESHOLD) -> float:
+    """R_a^{p,J} for a slice J off the center plane of p: never below R_a, bit for bit.
+
+    Ratio groups give a later ratio than R_a's, or +inf; a table term's kernel
+    distance is read as at most its norm, the size R_a reads.
+    """
+    distance = kernel_of_left_mult(p.axis.s - j.s).distance
+    return _radius(a, lambda v: min(distance(v), math.sqrt(v @ v)), floor)
 
 
 def radius_Rap(a: SeqSpec, p: WPoint) -> tuple[float, SliceUnit | None]:
@@ -562,7 +563,7 @@ class Domain:
         pair = self._slices.get(key)
         if pair is None:
             pair = _slice_disks(self.p, self.report.r_a, j,
-                                lambda: _radius(self.a, _kernel_size(self.p.axis.s - j.s)))
+                                lambda: _reflected_radius(self.a, self.p, j))
             if len(self._slices) >= _SLICE_MEMO:
                 self._slices.clear()
             self._slices[key] = pair
@@ -585,15 +586,7 @@ class Domain:
         the disks of J (a real point gets the code of every slice), im < 0 those
         of -J at height |im|.
         """
-        re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
-        out = np.zeros(im.shape, dtype=np.int8)  # a NaN is Boundary, as in contains
-        for half, lower in ((im >= 0.0, False), (im < 0.0, True)):
-            if half.any():
-                c1, r1, c2, r2 = self.disks(-j if lower else j)
-                x, y = re[half], np.abs(im[half])  # np.hypot rounds as abs(complex)
-                out[half] = _two_disk_rule(np.hypot(x - c1.real, y - c1.imag), r1,
-                                           np.hypot(x - c2.real, y - c2.imag), r2, band)
-        return out
+        return _classify(self.disks, re, im, j, band)
 
 
 @functools.lru_cache(maxsize=_SLICE_MEMO)
@@ -613,6 +606,19 @@ def domain_report(p: WPoint, a: SeqSpec) -> DomainReport:
 
 # The Membership of each code of the two-disk rule; -1 indexes the last.
 _MEMBERSHIP = (Membership.BOUNDARY, Membership.EXTERIOR, Membership.INTERIOR)
+
+
+def _classify(disks: Callable[[SliceUnit], _Disks], re, im, j: SliceUnit, band: float):
+    """`Domain.classify` with the disks of each slice read from `disks`."""
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    out = np.zeros(im.shape, dtype=np.int8)  # a NaN is Boundary, as in contains
+    for half, lower in ((im >= 0.0, False), (im < 0.0, True)):
+        if half.any():
+            c1, r1, c2, r2 = disks(-j if lower else j)
+            x, y = re[half], np.abs(im[half])  # np.hypot rounds as abs(complex)
+            out[half] = _two_disk_rule(np.hypot(x - c1.real, y - c1.imag), r1,
+                                       np.hypot(x - c2.real, y - c2.imag), r2, band)
+    return out
 
 
 def _two_disk_rule(d1, r1, d2, r2, band):
@@ -703,30 +709,33 @@ def _matvecs(m, rows):
 def _geometric_blocks(a: GeometricSum | Lacunary, mp, live):
     """Channels and block maker of a geometric sum or a gap series.
 
-    Each ratio group has fixed images in each channel it rides (of c and of
-    mp c), so a term is Re(zeta) * image + Im(zeta) * image summed over them,
-    with zeta the channel step divided by the ratio to the power l.  An
-    identity channel carries every group, one with kernel operand s those
-    `_counting_ratios` counts by the distance from ker(s): no group it
-    annihilates rides a growing power.  A gap series is one group
-    (`_evaluate_chunk` zeroes its rows off the support).  Returns the (plus
-    channel?, ratio) of each channel kept and a function (start, zetas) ->
-    terms over a (n, points, channels) stack of powers.
+    Each ratio group has fixed images in each live channel (of the
+    coefficient and of its rotation by mp), so a term is Re(zeta) * image +
+    Im(zeta) * image summed over them, with zeta the channel step divided by
+    the ratio to the power l.  An image below CHANNEL_DUST of its input is a
+    formal annihilation seen through rounding and is dropped (None).  A gap
+    series is one group (`_evaluate_chunk` zeroes its rows off the support).
+    Returns the (plus channel?, ratio) of each channel kept and a function
+    (start, zetas) -> terms over a (n, points, channels) stack of powers.
     """
-    riders = [None if s is None else set(_counting_ratios(a, _kernel_size(s))) for *_, s in live]
     channels, images = [], []
     for ratio, coeff in _ratio_groups(a):
         vs = (coeff, mp @ coeff)
-        for (plus, op, _), rides in zip(live, riders):
-            if rides is None or ratio in rides:
+        for plus, op in live:
+            imgs = [v if op is None else op @ v for v in vs]
+            imgs = [img if np.linalg.norm(img) > _tol.CHANNEL_DUST * np.linalg.norm(v)
+                    else None for img, v in zip(imgs, vs)]
+            if any(img is not None for img in imgs):
                 channels.append((plus, ratio))
-                images.append([v if op is None else op @ v for v in vs])
+                images.append(imgs)
 
     def block(start, zetas):
         out = np.zeros(zetas.shape[:2] + (DIM,))
         for k, (re_img, im_img) in enumerate(images):
-            out += zetas[:, :, k].real[..., None] * re_img
-            out += zetas[:, :, k].imag[..., None] * im_img
+            if re_img is not None:
+                out += zetas[:, :, k].real[..., None] * re_img
+            if im_img is not None:
+                out += zetas[:, :, k].imag[..., None] * im_img
         return out
 
     return channels, block
@@ -740,13 +749,13 @@ def _table_blocks(values, mp, live):
         coeffs = values[start:start + len(zetas), None, :]
         rotated = _matvecs(mp, coeffs)
         out = np.zeros(zetas.shape[:2] + (DIM,))
-        for k, (_, op, _) in enumerate(live):
+        for k, (_, op) in enumerate(live):
             zeta = zetas[:, :, k]
             chan = zeta.real[..., None] * coeffs + zeta.imag[..., None] * rotated
             out += chan if op is None else _matvecs(op, chan)
         return out
 
-    return [(plus, None) for plus, _, _ in live], block
+    return [(plus, None) for plus, _ in live], block
 
 
 def _block_stop(norms, quiet, tol):
@@ -847,21 +856,19 @@ def _report(total, terms: int, verdict: Verdict, tail: list[float]) -> EvalRepor
 
 
 def _channels(q: WPoint, p: WPoint):
-    """The rotation mp and the live channels (plus channel?, C, s) of q's slice.
+    """The rotation mp and the live channels (plus channel?, C) of q's slice.
 
     Complex powers act through the center axis, or through I_q for a real p.
     On the center plane (a real q lies on it) one channel lives, C_plus for
-    I_q = I_p and C_minus for I_q = -I_p, and it is the exact identity (C and
-    s None); off it both live: C_pm = (id -+ M_q M_p)/2, s = I_p +- I_q, and
-    C c = 0 iff s c = 0.
+    I_q = I_p and C_minus for I_q = -I_p, and C is the exact identity (None);
+    off it both live, with C_pm = (id -+ M_q M_p)/2.
     """
     mp = (q.axis if p.is_real else p.axis).matrix
     sign = _plane_sign(p, p.axis if q.is_real else q.axis)
     if sign:
-        return mp, [(sign > 0, None, None)]
-    prod, ip, iq = q.axis.matrix @ mp, p.axis.s, q.axis.s
-    return mp, [(True, (np.eye(DIM) - prod) / 2.0, ip + iq),
-                (False, (np.eye(DIM) + prod) / 2.0, ip - iq)]
+        return mp, [(sign > 0, None)]
+    prod = q.axis.matrix @ mp
+    return mp, [(True, (np.eye(DIM) - prod) / 2.0), (False, (np.eye(DIM) + prod) / 2.0)]
 
 
 def evaluate_points(qs: Sequence[WPoint], p: WPoint, a: SeqSpec,
@@ -887,16 +894,16 @@ def evaluate_points(qs: Sequence[WPoint], p: WPoint, a: SeqSpec,
     a non-finite term is the Diverged verdict.  A center hit (q = p) gets
     a_0 at once.
 
-    Geometric sums and gap series go through their ratio groups, whose
+    Geometric sums and gap series go through their ratio groups, whose four
     channel images (C_pm of the coefficient and of its I_p rotation) are
-    computed once.  A group rides C_minus when it counts toward R_a^{p,J}
-    and C_plus when it counts toward R_a^{p,-J} (J = I_q, `_counting_ratios`),
-    so a formally dead direction cannot ride a growing power.  The ratio is
-    folded into the step, never raised to a power alone, and a gap series
-    zeroes the terms off its support 1, 2, 4, ....  A table is a finite sum:
-    only its len(values) terms are computed, and a point still running after
-    them keeps its sum, gets zero norms in its window and reports terms_used
-    = max_terms, as if the zero terms had been added.
+    computed once; an image below 1e-13 of its input is rounding dust of a
+    formally dead direction (every kernel-curve slice has these) and is
+    dropped, so it cannot ride a growing power.  The ratio is folded into
+    the step, never raised to a power alone, and a gap series zeroes the
+    terms off its support 1, 2, 4, ....  A table is a finite sum: only its
+    len(values) terms are computed, and a point still running after them
+    keeps its sum, gets zero norms in its window and reports terms_used =
+    max_terms, as if the zero terms had been added.
 
     Verdicts: Converged once 50 nonzero term norms in a row stay below tol
     (summation stops there; exactly-zero terms neither reset nor advance the
@@ -992,11 +999,23 @@ def convergence_scan(p: WPoint, a: SeqSpec, slice_unit: SliceUnit,
     `band` of a radius equality classifies Boundary and is excluded from the
     agreement count; Interior must pair with Converged and Exterior with
     Diverged to score as agreement.
+
+    R_a^{p,J} reads a group within PERP_THRESHOLD of ker(I_p - J) as inside
+    it, evaluation drops only images below CHANNEL_DUST: a point whose code
+    moves when the floor of R_a^{p,J} drops to CHANNEL_DUST is Boundary too.
     """
     if not radial_grid or not angular_grid:
         raise ValueError("scan grids must be nonempty")
     re, im = polar_grid(radial_grid, angular_grid)
-    codes = domain(p, a).classify(re, im, slice_unit, band).ravel().tolist()
+    dom = domain(p, a)
+
+    def floored(j: SliceUnit) -> _Disks:  # the disks of J, R_a^{p,J} floored at CHANNEL_DUST
+        return _slice_disks(p, dom.report.r_a, j,
+                            lambda: _reflected_radius(a, p, j, _tol.CHANNEL_DUST))
+
+    codes = dom.classify(re, im, slice_unit, band)
+    codes[codes != _classify(floored, re, im, slice_unit, band)] = 0
+    codes = codes.ravel().tolist()
     xs, ys = re.ravel().tolist(), im.ravel().tolist()
     qs = [wpoint_from(x, y, slice_unit) for x, y in zip(xs, ys)]
     reports = evaluate_points(qs, p, a, max_terms=max_terms, tol=tol)

@@ -353,15 +353,19 @@ def test_scan_summary_and_success_exit(capsys):
     assert lines[-1] == "total scored=3 agreed=3 agreement=1"
 
 
-def test_scan_agrees_with_itself_just_above_the_kernel_threshold(capsys):
+def test_scan_leaves_threshold_dependent_points_unscored(capsys):
     # 1e-11*e2 is orthogonal to ker(e1 - e10) but below PERP_THRESHOLD of
-    # the coefficient, so it counts toward neither R_a^{p,e10} nor the
-    # reflected channel of evaluation: no Interior point diverges.
+    # the coefficient: R_a^{p,e10} reads it as inside the kernel, while the
+    # series diverges wherever |conj(w) - z| > 2.  The points between the
+    # two readings are Boundary, so no Interior point is scored as Diverged.
     seq = json.dumps({"kind": "geometric", "terms": [
         {"coeff": "1", "ratio": 3}, {"coeff": "0.00000000001e2+e4+e15", "ratio": 2}]})
     rc, out, _ = run(capsys, ["scan", "--slices", "e10", "--seq", seq,
                               "--rstep", "0.25", "--rmax", "3.25"])
-    assert (rc, out.splitlines()[-1]) == (0, "total scored=12 agreed=12 agreement=1")
+    lines = out.splitlines()
+    assert (rc, lines[-1]) == (0, "total scored=8 agreed=8 agreement=1")
+    assert sum(",Boundary,Diverged," in line for line in lines) == 4
+    assert not any(",Interior,Diverged," in line for line in lines)
 
 
 def test_scan_flags_disagreement_with_exit_1(capsys):

@@ -376,46 +376,60 @@ def test_directional_radius_takes_exactly_two_values(rng):
 
 def test_reflected_radius_agrees_with_the_surviving_channel_images(rng):
     # Two routes to R_a^{p,J}: radius_RapJ projects each coefficient off the
-    # SVD kernel of I_p - J; evaluation keeps the ratio groups that ride the
-    # channel C_minus of J, and C_plus of J is C_minus of -J.  The smallest
-    # ratio riding each channel is its radius, also for kernel vectors pushed
-    # off the kernel by a relative epsilon on either side of PERP_THRESHOLD.
+    # SVD kernel of I_p - J; evaluation keeps the ratio groups whose C_minus
+    # image survives the 1e-13 filter, and C_plus of J is C_minus of -J.  The
+    # smallest kept ratio is the radius for kernel vectors, exact or pushed
+    # off the kernel by a relative epsilon below CHANNEL_DUST or above
+    # 10 * PERP_THRESHOLD.  Pushed in between, evaluation may carry what the
+    # radius reads as inside the kernel, but never less than the radius with
+    # its floor lowered to CHANNEL_DUST, the bound a scan scores against.
     from sedenion import kernel_of_left_mult, random_hyper_pair, random_slice_unit
-    from sedenion.series import _channels, _geometric_blocks
+    from sedenion._tol import CHANNEL_DUST
+    from sedenion.series import _channels, _geometric_blocks, _reflected_radius
 
-    kernel_coeffs = Counter()
-    for n in range(300):
+    seen = Counter()
+    for n in range(400):
         if n % 2:
             j1, j2 = random_slice_unit(rng), random_slice_unit(rng)
         else:
             j1, j2 = random_hyper_pair(rng)
+        j2 = j2 if rng.uniform() < 0.5 else -j2  # kernel vectors ride C_minus or C_plus
         p = wpoint_from(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 1.5)), j1)
-        kernels = {"minus": kernel_of_left_mult(j1.s - j2.s),
-                   "plus": kernel_of_left_mult(j1.s + j2.s)}
-        pairs = []
+        kernels = {False: kernel_of_left_mult(j1.s - j2.s), True: kernel_of_left_mult(j1.s + j2.s)}
+        pairs, banded = [], set()
         for ratio in rng.choice([1.5, 2.0, 3.0, 5.0], size=rng.integers(1, 4),
                                 replace=False):
-            side = "minus" if rng.uniform() < 0.5 else "plus"
-            ker = kernels[side]
+            plus = bool(rng.uniform() < 0.5)
+            ker = kernels[plus]
+            c = rng.normal(size=16)
             if ker.dim and rng.uniform() < 0.7:
                 c = rng.normal(size=ker.dim) @ ker.basis
+                zone = "exact"
                 if rng.uniform() < 0.5:
                     eps = 10.0 ** rng.uniform(-14, -8)
                     push = rng.normal(size=16)
+                    push -= ker.project(push).coeffs
                     c = c + eps * np.linalg.norm(c) * push / np.linalg.norm(push)
-                    kernel_coeffs[side, "pushed"] += 1
-                else:
-                    kernel_coeffs[side, "exact"] += 1
-            else:
-                c = rng.normal(size=16)
+                    zone = ("dust" if eps < CHANNEL_DUST else "counted"
+                            if eps > 10 * PERP_THRESHOLD else "band")
+                    if zone == "band":
+                        banded.add(plus)
+                seen[plus, zone] += 1
             pairs.append((CDElement(c), float(ratio)))
         a = Lacunary.of(*pairs[0]) if len(pairs) == 1 else GeometricSum.of(pairs)
         q = wpoint_from(0.3, 1.0, j2)
         channels, _ = _geometric_blocks(a, *_channels(q, p))
         for plus, j in ((False, j2), (True, -j2)):
-            riding = [ratio for on_plus, ratio in channels if on_plus is plus]
-            assert min(riding, default=math.inf) == radius_RapJ(a, p, j), (n, plus)
-    assert min(kernel_coeffs.values()) > 20, kernel_coeffs
+            riding = min((ratio for on_plus, ratio in channels if on_plus is plus),
+                         default=math.inf)
+            floored = _reflected_radius(a, p, j, CHANNEL_DUST)
+            radius = radius_RapJ(a, p, j)
+            assert floored <= riding <= radius, (n, plus)
+            if plus in banded:
+                seen["band", riding < radius] += 1
+            else:
+                assert floored == riding == radius, (n, plus)
+    assert len(seen) == 10 and min(seen.values()) > 4, seen
 
 
 def test_reflected_radius_is_never_below_the_slice_radius():
@@ -1208,7 +1222,8 @@ def test_block_evaluation_matches_the_definition_route(rng):
     # expansion, sum_l (|q| + |p|)^l |a_l|, whose terms cancel.
     c = kernel_of_left_mult(E1.s - E10.s).vectors()[0]
     seqs = [demo_sequence(), Lacunary.of("e4+e15", 2),
-            GeometricSum.of([("e5", 1.5), (c, 4.0)])]
+            GeometricSum.of([("e5", 1.5), (c, 4.0)]),
+            GeometricSum.of([("0.00000000001e2+e4+e15", 2.0)])]  # 1e-11 off a kernel
     centers = [center(), wpoint("0.5"),
                wpoint_from(float(rng.uniform(-1, 1)), float(rng.uniform(0.3, 1)),
                            random_slice_unit(rng))]
@@ -1311,31 +1326,29 @@ def test_tail_is_uniform_on_compacts_inside_the_domain(rng):
 # ---------------------------------------------------------------------------
 
 
-def _reference_channel_images(op, ker, v0, v1):
-    """The images of a group (v0, mp v0) in the channel op; None where it does not ride.
-
-    Off the center plane a group rides op exactly when its coefficient
-    counts against PERP_THRESHOLD by its distance from the kernel `ker` of
-    op, the rule of the reflected radius.
-    """
-    if op is None:
-        return [None, None]
-    if isinstance(op, str):
-        return [v0, v1]
-    c = pow2_scaled(v0)
-    rides = np.linalg.norm(c - ker.project(c).coeffs) > PERP_THRESHOLD * np.linalg.norm(c)
-    return [op @ v0, op @ v1] if rides else [None, None]
+def _reference_channel_images(op, v0, v1):
+    out = []
+    for v in (v0, v1):
+        if op is None:
+            out.append(None)
+        elif isinstance(op, str):
+            out.append(v if np.any(v) else None)
+        else:
+            image = op @ v
+            small = np.linalg.norm(image) <= 1e-13 * np.linalg.norm(v)
+            out.append(None if small else image)
+    return out
 
 
-def _reference_geometric_terms(groups, mp, c_plus, c_minus, kers, step_p, step_m,
+def _reference_geometric_terms(groups, mp, c_plus, c_minus, step_p, step_m,
                                gaps=False):
     """Terms of a geometric sum; with `gaps`, zero rows off l = 1, 2, 4, ..."""
     comps = []
     for ratio, coeff in groups:
         v0 = np.asarray(coeff, dtype=float)
         v1 = mp @ v0
-        images = (_reference_channel_images(c_plus, kers[0], v0, v1)
-                  + _reference_channel_images(c_minus, kers[1], v0, v1))
+        images = (_reference_channel_images(c_plus, v0, v1)
+                  + _reference_channel_images(c_minus, v0, v1))
         comps.append((step_p / ratio, step_m / ratio, images))
     zetas = [[1.0 + 0.0j, 1.0 + 0.0j] for _ in comps]
     ell = 0
@@ -1384,7 +1397,6 @@ def reference_evaluate(q, p, a, max_terms, tol=1e-8):
                           verdict=Verdict.CONVERGED, tail_norm=0.0)
     mp = (q.axis if p.is_real else p.axis).matrix
     sign = 1 if q.is_real or p.is_real else axis_sign(q.axis, p.axis)
-    kers = (None, None)
     if sign > 0:
         c_plus, c_minus = "id", None
     elif sign < 0:
@@ -1393,14 +1405,12 @@ def reference_evaluate(q, p, a, max_terms, tol=1e-8):
         prod = q.axis.matrix @ mp
         c_plus = (np.eye(16) - prod) / 2.0
         c_minus = (np.eye(16) + prod) / 2.0
-        kers = (kernel_of_left_mult(p.axis.s + q.axis.s),
-                kernel_of_left_mult(p.axis.s - q.axis.s))
     w, z = q.z, p.z
     step_p = w - z
     step_m = w.conjugate() - z
     if isinstance(a, (GeometricSum, Lacunary)):
         terms_iter = _reference_geometric_terms(_ratio_groups(a), mp, c_plus,
-                                                c_minus, kers, step_p, step_m,
+                                                c_minus, step_p, step_m,
                                                 gaps=isinstance(a, Lacunary))
     else:
         terms_iter = _reference_generic_terms(a, mp, c_plus, c_minus, step_p, step_m)
@@ -1835,10 +1845,14 @@ def test_scan_verdicts_respect_the_channel_moduli(seq):
                                  "0.00000000000001"])
 def test_scan_never_contradicts_itself_near_the_kernel_threshold(eps):
     # {1 at ratio 3, eps*e2 + e4+e15 at ratio 2}: e2 is orthogonal to
-    # ker(e1 - e10), so on the slice of e10 R_a^{p,J} is 2 when eps counts
-    # against PERP_THRESHOLD and 3 below it.  Evaluation must read the
-    # same rule: an Interior point never diverges and an Exterior one never
-    # converges, on either side of the threshold.
+    # ker(e1 - e10), so on the slice of e10 the series has R_a^{p,J} = 2 for
+    # every eps > 0, and evaluation carries eps*e2 unless it is rounding
+    # dust.  radius_RapJ reads eps below PERP_THRESHOLD of the coefficient
+    # as inside the kernel (3).  Between CHANNEL_DUST and PERP_THRESHOLD the
+    # scan scores no point whose membership depends on that reading, and
+    # there evaluation diverges where the radius alone would say Interior.
+    from sedenion._tol import CHANNEL_DUST
+
     a = GeometricSum.of([("1", 3.0), (f"{eps}e2+e4+e15", 2.0)])
     radial = [0.25 * k for k in range(1, 14)]
     res = convergence_scan(center(), a, E10, radial, [math.pi / 2, 1.2, 2.0])
@@ -1846,6 +1860,8 @@ def test_scan_never_contradicts_itself_near_the_kernel_threshold(eps):
     assert pairs[Membership.INTERIOR, Verdict.DIVERGED] == 0, pairs
     assert pairs[Membership.EXTERIOR, Verdict.CONVERGED] == 0, pairs
     assert res.scored > 20
+    band = CHANNEL_DUST < float(eps) / math.sqrt(2.0) <= PERP_THRESHOLD
+    assert (pairs[Membership.BOUNDARY, Verdict.DIVERGED] > 0) == band, pairs
 
 
 def test_scan_rejects_empty_grids():
