@@ -105,9 +105,11 @@ def _coeff_key(c) -> tuple[float, ...]:
 
 def _cached_hash(self) -> int:
     """The dataclass hash of a sequence (of its field tuple), kept after first use."""
-    if not hasattr(self, "_hash"):
+    try:
+        return self._hash
+    except AttributeError:
         object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
-    return self._hash
+        return self._hash
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +538,13 @@ class Domain:
     """The convergence domain of the series a around the center p.
 
     Built once per (center, sequence); `report` holds the radii, witness and
-    case.  On each slice C_J the domain is two disks that depend only on
-    (p, a, J), so a memo keyed by the axis of J keeps the disks of each
-    slice: one axis test and, off the center plane, one kernel for the
-    reflected radius R_a^{p,J}.  A point reads the disks of its slice; a real
-    one (on I0) is as far from z_p as from conj(z_p), and R_a^{p,J} >= R_a,
-    so the reflected disk never decides it.  At most `_SLICE_MEMO` axes are
-    kept: the only state a Domain changes after construction.
+    case.  On each slice C_J the domain is two disks that depend only on (p, a,
+    J), so a memo `dict[SliceUnit, _Disks]` (a unit keeps its hash) keeps the
+    disks of each slice: one axis test and, off the center plane, one kernel
+    for the reflected radius R_a^{p,J}.  A point reads the disks of its slice;
+    a real one (on I0) is as far from z_p as from conj(z_p), and R_a^{p,J} >=
+    R_a, so the reflected disk never decides it.  At most `_SLICE_MEMO` units
+    are kept: the only state a Domain changes after construction.
     """
 
     __slots__ = ("p", "a", "report", "_slices")
@@ -555,18 +557,17 @@ class Domain:
         self.p, self.a = p, a
         self.report = DomainReport(r_a=ra, r_ap=rap, witness=witness, case=case,
                                    approximate=isinstance(a, TableSeq))
-        self._slices: dict[tuple[float, ...], _Disks] = {}
+        self._slices: dict[SliceUnit, _Disks] = {}
 
     def disks(self, j: SliceUnit) -> _Disks:
         """The disks (c1, r1, c2, r2) of the domain on the slice of J (`_slice_disks`)."""
-        key = j.key
-        pair = self._slices.get(key)
+        pair = self._slices.get(j)
         if pair is None:
             pair = _slice_disks(self.p, self.report.r_a, j,
                                 lambda: _reflected_radius(self.a, self.p, j))
             if len(self._slices) >= _SLICE_MEMO:
                 self._slices.clear()
-            self._slices[key] = pair
+            self._slices[j] = pair
         return pair
 
     def contains(self, q: WPoint, band: float = _tol.MEMBERSHIP_BAND) -> Membership:
@@ -637,7 +638,7 @@ def _two_disk_rule(d1, r1, d2, r2, band):
 def _point_rule(q: WPoint, disks: _Disks, band: float) -> int:
     """The two-disk rule at one point q of the slice of the disks."""
     c1, r1, c2, r2 = disks
-    z = q.z
+    z = complex(q.re, q.im)
     return _two_disk_rule(abs(z - c1), r1, abs(z - c2), r2, band)
 
 
@@ -919,12 +920,12 @@ def evaluate_points(qs: Sequence[WPoint], p: WPoint, a: SeqSpec,
     center = p.key
     gaps = isinstance(a, Lacunary)
     reports: list[EvalReport | None] = [None] * len(qs)
-    slices: dict[tuple, list[int]] = {}  # (q real?, axis key) -> point indices
+    slices: dict[tuple, list[int]] = {}  # (q real?, axis) -> point indices
     for i, q in enumerate(qs):
         if q.key == center:
             reports[i] = _report(a.term(0), 1, Verdict.CONVERGED, [0.0])
         else:
-            slices.setdefault((q.is_real, q.axis.key), []).append(i)
+            slices.setdefault((q.is_real, q.axis), []).append(i)
     with np.errstate(all="ignore"):
         for members in slices.values():
             mp, live = _channels(qs[members[0]], p)

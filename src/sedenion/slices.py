@@ -93,7 +93,7 @@ class SliceUnit:
     """
 
     __slots__ = ("s", "alpha", "theta", "jmath",
-                 "cos_alpha", "sin_alpha", "cos_theta", "sin_theta", "matrix", "_neg")
+                 "cos_alpha", "sin_alpha", "cos_theta", "sin_theta", "matrix", "_neg", "_hash")
 
     def __init__(self, s: CDElement | str):
         if isinstance(s, str):
@@ -151,7 +151,12 @@ class SliceUnit:
         return self.s == other.s
 
     def __hash__(self):
-        return hash(self.s)
+        """hash(self.s), kept after first use: a unit keys the slice memos."""
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self.s))
+            return self._hash
 
     def __repr__(self):
         return (f"SliceUnit({str(self.s)!r}, alpha={self.alpha:.6g}, "
@@ -473,7 +478,8 @@ class WPoint:
         elif im == 0.0:
             im, axis = 0.0, I0
         set_ = object.__setattr__
-        set_(self, "_value", value)
+        if value is not None:
+            set_(self, "_value", value)
         set_(self, "re", re)
         set_(self, "im", im)
         set_(self, "axis", axis)
@@ -487,11 +493,13 @@ class WPoint:
 
     @property
     def value(self) -> CDElement:
-        if self._value is None:
+        try:
+            return self._value
+        except AttributeError:
             e0 = _EYE[0]
             v = self.re * e0 if self.is_real else self.re * e0 + self.im * self.axis.s.coeffs
             object.__setattr__(self, "_value", CDElement(v))
-        return self._value
+            return self._value
 
     @property
     def z(self) -> complex:
@@ -507,9 +515,11 @@ class WPoint:
         return self.key == other.key
 
     def __hash__(self):
-        if not hasattr(self, "_hash"):
+        try:
+            return self._hash
+        except AttributeError:
             object.__setattr__(self, "_hash", hash(self.key))
-        return self._hash
+            return self._hash
 
     def __repr__(self):
         return f"WPoint({str(self.value)!r}, z={self.z})"

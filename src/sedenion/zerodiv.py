@@ -33,6 +33,7 @@ from .algebra import (
     _EYE,
     _frozen,
     _pow2_exponent,
+    _pow2_scaled,
     cd_mul,
     left_mult_matrix,
 )
@@ -341,8 +342,10 @@ def ortho_decompose(x: CDElement, p: CDElement) -> OrthoDecomposition:
     """Split x along S = O_p (+) ker p (+) ker p^c8 for a zero divisor p.
 
     O_p = H_p + H_p*e8 where H_p = span(1, u, v, uv).  Raises ValueError when
-    p is not a nonzero zero divisor (the sum is orthogonal only then).
+    p is not a nonzero zero divisor (the sum is orthogonal only then).  Only
+    the direction of p counts, so it is first scaled by `_pow2_scaled`.
     """
+    p = CDElement(_pow2_scaled(p.promote(MAX_LEVEL).coeffs))
     if not is_zero_divisor(p):
         raise ValueError("decomposition requires a nonzero zero divisor")
     h = quaternion_algebra_of(p)

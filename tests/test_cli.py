@@ -15,7 +15,9 @@ import pytest
 import numpy as np
 
 from sedenion.cli import main
-from sedenion import CDElement, basis, cd_mul_recursive, format_real
+from sedenion import CDElement, basis, cd_mul_recursive, format_real, ortho_decompose
+
+from util import SEED, box_kite_diagonals
 
 
 def run(capsys, argv):
@@ -118,8 +120,7 @@ def test_zd_check_answers_alike_at_every_power_of_two_scale(capsys):
     # e_i +- e_j (de Marrais 2000).  Nonzero ones: e1+e10 times e4+e15,
     # seeded pairs of diagonals whose product is not zero, and seeded
     # elements.  Every product is decided exactly by the recursive formula.
-    diagonals = [basis(i, 4) + s * basis(j, 4) for i in range(1, 8)
-                 for j in range(9, 16) if j != i + 8 for s in (1.0, -1.0)]
+    diagonals = box_kite_diagonals()
     products = [(x, y, cd_mul_recursive(x, y).is_zero()) for x in diagonals for y in diagonals]
     zero = [(x, y) for x, y, is_zero in products if is_zero]
     assert len(zero) == 336
@@ -136,6 +137,23 @@ def test_zd_check_answers_alike_at_every_power_of_two_scale(capsys):
                     rc, out, err = run(capsys, ["zd-check", "--", _exact_text(x, k),
                                                 _exact_text(y, k)])
                 assert (rc, out.splitlines()[0], err) == (*want, ""), (str(x), str(y), k)
+
+
+def test_decompose_json_carries_the_library_parts_at_every_scale(capsys):
+    # The 84 box-kite diagonals as p with a seeded x, both scaled by 2^k and
+    # written out in full: `decompose --format json` exits 0 with the parts
+    # of `ortho_decompose` bit for bit (their scaling is checked there).
+    x = CDElement(np.random.default_rng(SEED).normal(size=16))
+    for p in box_kite_diagonals():
+        for k in (0, 500, -500, 1000, -1000):
+            rc, out, err = run(capsys, ["decompose", "--format", "json", "--",
+                                        _exact_text(x, k), _exact_text(p, k)])
+            assert (rc, err) == (0, ""), (str(p), k)
+            data = json.loads(out)
+            lib = ortho_decompose(CDElement(np.ldexp(x.coeffs, k)),
+                                  CDElement(np.ldexp(p.coeffs, k)))
+            for name, part in zip(("o_part", "ker_part", "kerc_part"), lib):
+                assert np.array(data[name]).tobytes() == part.coeffs.tobytes(), (str(p), k)
 
 
 # ---------------------------------------------------------------------------

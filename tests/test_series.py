@@ -885,6 +885,50 @@ def test_warm_off_plane_membership_builds_no_elements_or_units(monkeypatch):
     assert set(got) == set(Membership)
 
 
+def test_warm_scalar_membership_hashes_no_coefficient_tuple(monkeypatch):
+    # Slice units keep their hash and key the slice memo, so after one call
+    # per unit, membership on J, on its kept -J and on a unit built apart
+    # from J's coefficients neither builds nor hashes an element's key.  The
+    # center is used by no other test.
+    p, a = wpoint_from(-0.3, 0.85, E1), demo_sequence()
+    j = SliceUnit("e10")
+    twin = SliceUnit(CDElement(j.s.coeffs))
+    units = (j, -j, twin)
+    for u in units:
+        domain_contains(wpoint_from(0.1, 0.2, u), p, a)
+    counts = Counter()
+    monkeypatch.setattr(CDElement, "key", property(_counting(counts, "key", CDElement.key.fget)))
+    monkeypatch.setattr(CDElement, "__hash__", _counting(counts, "hash", CDElement.__hash__))
+    rng = np.random.default_rng(24)
+    got = Counter(domain_contains(wpoint_from(*rng.uniform((-4.0, 0.0), 4.0), units[k % 3]), p, a)
+                  for k in range(1000))
+    monkeypatch.undo()
+    assert not counts, counts
+    assert sum(got.values()) == 1000 and len(got) >= 2
+    assert twin is not j and set(domain(p, a)._slices) == {j, -j}
+
+
+def test_equal_units_share_one_memo_entry_and_one_evaluation_group(monkeypatch):
+    # Units built twice, or with -0.0 for a 0.0 coefficient, are one slice:
+    # one entry of the slice memo and one group of evaluate_points.
+    import sedenion.series as series
+
+    zero = E10.s.coeffs.copy()
+    zero[5] = -0.0
+    units = (E10, SliceUnit("e10"), SliceUnit(CDElement(zero)))
+    assert all(u == E10 and hash(u) == hash(E10) for u in units)
+    assert len({id(u) for u in units}) == 3
+    dom = Domain(center(), demo_sequence())
+    assert all(dom.disks(u) is dom.disks(E10) for u in units)
+    assert list(dom._slices) == [E10]
+    qs = [wpoint_from(0.2, 0.3 + 0.1 * k, u) for k, u in enumerate(units)]
+    alone = [evaluate_series(q, center(), demo_sequence()) for q in qs]
+    counts = Counter()
+    monkeypatch.setattr(series, "_channels", _counting(counts, "_channels", series._channels))
+    assert evaluate_points(qs, center(), demo_sequence()) == alone
+    assert counts["_channels"] == 1
+
+
 def test_equal_sequences_hash_alike_and_share_one_domain():
     # Hashes are kept per object but keep the value of the field-tuple hash,
     # so equal sequences built apart hit the same domain memo entry.

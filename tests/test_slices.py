@@ -62,8 +62,12 @@ def test_slice_unit_constructor_validates():
 
 
 def test_equal_slice_units_hash_equally_and_key_sets_and_dicts():
-    a, b = SliceUnit("e10"), SliceUnit(parse_element("e10"))
-    assert a == b and a is not b and hash(a) == hash(b)
+    # A unit keeps the hash of its element; -0.0 for a 0.0 coefficient is the same unit.
+    zero = basis(10, 4).coeffs.copy()
+    zero[3] = -0.0
+    a, b, c = SliceUnit("e10"), SliceUnit(parse_element("e10")), SliceUnit(CDElement(zero))
+    assert a == b == c and a is not b and hash(a) == hash(b) == hash(c) == hash(a.s)
+    assert hash(SliceUnit(CDElement(zero))) == hash(CDElement(zero)) and {c: 1}[a] == 1
     assert a != -a and SliceUnit("e1") != SliceUnit("e2")
     assert len({a, b, -a, SliceUnit("e1"), -(-a)}) == 3
     table = {a: "J", -a: "-J"}
@@ -383,6 +387,9 @@ def test_wpoint_keys_hash_consistently():
     for q in (a, wpoint("3"), wpoint_from(0.5, -2.0, SliceUnit("e10")),
               wpoint_from(-1.0, 0.0, SliceUnit("e3"))):
         assert hash(q) == hash(q.key) == hash(q)  # computed, then kept
+        # with or without its value, on an equal unit built apart: one point
+        given = WPoint(q.re, q.im, SliceUnit(CDElement(q.axis.s.coeffs)), q.value)
+        assert given == q and q == given and hash(given) == hash(q)
 
 
 def _eager_value(re, im, axis):
@@ -412,7 +419,7 @@ def test_lazy_wpoint_value_is_bitwise_the_eager_expression(rng):
         for re, im in cases:
             lazy = wpoint_from(re, im, axis).value
             eager = _eager_value(re, im, axis)
-            assert lazy.level == eager.level
+            assert lazy == wpoint(eager).value and lazy.level == eager.level
             assert lazy.coeffs.tobytes() == eager.coeffs.tobytes(), (re, im)
 
 

@@ -29,6 +29,8 @@ from sedenion import (
 )
 
 from util import (
+    SEED,
+    box_kite_diagonals,
     imag_octonion_unit,
     orthonormal_frame,
     random_element,
@@ -313,6 +315,28 @@ def test_ortho_decompose_parts(rng):
         # parts land in the advertised subspaces
         assert cd_mul(p, dec.ker_part).norm() < 1e-9
         assert cd_mul(c8_conjugate(p), dec.kerc_part).norm() < 1e-9
+
+
+@pytest.mark.parametrize("k", [500, -500, 1000, -1000])
+def test_ortho_decompose_depends_only_on_the_direction_of_p(k):
+    # The box-kite diagonals as p, scaled by 2^k together with a seeded x:
+    # the parts are 2^k times the unit-scale parts, bit for bit while they
+    # stay normal.  At 2^-1000 projector dust goes subnormal, so the parts
+    # agree to rounding, and they still sum to x (no part is lost).
+    def parts(x, p):
+        return np.array([part.coeffs for part in ortho_decompose(CDElement(x), CDElement(p))])
+
+    x = np.random.default_rng(SEED).normal(size=16)
+    top = np.abs(x).max()
+    for p in box_kite_diagonals():
+        unit = parts(x, p.coeffs)
+        got = parts(np.ldexp(x, k), np.ldexp(p.coeffs, k))
+        assert np.abs(np.ldexp(got.sum(axis=0), -k) - x).max() <= 1e-14 * top, str(p)
+        if k > -1000:
+            assert got.tobytes() == np.ldexp(unit, k).tobytes(), str(p)
+        else:
+            assert np.abs(np.ldexp(got, -k) - unit).max() <= 1e-15 * top, str(p)
+            assert np.abs(got[0]).max() > 0.0, str(p)
 
 
 def test_ortho_decompose_dimensions_8_4_4(rng):

@@ -61,6 +61,18 @@ def random_element(rng, dim=16, scale=1.0):
     return CDElement(scale * rng.normal(size=dim))
 
 
+def box_kite_diagonals():
+    """The 84 zero divisors e_i +- e_j, 1 <= i <= 7, 9 <= j <= 15, j != i + 8.
+
+    The diagonals of de Marrais's 42 assessors ("The 42 assessors and the
+    box-kites they fly", 2000), listed from the literature, not the package.
+    """
+    from sedenion import basis
+
+    return [basis(i, 4) + s * basis(j, 4) for i in range(1, 8)
+            for j in range(9, 16) if j != i + 8 for s in (1.0, -1.0)]
+
+
 def random_zero_divisor(rng):
     """i1 + i2 e8 for an orthonormal imaginary octonion pair."""
     i1, i2 = orthonormal_frame(rng)
