@@ -67,8 +67,8 @@ EVAL_WINDOW = 50
 # A term norm above this is Diverged.
 EVAL_BLOWUP = 1e6
 # A channel image below this fraction of its input is rounding dust of a
-# formally dead direction and is dropped.  A scan scores no point whose
-# membership moves when the floor of R_a^{p,J} drops from PERP_THRESHOLD to
+# formally dead direction and is dropped.  Membership calls a point Boundary
+# when its code moves as the floor of R_a^{p,J} drops from PERP_THRESHOLD to
 # this one.
 CHANNEL_DUST = 1e-13
 

@@ -581,12 +581,15 @@ def format_real(x: float) -> str:
 
     Positional notation only, never a scientific exponent: inside element
     text `e4` is a basis token, so a coefficient printed as `1e-13` would
-    change meaning.  Integers collapse to their plain spelling.
+    change meaning.  Integers collapse to their plain spelling.  Where `.12g`
+    has no exponent it is numpy's spelling, and faster to get.
     """
     if not math.isfinite(x):
         return str(x)
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
+    if "e" not in (text := f"{x:.12g}"):
+        return text
     return np.format_float_positional(x, precision=12, unique=False,
                                       fractional=False, trim="-")
 

@@ -408,11 +408,12 @@ def _figure_csv(dom: Domain, sl: SliceUnit, n: int, rmax: float, band: float) ->
 
 
 def _region_columns(disks, xs, top) -> list[tuple[float, float, float]]:
-    """Columns (x, ylo, yhi) of {0 <= y <= top} cut with disks (c1, r1, c2, r2); inf is no cut."""
+    """Columns (x, ylo, yhi) of {0 <= y <= top} that `disks` call Interior; inf is no cut."""
+    c1, r1, c2, _, r2_in = disks
     cols = []
     for x in xs:
         lo, hi = 0.0, top
-        for c, r in (disks[:2], disks[2:]):
+        for c, r in ((c1, r1), (c2, r2_in)):
             if math.isfinite(r):
                 dx = x - c.real
                 s = math.sqrt(max(0.0, r * r - dx * dx))
@@ -426,11 +427,11 @@ def _panel_svg(ox: float, oy: float, size: float, label: str, upper, lower,
                clip_id: str) -> list[str]:
     """One panel: region fill and dashed circles, clipped to the panel; math y up.
 
-    `upper` and `lower` are the disks (c1, r1, c2, r2) of J and -J (`Domain.disks`):
-    y < 0 shows the region of -J mirrored, and the dashed circles are the disks of
-    J.  One center for both disks marks the center plane: one disk of radius r1.
-    A circle that leaves the panel is clipped to it by the clipPath `clip_id`,
-    written before the first such circle.
+    `upper` and `lower` are the disks of J and -J (`Domain.disks`): y < 0
+    shows the region of -J mirrored, and the dashed circles are the disks of
+    J, at r1 and r2.  One center for both disks marks the center plane: one
+    disk of radius r1.  A circle that leaves the panel is clipped to it by
+    the clipPath `clip_id`, written before the first such circle.
     """
     span = 4.6
     scale = size / (2 * span)
@@ -458,7 +459,7 @@ def _panel_svg(ox: float, oy: float, size: float, label: str, upper, lower,
     parts.append(f'<line x1="{sx(0):.2f}" y1="{sy(-span):.2f}" x2="{sx(0):.2f}" '
                  f'y2="{sy(span):.2f}" stroke="#bbb" stroke-width="0.7"/>')
     fill = "#7aa6d877"
-    c1, r1, c2, r2 = upper
+    c1, r1, c2, r2, _ = upper
     if c1 == c2 and math.isfinite(r1):
         circle(c1, r1, f'fill="{fill}" stroke="none"')
     else:

@@ -360,26 +360,30 @@ def eval_poly(poly: Polynomial, q: WPoint) -> CDElement:
 def radius_Ra(a: SeqSpec) -> float:
     """Slice radius 1 / limsup |a_l|^(1/l); +inf for the zero sequence."""
     # math.sqrt(v @ v) is np.linalg.norm's formula, without its overhead
-    return _radius(a, lambda v: math.sqrt(v @ v))
+    return _radius(a, lambda v: math.sqrt(v @ v))[0]
 
 
-def _radius(a: SeqSpec, size: Callable[[NDArray[np.float64]], float],
-            floor: float = _tol.PERP_THRESHOLD) -> float:
+def _radius(a: SeqSpec, size: Callable[[NDArray[np.float64]], float]) -> tuple[float, float]:
     """1 / limsup size(a_l)^(1/l): R_a for the norm, R_a^{p,J} for dist(., ker(I_p - J)).
 
     For ratio groups, the smallest ratio whose coefficient c has size(c) >
-    floor * |c| (+inf if none): the first such group, as the ratios ascend.
-    c is first scaled by a power of two so that neither side underflows or
-    overflows.  Tables get the windowed estimate of `_table_radius`, on
-    values scaled the same way, with no floor.
+    floor * |c| (+inf if none), for the floors PERP_THRESHOLD and
+    CHANNEL_DUST: the first such group, as the ratios ascend.  c is first
+    scaled by a power of two so that neither side underflows or overflows.
+    Tables get the windowed estimate of `_table_radius` twice, on values
+    scaled the same way, with no floor.
     """
     if isinstance(a, TableSeq):
-        return _table_radius(a, size)
+        return (_table_radius(a, size),) * 2
+    inner = math.inf
     for ratio, coeff in _ratio_groups(a):
         c = _pow2_scaled(coeff)
-        if size(c) > floor * math.sqrt(c @ c):
-            return ratio
-    return math.inf
+        s, n = size(c), math.sqrt(c @ c)
+        if s > _tol.CHANNEL_DUST * n:
+            inner = min(inner, ratio)
+            if s > _tol.PERP_THRESHOLD * n:
+                return ratio, inner
+    return math.inf, inner
 
 
 def _table_radius(a: TableSeq, size) -> float:
@@ -410,18 +414,19 @@ def radius_RapJ(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
     ker(I_p - J) count, so it can only be larger (+inf when every
     coefficient sits inside the kernel).
     """
-    return radius_Ra(a) if _plane_sign(p, j) else _reflected_radius(a, p, j)
+    return radius_Ra(a) if _plane_sign(p, j) else _reflected_radius(a, p, j)[0]
 
 
-def _reflected_radius(a: SeqSpec, p: WPoint, j: SliceUnit,
-                      floor: float = _tol.PERP_THRESHOLD) -> float:
-    """R_a^{p,J} for a slice J off the center plane of p: never below R_a, bit for bit.
+def _reflected_radius(a: SeqSpec, p: WPoint, j: SliceUnit) -> tuple[float, float]:
+    """(r2, r2_in): R_a^{p,J} off the center plane of p, at both floors of `_radius`.
 
-    Ratio groups give a later ratio than R_a's, or +inf; a table term's kernel
-    distance is read as at most its norm, the size R_a reads.
+    r2_in <= r2, equal unless a group lies in the band between the floors.
+    Neither is below R_a, bit for bit: ratio groups give a later ratio than
+    R_a's, or +inf; a table term's kernel distance is read as at most its
+    norm, the size R_a reads.
     """
     distance = kernel_of_left_mult(p.axis.s - j.s).distance
-    return _radius(a, lambda v: min(distance(v), math.sqrt(v @ v)), floor)
+    return _radius(a, lambda v: min(distance(v), math.sqrt(v @ v)))
 
 
 def radius_Rap(a: SeqSpec, p: WPoint) -> tuple[float, SliceUnit | None]:
@@ -504,7 +509,7 @@ class DomainReport(NamedTuple):
 _SLICE_MEMO = 16
 
 
-_Disks = tuple[complex, float, complex, float]
+_Disks = tuple[complex, float, complex, float, float]
 
 
 def _plane_sign(p: WPoint, j: SliceUnit) -> int:
@@ -517,21 +522,21 @@ def _plane_sign(p: WPoint, j: SliceUnit) -> int:
 
 
 def _slice_disks(p: WPoint, r: float, j: SliceUnit,
-                 reflected: Callable[[], float]) -> _Disks:
-    """The two disks (c1, r1, c2, r2) of a domain on the slice C_J.
+                 reflected: Callable[[], tuple[float, float]]) -> _Disks:
+    """The two disks (c1, r1, c2, r2, r2_in) of a domain on the slice C_J.
 
     z = re + im*i is the coordinate of q = re + im*J (im >= 0).  Off the
     center plane of p the disks are |z - z_p| < r and the reflected disk
-    |z - conj(z_p)| < reflected(), which runs only there.  On the center
-    plane (every J for a real p) the domain is the one disk of radius r
-    around p as seen from C_J: z_p for J = I_p, conj(z_p) for J = -I_p; the
-    second disk repeats that center with an infinite radius.
+    |z - conj(z_p)| < r2, with (r2, r2_in) = reflected(), which runs only
+    there.  On the center plane (every J for a real p) the domain is the one
+    disk of radius r around p as seen from C_J: z_p for J = I_p, conj(z_p)
+    for J = -I_p; the second disk repeats that center with infinite radii.
     """
     sign = _plane_sign(p, j)
     if not sign:
-        return p.z, r, p.z.conjugate(), reflected()
+        return (p.z, r, p.z.conjugate(), *reflected())
     c = p.z if sign > 0 else p.z.conjugate()
-    return c, r, c, math.inf
+    return c, r, c, math.inf, math.inf
 
 
 class Domain:
@@ -560,7 +565,7 @@ class Domain:
         self._slices: dict[SliceUnit, _Disks] = {}
 
     def disks(self, j: SliceUnit) -> _Disks:
-        """The disks (c1, r1, c2, r2) of the domain on the slice of J (`_slice_disks`)."""
+        """The disks (c1, r1, c2, r2, r2_in) of the domain on the slice of J (`_slice_disks`)."""
         pair = self._slices.get(j)
         if pair is None:
             pair = _slice_disks(self.p, self.report.r_a, j,
@@ -587,7 +592,15 @@ class Domain:
         the disks of J (a real point gets the code of every slice), im < 0 those
         of -J at height |im|.
         """
-        return _classify(self.disks, re, im, j, band)
+        re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+        out = np.zeros(im.shape, dtype=np.int8)  # a NaN is Boundary, as in contains
+        for half, lower in ((im >= 0.0, False), (im < 0.0, True)):
+            if half.any():
+                c1, r1, c2, r2, r2_in = self.disks(-j if lower else j)
+                x, y = re[half], np.abs(im[half])  # np.hypot rounds as abs(complex)
+                out[half] = _two_disk_rule(np.hypot(x - c1.real, y - c1.imag), r1,
+                                           np.hypot(x - c2.real, y - c2.imag), r2, r2_in, band)
+        return out
 
 
 @functools.lru_cache(maxsize=_SLICE_MEMO)
@@ -609,37 +622,25 @@ def domain_report(p: WPoint, a: SeqSpec) -> DomainReport:
 _MEMBERSHIP = (Membership.BOUNDARY, Membership.EXTERIOR, Membership.INTERIOR)
 
 
-def _classify(disks: Callable[[SliceUnit], _Disks], re, im, j: SliceUnit, band: float):
-    """`Domain.classify` with the disks of each slice read from `disks`."""
-    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
-    out = np.zeros(im.shape, dtype=np.int8)  # a NaN is Boundary, as in contains
-    for half, lower in ((im >= 0.0, False), (im < 0.0, True)):
-        if half.any():
-            c1, r1, c2, r2 = disks(-j if lower else j)
-            x, y = re[half], np.abs(im[half])  # np.hypot rounds as abs(complex)
-            out[half] = _two_disk_rule(np.hypot(x - c1.real, y - c1.imag), r1,
-                                       np.hypot(x - c2.real, y - c2.imag), r2, band)
-    return out
-
-
-def _two_disk_rule(d1, r1, d2, r2, band):
+def _two_disk_rule(d1, r1, d2, r2, r2_in, band):
     """The two-disk rule on the distances d1, d2 from z_q to the disk centers.
 
-    +1 (Exterior) when z_q lies outside either disk by more than band, -1
-    (Interior) when it lies inside both by more than band, else 0 (Boundary);
-    an int for floats, an int array for arrays.  A zero distance is a center
-    hit and counts as inside for every radius (the center always belongs).
+    +1 (Exterior) when z_q lies outside either disk (radii r1, r2) by more
+    than band, -1 (Interior) when it lies inside both by more than band, the
+    second at radius r2_in <= r2, else 0 (Boundary: between r2_in and r2 the
+    kernel threshold decides); an int for floats, an int array for arrays.
+    A zero distance is a center hit and counts as inside for every radius.
     """
     outside = (d1 > r1 + band) | (d2 > r2 + band)
-    inside = ((d1 < r1 - band) | (d1 == 0.0)) & ((d2 < r2 - band) | (d2 == 0.0))
+    inside = ((d1 < r1 - band) | (d1 == 0.0)) & ((d2 < r2_in - band) | (d2 == 0.0))
     return 1 * outside - inside
 
 
 def _point_rule(q: WPoint, disks: _Disks, band: float) -> int:
     """The two-disk rule at one point q of the slice of the disks."""
-    c1, r1, c2, r2 = disks
+    c1, r1, c2, r2, r2_in = disks
     z = complex(q.re, q.im)
-    return _two_disk_rule(abs(z - c1), r1, abs(z - c2), r2, band)
+    return _two_disk_rule(abs(z - c1), r1, abs(z - c2), r2, r2_in, band)
 
 
 def sigma_contains(q: WPoint, p: WPoint, r: float) -> bool:
@@ -648,7 +649,7 @@ def sigma_contains(q: WPoint, p: WPoint, r: float) -> bool:
     The two-disk rule with reflected radius r off the center plane.  Centers
     always belong (r = 0 included).
     """
-    return _point_rule(q, _slice_disks(p, r, q.axis, lambda: r), 0.0) < 0
+    return _point_rule(q, _slice_disks(p, r, q.axis, lambda: (r, r)), 0.0) < 0
 
 
 def hyper_sigma_contains(q: WPoint, p: WPoint, r: float, j: HyperSolution) -> bool:
@@ -661,7 +662,7 @@ def hyper_sigma_contains(q: WPoint, p: WPoint, r: float, j: HyperSolution) -> bo
     if not _plane_sign(p, j.j1) > 0:
         raise ValueError("hyper-sigma-ball center must lie on the slice of j1")
     disks = _slice_disks(p, r, q.axis,
-                         lambda: math.inf if cker_membership(q.axis, j.j1, j.j2) else r)
+                         lambda: (math.inf if cker_membership(q.axis, j.j1, j.j2) else r,) * 2)
     return _point_rule(q, disks, 0.0) < 0
 
 
@@ -999,24 +1000,13 @@ def convergence_scan(p: WPoint, a: SeqSpec, slice_unit: SliceUnit,
     re and im of z, so re + im*J is the point tested.  Every membership within
     `band` of a radius equality classifies Boundary and is excluded from the
     agreement count; Interior must pair with Converged and Exterior with
-    Diverged to score as agreement.
-
-    R_a^{p,J} reads a group within PERP_THRESHOLD of ker(I_p - J) as inside
-    it, evaluation drops only images below CHANNEL_DUST: a point whose code
-    moves when the floor of R_a^{p,J} drops to CHANNEL_DUST is Boundary too.
+    Diverged to score as agreement.  A point whose call depends on the
+    kernel threshold of R_a^{p,J} is Boundary as well (`_two_disk_rule`).
     """
     if not radial_grid or not angular_grid:
         raise ValueError("scan grids must be nonempty")
     re, im = polar_grid(radial_grid, angular_grid)
-    dom = domain(p, a)
-
-    def floored(j: SliceUnit) -> _Disks:  # the disks of J, R_a^{p,J} floored at CHANNEL_DUST
-        return _slice_disks(p, dom.report.r_a, j,
-                            lambda: _reflected_radius(a, p, j, _tol.CHANNEL_DUST))
-
-    codes = dom.classify(re, im, slice_unit, band)
-    codes[codes != _classify(floored, re, im, slice_unit, band)] = 0
-    codes = codes.ravel().tolist()
+    codes = domain(p, a).classify(re, im, slice_unit, band).ravel().tolist()
     xs, ys = re.ravel().tolist(), im.ravel().tolist()
     qs = [wpoint_from(x, y, slice_unit) for x, y in zip(xs, ys)]
     reports = evaluate_points(qs, p, a, max_terms=max_terms, tol=tol)

@@ -316,9 +316,11 @@ def cker_membership(k: SliceUnit, j1: SliceUnit, j2: SliceUnit) -> bool:
     in ker(J1 - J2), up to CURVE_ACCEPT in every entry of (J1 - K) times a
     kernel basis.  Raises when (J1, J2) is not a hyper-solution.
     """
-    if not is_hyper_solution(j1, j2):
-        raise ValueError("kernel curve is defined for hyper-solutions only")
+    if same_unit(j1, j2):
+        raise ValueError("hyper-solution test requires distinct slice units")
     ker = kernel_of_left_mult(j1.s - j2.s)
+    if not ker.dim:
+        raise ValueError("kernel curve is defined for hyper-solutions only")
     # L_J1 - L_K equals L_{J1 - K} entry for entry (signed coefficients)
     return bool(abs((j1.matrix - k.matrix) @ ker.basis.T).max() <= _tol.CURVE_ACCEPT)
 

@@ -160,9 +160,11 @@ def kernel_of_left_mult(s: CDElement) -> Subspace:
     """Orthonormal basis of {x : s*x = 0}.
 
     Uses an SVD with relative cutoff KERNEL_SV_CUTOFF on the singular values; s = 0
-    returns the full 16-dimensional space.
+    returns the full 16-dimensional space.  Only the direction of s counts, so
+    L_s is first scaled by the power of two of `_pow2_scaled(s)`: 2^k s has
+    the same basis, bit for bit.
     """
-    u, sv, vh = np.linalg.svd(left_mult_matrix(s))
+    u, sv, vh = np.linalg.svd(np.ldexp(left_mult_matrix(s), -_pow2_exponent(s.coeffs)))
     if sv[0] == 0.0:
         return Subspace(_EYE)
     return Subspace(vh[_null_mask(sv)])

@@ -348,6 +348,39 @@ def test_format_avoids_scientific_notation():
     assert format_real(float("inf")) == "inf"
 
 
+def _positional_12(x: float) -> str:
+    """format_real written with numpy's positional formatter alone."""
+    if not math.isfinite(x):
+        return str(x)
+    if x == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    return np.format_float_positional(x, precision=12, unique=False,
+                                      fractional=False, trim="-")
+
+
+def test_format_real_spells_every_value_as_numpy_positional():
+    # format_real takes Python's .12g spelling when it has no exponent; it
+    # must round and trim exactly as numpy's positional formatter does.
+    # Seeded values over the whole float range, subnormals, neighbours of
+    # powers of ten and of the values that round up to one, decimal ties in
+    # the 13th digit, and exact binary ties (n + 0.5, dyadic fractions).
+    rng = np.random.default_rng(2025)
+    values = (rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-320, 308, 100_000)).tolist()
+    values += (rng.integers(1, 2**52, 20_000) * 5e-324).tolist()
+    for k in range(-30, 31):
+        for m in (1.0, 1 - 5e-13, 1 + 5e-13, 9.9999999999995, 0.99999999999949, 0.99999999999951):
+            x = m * 10.0 ** k
+            values += [x, -x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+    digits, exps = rng.integers(10**11, 10**12, 40_000).tolist(), rng.integers(-20, 20, 40_000)
+    values += [float(f"{d}5e{k}") for d, k in zip(digits, exps.tolist())]
+    values += [n + 0.5 for n in rng.integers(10**11, 10**12, 20_000).tolist()]
+    values += [n / 2.0**j for n, j in zip(rng.integers(1, 10**13, 20_000).tolist(),
+                                         rng.integers(1, 40, 20_000).tolist())]
+    values += rng.uniform(-5.0, 5.0, 20_000).tolist() + [math.inf, -math.inf, math.nan, -0.0]
+    assert len(values) > 200_000
+    assert [x for x in values if format_real(x) != _positional_12(x)] == []
+
+
 def test_json_roundtrip_is_exact(rng):
     a = random_element(rng)
     assert element_from_json(element_to_json(a)) == a

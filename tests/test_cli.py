@@ -156,6 +156,23 @@ def test_decompose_json_carries_the_library_parts_at_every_scale(capsys):
                 assert np.array(data[name]).tobytes() == part.coeffs.tobytes(), (str(p), k)
 
 
+def test_kernel_json_keeps_its_basis_at_every_scale(capsys):
+    # ker L_p depends only on the direction of p: each of the 84 box-kite
+    # diagonals, scaled by 2^k and written out in full, gives dim=4 and the
+    # unit-scale basis bit for bit, with no warning.
+    for p in box_kite_diagonals():
+        want = None
+        for k in (0, 500, -500, 1000, -1000):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc, out, err = run(capsys, ["kernel", "--format", "json", "--",
+                                            _exact_text(p, k)])
+            data = json.loads(out)
+            assert (rc, err, data["dim"]) == (0, "", 4), (str(p), k)
+            want = want or data["basis"]
+            assert data["basis"] == want, (str(p), k)
+
+
 # ---------------------------------------------------------------------------
 # slice geometry commands
 # ---------------------------------------------------------------------------
@@ -384,6 +401,39 @@ def test_scan_leaves_threshold_dependent_points_unscored(capsys):
     assert (rc, lines[-1]) == (0, "total scored=8 agreed=8 agreement=1")
     assert sum(",Boundary,Diverged," in line for line in lines) == 4
     assert not any(",Interior,Diverged," in line for line in lines)
+
+
+def test_contains_and_figure_call_the_threshold_band_boundary(capsys, tmp_path):
+    # The sequence above with eps*e2 counted at both floors (1e-9), in the
+    # band (1e-11) and dust at both (1e-14): R_a^{p,e10} is 2, undecided
+    # and 3.  0+1.5e10 lies 2.5 from conj(z_p) = -i, so contains calls it
+    # Exterior, Boundary and Interior, while the band series diverges there.
+    # The figure calls Boundary every grid point whose call moves between
+    # the two readings, fills what the rule calls Interior (the 1e-9
+    # region) and draws the reflected circle at R_a^{p,e10} (3, as for 1e-14).
+    def seq(eps):
+        return json.dumps({"kind": "geometric", "terms": [
+            {"coeff": "1", "ratio": 3}, {"coeff": f"{eps}e2+e4+e15", "ratio": 2}]})
+
+    figures = {}
+    for eps, call in (("0.000000001", "Exterior"), ("0.00000000001", "Boundary"),
+                      ("0.00000000000001", "Interior")):
+        assert run(capsys, ["contains", "--seq", seq(eps), "--", "0+1.5e10"])[1] == call + "\n"
+        out_dir = tmp_path / eps
+        for fmt in ("csv", "svg"):
+            rc, _, _ = run(capsys, ["figure", "--seq", seq(eps), "--slices", "e10", "--n", "40",
+                                    "--format", fmt, "--out", str(out_dir)])
+            assert rc == 0
+        rows = (out_dir / "figure_e10.csv").read_text().splitlines()
+        figures[call] = ([row.rsplit(",", 1)[1] for row in rows[1:]],
+                         _svg_polygons(out_dir / "figure.svg"), _svg_circles(out_dir / "figure.svg"))
+    rc, out, _ = run(capsys, ["eval", "--seq", seq("0.00000000001"), "--", "0+1.5e10"])
+    assert (rc, out.split()[:2]) == (0, ["verdict=Diverged", "terms=178"])
+    counted, banded, dust = figures["Exterior"], figures["Boundary"], figures["Interior"]
+    assert banded[0] == [x if x == y else "Boundary" for x, y in zip(counted[0], dust[0])]
+    assert sum(x != y for x, y in zip(counted[0], dust[0])) > 40
+    assert banded[1] == counted[1] != dust[1]
+    assert banded[2] == dust[2] != counted[2]
 
 
 def test_scan_flags_disagreement_with_exit_1(capsys):

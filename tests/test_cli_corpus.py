@@ -34,6 +34,9 @@ SEQS = [
     '{"kind":"geometric","terms":[{"coeff":"e5","ratio":1.5},{"coeff":"2+e9","ratio":4}]}',
 ]
 POINTS = ["1.5e1", "3e1", "0.5+1.5e10", "2", "-1.2e10"]
+# 1e-11 e2 lies between CHANNEL_DUST and PERP_THRESHOLD of its coefficient
+BAND_SEQ = ('{"kind":"geometric","terms":[{"coeff":"1","ratio":3},'
+            '{"coeff":"0.00000000001e2+e4+e15","ratio":2}]}')
 NINES = "9" * 300
 HUGE = [0.0] * 16
 HUGE[4] = HUGE[15] = 1.5e308
@@ -64,7 +67,10 @@ def commands() -> list[list[str]]:
             ["radii", "--seq", json.dumps({"kind": "table", "values": [HUGE, HUGE]})],
             ["radii", "--seq", json.dumps({"kind": "table", "values": [HUGE] * 4})],
             ["contains", "3e1", "--band", "0"],
-            ["figure", "--n", "30", "--rmax", "2"]]
+            ["figure", "--n", "30", "--rmax", "2"],
+            ["contains", "0+1.5e10", "--seq", BAND_SEQ],
+            ["figure", "--seq", BAND_SEQ, "--slices", "e10", "--n", "30", "--format", "csv"],
+            ["figure", "--seq", BAND_SEQ, "--slices", "e10", "--n", "30", "--format", "svg"]]
     for fmt in ([], ["--format", "json"]):
         out += [["table"] + fmt]
         out += [["mul", a, b] + fmt for a, b in [

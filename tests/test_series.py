@@ -382,7 +382,8 @@ def test_reflected_radius_agrees_with_the_surviving_channel_images(rng):
     # off the kernel by a relative epsilon below CHANNEL_DUST or above
     # 10 * PERP_THRESHOLD.  Pushed in between, evaluation may carry what the
     # radius reads as inside the kernel, but never less than the radius with
-    # its floor lowered to CHANNEL_DUST, the bound a scan scores against.
+    # its floor lowered to CHANNEL_DUST, the bound membership calls Interior
+    # against.
     from sedenion import kernel_of_left_mult, random_hyper_pair, random_slice_unit
     from sedenion._tol import CHANNEL_DUST
     from sedenion.series import _channels, _geometric_blocks, _reflected_radius
@@ -422,13 +423,13 @@ def test_reflected_radius_agrees_with_the_surviving_channel_images(rng):
         for plus, j in ((False, j2), (True, -j2)):
             riding = min((ratio for on_plus, ratio in channels if on_plus is plus),
                          default=math.inf)
-            floored = _reflected_radius(a, p, j, CHANNEL_DUST)
-            radius = radius_RapJ(a, p, j)
-            assert floored <= riding <= radius, (n, plus)
+            radius, inner = _reflected_radius(a, p, j)
+            assert radius == radius_RapJ(a, p, j)
+            assert inner <= riding <= radius, (n, plus)
             if plus in banded:
                 seen["band", riding < radius] += 1
             else:
-                assert floored == riding == radius, (n, plus)
+                assert inner == riding == radius, (n, plus)
     assert len(seen) == 10 and min(seen.values()) > 4, seen
 
 
@@ -460,7 +461,8 @@ def test_reflected_radius_is_never_below_the_slice_radius():
         for a in seqs:
             dom, ra = Domain(p, a), radius_Ra(a)
             for j in slices:
-                assert dom.disks(j)[3] >= dom.report.r_a == ra, (n, a, j)
+                r2, r2_in = dom.disks(j)[3:]
+                assert r2 >= r2_in >= dom.report.r_a == ra, (n, a, j)
                 assert radius_RapJ(a, p, j) >= ra, (n, a, j)
                 checked[type(a).__name__, radius_RapJ(a, p, j) > ra] += 1
     assert len(checked) == 6, checked  # every kind, at and above R_a
@@ -1053,13 +1055,13 @@ def test_memoised_membership_equals_the_unmemoised_rule():
                 assert sigma_contains(q, p, r_a) is ok
                 assert hyper_sigma_contains(q, p, r_a, sol) is ok
             z = p.z
-            assert dom.disks(p.axis) == (z, r_a, z, math.inf)
-            assert dom.disks(-p.axis) == (z.conjugate(), r_a, z.conjugate(), math.inf)
-    assert dom.disks(E10) == (0.5, r_a, 0.5, math.inf)  # a real center has one plane
+            assert dom.disks(p.axis) == (z, r_a, z, math.inf, math.inf)
+            assert dom.disks(-p.axis) == (z.conjugate(), r_a, z.conjugate(), math.inf, math.inf)
+    assert dom.disks(E10) == (0.5, r_a, 0.5, math.inf, math.inf)  # a real center has one plane
     d = domain(center(), demo_sequence())
-    assert d.disks(_tilted(1, 2, 5e-10)) == (1j, 2.0, 1j, math.inf)
-    assert d.disks(_tilted(1, 2, 2e-9)) == (1j, 2.0, -1j, 2.0)
-    assert d.disks(E10) == (1j, 2.0, -1j, 3.0) and d.disks(-E10) == (1j, 2.0, -1j, 2.0)
+    assert d.disks(_tilted(1, 2, 5e-10)) == (1j, 2.0, 1j, math.inf, math.inf)
+    assert d.disks(_tilted(1, 2, 2e-9)) == (1j, 2.0, -1j, 2.0, 2.0)
+    assert d.disks(E10) == (1j, 2.0, -1j, 3.0, 3.0) and d.disks(-E10) == (1j, 2.0, -1j, 2.0, 2.0)
     assert all(seen[m] > 50 for m in Membership), seen
     assert all(real[m] > 10 for m in Membership), real
 
@@ -1895,17 +1897,50 @@ def test_scan_never_contradicts_itself_near_the_kernel_threshold(eps):
     # as inside the kernel (3).  Between CHANNEL_DUST and PERP_THRESHOLD the
     # scan scores no point whose membership depends on that reading, and
     # there evaluation diverges where the radius alone would say Interior.
-    from sedenion._tol import CHANNEL_DUST
+    # The scan's predicted column is Domain.classify, code for code.
+    from sedenion._tol import CHANNEL_DUST, SCAN_BAND
 
     a = GeometricSum.of([("1", 3.0), (f"{eps}e2+e4+e15", 2.0)])
-    radial = [0.25 * k for k in range(1, 14)]
-    res = convergence_scan(center(), a, E10, radial, [math.pi / 2, 1.2, 2.0])
+    radial, thetas = [0.25 * k for k in range(1, 14)], [math.pi / 2, 1.2, 2.0]
+    res = convergence_scan(center(), a, E10, radial, thetas)
+    codes = Domain(center(), a).classify(*polar_grid(radial, thetas), E10, SCAN_BAND)
+    assert [r.predicted for r in res.rows] == [Membership.of(c) for c in codes.ravel().tolist()]
     pairs = Counter((r.predicted, r.empirical) for r in res.rows)
     assert pairs[Membership.INTERIOR, Verdict.DIVERGED] == 0, pairs
     assert pairs[Membership.EXTERIOR, Verdict.CONVERGED] == 0, pairs
     assert res.scored > 20
     band = CHANNEL_DUST < float(eps) / math.sqrt(2.0) <= PERP_THRESHOLD
     assert (pairs[Membership.BOUNDARY, Verdict.DIVERGED] > 0) == band, pairs
+
+
+@pytest.mark.parametrize("eps", ["0.000000001", "0.00000000001", "0.00000000000001"])
+def test_membership_is_boundary_in_the_threshold_band_and_plain_outside_it(eps):
+    # The sequence above, with eps counted at both floors, in the band, and
+    # dust at both.  On e10 the reflected radius reads 3 when eps*e2 counts
+    # as inside ker(e1 - e10) and 2 when it does not; on -e10 it is 2 either
+    # way.  Where both floors give one radius, contains and classify follow
+    # the plain two-disk rule at it; in the band they call Boundary exactly
+    # the points whose plain calls at 2 and at 3 differ.
+    from sedenion._tol import CHANNEL_DUST, MEMBERSHIP_BAND
+
+    p, a = center(), GeometricSum.of([("1", 3.0), (f"{eps}e2+e4+e15", 2.0)])
+    rel = float(eps) / math.sqrt(2.0)
+    readings = {3.0 if rel <= PERP_THRESHOLD else 2.0, 3.0 if rel <= CHANNEL_DUST else 2.0}
+    dom = Domain(p, a)
+    assert set(dom.disks(E10)[3:]) == readings and dom.disks(-E10)[3:] == (2.0, 2.0)
+    re, im = polar_grid([0.1 * k for k in range(1, 45)],
+                        [2.0 * math.pi * (k + 0.5) / 24 for k in range(24)])
+    codes = dom.classify(re, im, E10).ravel().tolist()
+    seen = Counter()
+    for x, y, code in zip(re.ravel().tolist(), im.ravel().tolist(), codes):
+        q = wpoint_from(x, y, E10)
+        calls = {_reference_membership(q, p, 2.0, r2, MEMBERSHIP_BAND)
+                 for r2 in (readings if y >= 0.0 else {2.0})}
+        want = calls.pop() if len(calls) == 1 else Membership.BOUNDARY
+        assert Membership.of(code) is want is domain_contains(q, p, a), (x, y)
+        seen[want, "banded" if calls else "plain"] += 1
+    assert seen[Membership.INTERIOR, "plain"] > 20 and seen[Membership.EXTERIOR, "plain"] > 20
+    assert (seen[Membership.BOUNDARY, "banded"] > 20) == (len(readings) == 2), seen
 
 
 def test_scan_rejects_empty_grids():

@@ -248,6 +248,27 @@ def test_cker_membership_flagship_cases():
     assert not cker_membership(SliceUnit("e3"), j1, j2)
 
 
+def test_cker_membership_reads_one_kernel_and_keeps_its_errors(rng, monkeypatch):
+    # One SVD of J1 - J2 decides both whether the pair is a hyper-solution
+    # and whether K lies on its curve; a slice-solution pair or J1 = J2
+    # still raises, with the words of is_hyper_solution for the latter.
+    j1, j2 = SliceUnit("e1"), SliceUnit("e10")
+    k = cker_curve_point(j1, j2, 1.0)
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a) or svd(*a, **kw))
+    assert cker_membership(k, j1, j2) and len(calls) == 1
+    with pytest.raises(ValueError, match="distinct slice units"):
+        cker_membership(j2, j1, SliceUnit("e1"))
+    pairs = [random_hyper_pair(rng) for _ in range(10)]
+    pairs += [(random_slice_unit(rng), random_slice_unit(rng)) for _ in range(10)]
+    for a, b in pairs + [(j1, SliceUnit("e2")), (j1, SliceUnit("-e1"))]:
+        if is_hyper_solution(a, b):
+            assert cker_membership(b, a, b) and not cker_membership(-b, a, b)
+        else:
+            with pytest.raises(ValueError, match="hyper-solutions only"):
+                cker_membership(b, a, b)
+
+
 def test_cker_curve_points_share_the_kernel(rng):
     j1, j2 = random_hyper_pair(rng)
     for theta in rng.uniform(0.0, math.pi, size=25):
