@@ -74,5 +74,5 @@ CHANNEL_DUST = 1e-13
 
 # -- display ----------------------------------------------------------------
 
-# kernel and decompose print coefficients below this as 0 (text output only).
+# kernel and decompose print a coefficient below this times their scale as 0.
 DISPLAY_DUST = 1e-12

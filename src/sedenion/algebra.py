@@ -617,12 +617,15 @@ def element_to_json(a: CDElement) -> list[float]:
 
 
 def real_from_json(value) -> float:
-    """float(value); a JSON integer past the float range is a ValueError."""
+    """float(value); a JSON integer past the float range, or a value float()
+    cannot read (null, a list, an object), is a ValueError."""
     try:
         return float(value)
     except OverflowError:
         raise ValueError(f"number out of the float range: an integer of "
                          f"{len(str(value))} digits") from None
+    except TypeError:
+        raise ValueError(f"not a number: {json.dumps(value)}") from None
 
 
 def element_from_json(data) -> CDElement:

@@ -43,7 +43,7 @@ from .zerodiv import (
 from .slices import (
     SliceUnit,
     axis_sign,
-    cker_curve_point,
+    cker_curve_points,
     cker_membership,
     iota_frame,
     is_hyper_solution,
@@ -70,18 +70,15 @@ _MAX_GRID_POINTS = 10**6
 _MAX_TERMS = 10**6
 
 
-def _written(x: CDElement, show=format_element) -> tuple[str, str | None]:
-    """The (text, JSON) forms of element x: show(x), or `none` and null when a
-    coefficient is inf or NaN, which element text has no token for."""
-    text = show(x) if np.isfinite(x.coeffs).all() else None
-    return text or "none", text
-
-
-def _shown(x: CDElement) -> str:
-    """Element text with SVD or projector dust below DISPLAY_DUST shown as 0."""
-    c = x.promote(4).coeffs.copy()
-    c[np.abs(c) < _tol.DISPLAY_DUST] = 0.0
-    return format_element(CDElement(c))
+def _written(x: CDElement, scale: float = 0.0) -> tuple[str, str | None, list[float]]:
+    """Text, JSON text and JSON coefficients of x, with each coefficient below
+    DISPLAY_DUST * scale (the size SVD or projector dust is relative to; none
+    for exact results) made 0 first.  An inf or NaN coefficient, which element
+    text has no token for, is written as the text `none` and JSON null."""
+    c = x.promote(4).coeffs
+    shown = CDElement(np.where(np.abs(c) < _tol.DISPLAY_DUST * scale, 0.0, c))
+    text = format_element(shown) if np.isfinite(c).all() else None
+    return text or "none", text, element_to_json(shown)
 
 
 def _check_grid_size(points: float) -> None:
@@ -167,7 +164,7 @@ def _emit(args, text_lines, payload) -> None:
 def cmd_table(args) -> int:
     if args.verify:
         matches, total = verify_table()
-        print(f"{matches}/{total} entries match")
+        _emit(args, [f"{matches}/{total} entries match"], {"matches": matches, "total": total})
         return 0 if matches == total else 1
     if args.format == "json":
         rows = [line.split(",") for line in table_csv().splitlines()]
@@ -178,24 +175,26 @@ def cmd_table(args) -> int:
 
 
 def cmd_mul(args) -> int:
-    prod = parse_element(args.a) * parse_element(args.b)
-    text, js = _written(prod)
-    _emit(args, [text], {"text": js, "coeffs": element_to_json(prod)})
+    text, js, coeffs = _written(parse_element(args.a) * parse_element(args.b))
+    _emit(args, [text], {"text": js, "coeffs": coeffs})
     return 0
 
 
 def cmd_kernel(args) -> int:
     ker = kernel_of_left_mult(parse_element(args.s))
-    lines = [f"dim={ker.dim}"] + [_shown(v) for v in ker.vectors()]
-    _emit(args, lines, {"dim": ker.dim, "basis": ker.basis.tolist()})
+    rows = [_written(v, 1.0) for v in ker.vectors()]  # unit rows: dust is absolute
+    _emit(args, [f"dim={ker.dim}"] + [text for text, _, _ in rows],
+          {"dim": ker.dim, "basis": [coeffs for _, _, coeffs in rows]})
     return 0
 
 
 def cmd_decompose(args) -> int:
-    dec = ortho_decompose(parse_element(args.x), parse_element(args.p))
-    names = ("o_part", "ker_part", "kerc_part")
-    _emit(args, [f"{k}={_written(getattr(dec, k), _shown)[0]}" for k in names],
-          {k: element_to_json(getattr(dec, k)) for k in names})
+    x = parse_element(args.x)
+    dec = ortho_decompose(x, parse_element(args.p))
+    scale = float(np.abs(x.coeffs).max())  # the parts are linear in x, and so is their dust
+    parts = {k: _written(part, scale) for k, part in zip(dec._fields, dec)}
+    _emit(args, [f"{k}={text}" for k, (text, _, _) in parts.items()],
+          {k: coeffs for k, (_, _, coeffs) in parts.items()})
     return 0
 
 
@@ -204,7 +203,7 @@ def cmd_zd_check(args) -> int:
     a, b, c, d = o_left(x), o_right(x), o_left(y), o_right(y)
     is_zero, cert = zero_product_characterization(a, b, c, d)
     yn = lambda f: "yes" if f else "no"
-    formula, formula_js = ("none",) * 2 if cert.d_formula is None else _written(cert.d_formula)
+    formula, formula_js = ("none",) * 2 if cert.d_formula is None else _written(cert.d_formula)[:2]
     lines = [f"product_zero={yn(is_zero)}",
              f"product_norm={format_real(cert.product_norm)}",
              f"norms_match={yn(cert.norms_match)}",
@@ -247,8 +246,8 @@ def cmd_polar(args) -> int:
             s = from_polar(args.alpha, args.theta, parse_element(args.jmath))
         else:
             raise ValueError("construction needs --frame or --jmath")
-        _emit(args, [format_element(s.s)],
-              {"s": format_element(s.s), "coeffs": element_to_json(s.s)})
+        text, _, coeffs = _written(s.s)
+        _emit(args, [text], {"s": text, "coeffs": coeffs})
         return 0
     if args.s is None:
         raise ValueError("give a slice unit, or --alpha/--theta to construct one")
@@ -270,9 +269,8 @@ def cmd_cker(args) -> int:
             raise ValueError("--curve wants a positive sample count")
         _check_grid_size(n)
         lines = ["theta," + ",".join(f"c{k}" for k in range(16))]
-        for i in range(n):
-            theta = math.pi * i / n
-            pt = cker_curve_point(j1, j2, theta)
+        thetas = [math.pi * i / n for i in range(n)]
+        for theta, pt in zip(thetas, cker_curve_points(j1, j2, thetas)):
             row = ",".join(format_real(c) for c in pt.s.coeffs)
             lines.append(f"{format_real(theta)},{row}")
         _print_or_write("\n".join(lines) + "\n", args.out)
@@ -307,14 +305,13 @@ def cmd_eval(args) -> int:
     p, a = _series(args)
     q = wpoint(args.q)
     rep = evaluate_series(q, p, a, max_terms=args.max_terms, tol=args.tol)
-    value, value_js = _written(rep.partial_sum)
+    value, value_js, coeffs = _written(rep.partial_sum)
     lines = [f"verdict={rep.verdict.value} terms={rep.terms_used} "
              f"tail_norm={format_real(rep.tail_norm)}",
              f"value={value}"]
     _emit(args, lines, {"verdict": rep.verdict.value, "terms": rep.terms_used,
                         "tail_norm": rep.tail_norm,
-                        "value": value_js,
-                        "coeffs": element_to_json(rep.partial_sum)})
+                        "value": value_js, "coeffs": coeffs})
     return 0
 
 

@@ -26,7 +26,7 @@ im >= 0 and I_q a slice unit (real points carry the fixed base slice I0 = e1).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -37,6 +37,7 @@ from .algebra import (
     MAX_LEVEL,
     _EYE,
     _mul,
+    _pow2_exponent,
     _pow2_scaled,
     basis,
     cd_mul,
@@ -60,6 +61,7 @@ __all__ = [
     "hyper_solution",
     "cker_membership",
     "cker_curve_point",
+    "cker_curve_points",
     "kernel_zeta",
     "find_companion",
     "random_slice_unit",
@@ -72,8 +74,9 @@ __all__ = [
 
 
 def _is_unit(s: CDElement, m: NDArray[np.float64]) -> bool:
-    """|s| = 1 and L_s^2 = -id (m = L_s) within UNIT_EQ; a NaN fails both."""
-    return (abs(s.norm() - 1.0) <= _tol.UNIT_EQ
+    """|s| = 1 and L_s^2 = -id (m = L_s) within UNIT_EQ; a NaN fails both.  `math.hypot`
+    reads |s| with no warning where |s|^2 overflows, and stops the test there."""
+    return (abs(math.hypot(*s.coeffs.tolist()) - 1.0) <= _tol.UNIT_EQ
             and abs(m @ m + _EYE).max() <= _tol.UNIT_EQ)
 
 
@@ -325,19 +328,26 @@ def cker_membership(k: SliceUnit, j1: SliceUnit, j2: SliceUnit) -> bool:
     return bool(abs((j1.matrix - k.matrix) @ ker.basis.T).max() <= _tol.CURVE_ACCEPT)
 
 
-def cker_curve_point(j1: SliceUnit, j2: SliceUnit, theta: float) -> SliceUnit:
-    """Point psi(alpha, theta, frame) of the kernel curve through J1, J2.
+def cker_curve_points(j1: SliceUnit, j2: SliceUnit,
+                      thetas: Sequence[float]) -> Iterator[SliceUnit]:
+    """Points psi(alpha, theta, frame) of the kernel curve through J1, J2.
 
     theta ranges over [0, pi); the curve closes up (theta -> pi approaches
-    the theta = 0 point).
+    the theta = 0 point).  The thetas are checked and the frame is derived
+    here, once; the points are built one at a time as they are read.
     """
-    if not 0.0 <= theta < math.pi:
-        raise ValueError(f"theta out of [0, pi): {theta}")
+    if bad := [t for t in thetas if not 0.0 <= t < math.pi]:
+        raise ValueError(f"theta out of [0, pi): {bad[0]}")
     i1, i2, alpha = iota_frame(j1, j2)
     cos_a = 0.5 * (j1.cos_alpha + j2.cos_alpha)
     sin_a = 0.5 * (j1.sin_alpha + j2.sin_alpha)
-    return _psi_parts(cos_a, sin_a, math.cos(theta), math.sin(theta),
-                      i1.promote(3).coeffs, i2.promote(3).coeffs)
+    v1, v2 = i1.promote(3).coeffs, i2.promote(3).coeffs
+    return (_psi_parts(cos_a, sin_a, math.cos(t), math.sin(t), v1, v2) for t in thetas)
+
+
+def cker_curve_point(j1: SliceUnit, j2: SliceUnit, theta: float) -> SliceUnit:
+    """The point of `cker_curve_points` at one theta."""
+    return next(cker_curve_points(j1, j2, [theta]))
 
 
 def kernel_zeta(j1: SliceUnit, j2: SliceUnit) -> list[tuple[CDElement, CDElement]]:
@@ -532,19 +542,24 @@ def wpoint(value: CDElement | str) -> WPoint:
 
     The imaginary part must be a positive multiple of a slice unit (or zero,
     giving a real point on the base slice I0, within UNIT_EQ * max(1, |re|)).
-    Raises on coefficients holding inf or NaN.
+    Raises on coefficients holding inf or NaN, or |im| past the float range;
+    |im| is read through `_pow2_scaled`, so its square never overflows.
     """
     value = parse_any(value).promote(MAX_LEVEL)
     v = value.coeffs
     re = float(v[0])
     imvec = v.copy()
     imvec[0] = 0.0
-    im = float(np.linalg.norm(imvec))
+    shift = _pow2_exponent(imvec)
+    unit = np.ldexp(imvec, -shift)  # `_pow2_scaled(imvec)`: its norm cannot overflow
+    n = float(np.linalg.norm(unit))
+    with np.errstate(over="ignore"):
+        im = float(np.ldexp(n, shift))
     if not math.isfinite(re + im):
-        raise ValueError("point coefficients must be finite")
+        raise ValueError("point coefficients and norm must be finite")
     if im <= _tol.UNIT_EQ * max(1.0, abs(re)):
         return WPoint(re, 0.0, I0, value)
-    return WPoint(re, im, SliceUnit(CDElement(imvec / im)), value)
+    return WPoint(re, im, SliceUnit(CDElement(unit / n)), value)
 
 
 def wpoint_from(re: float, im: float, axis: SliceUnit) -> WPoint:

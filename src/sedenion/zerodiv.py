@@ -156,15 +156,21 @@ def principal_angles(a: Subspace, b: Subspace) -> NDArray[np.float64]:
 # ---------------------------------------------------------------------------
 
 
+def _scaled_left_mult(s: CDElement) -> NDArray[np.float64]:
+    """L_s scaled by the power of two of `_pow2_scaled(s)`: the one matrix
+    whose SVD decides a rank, so 2^k s gets the answer of s, bit for bit."""
+    m = left_mult_matrix(s)
+    shift = _pow2_exponent(s.coeffs)
+    return np.ldexp(m, -shift) if shift else m
+
+
 def kernel_of_left_mult(s: CDElement) -> Subspace:
     """Orthonormal basis of {x : s*x = 0}.
 
-    Uses an SVD with relative cutoff KERNEL_SV_CUTOFF on the singular values; s = 0
-    returns the full 16-dimensional space.  Only the direction of s counts, so
-    L_s is first scaled by the power of two of `_pow2_scaled(s)`: 2^k s has
-    the same basis, bit for bit.
+    Uses an SVD of `_scaled_left_mult(s)` with relative cutoff KERNEL_SV_CUTOFF
+    on the singular values; s = 0 returns the full 16-dimensional space.
     """
-    u, sv, vh = np.linalg.svd(np.ldexp(left_mult_matrix(s), -_pow2_exponent(s.coeffs)))
+    u, sv, vh = np.linalg.svd(_scaled_left_mult(s))
     if sv[0] == 0.0:
         return Subspace(_EYE)
     return Subspace(vh[_null_mask(sv)])
@@ -179,7 +185,7 @@ def is_zero_divisor(s: CDElement) -> bool:
     """True iff s is nonzero and annihilates some nonzero element on the left."""
     if s.is_zero():
         return False
-    return bool(_null_mask(np.linalg.svd(left_mult_matrix(s), compute_uv=False)).any())
+    return bool(_null_mask(np.linalg.svd(_scaled_left_mult(s), compute_uv=False)).any())
 
 
 def is_special_triple(i: CDElement, j: CDElement, k: CDElement) -> bool:
@@ -330,8 +336,8 @@ class OrthoDecomposition(NamedTuple):
 
 
 def quaternion_algebra_of(p: CDElement) -> Subspace:
-    """H_p = span(1, u, v, uv) for a zero divisor p = u + v*e8."""
-    u, v = _halves(p)
+    """H_p = span(1, u, v, uv) for a zero divisor p = u + v*e8, from `_pow2_scaled(p)`."""
+    u, v = _halves(CDElement(_pow2_scaled(p.coeffs)))
     return Subspace.from_span([
         CDElement(_EYE[0, :8]),
         u,
@@ -344,10 +350,9 @@ def ortho_decompose(x: CDElement, p: CDElement) -> OrthoDecomposition:
     """Split x along S = O_p (+) ker p (+) ker p^c8 for a zero divisor p.
 
     O_p = H_p + H_p*e8 where H_p = span(1, u, v, uv).  Raises ValueError when
-    p is not a nonzero zero divisor (the sum is orthogonal only then).  Only
-    the direction of p counts, so it is first scaled by `_pow2_scaled`.
+    p is not a nonzero zero divisor (the sum is orthogonal only then).  Each
+    subspace scales p itself, so only the direction of p counts.
     """
-    p = CDElement(_pow2_scaled(p.promote(MAX_LEVEL).coeffs))
     if not is_zero_divisor(p):
         raise ValueError("decomposition requires a nonzero zero divisor")
     h = quaternion_algebra_of(p)

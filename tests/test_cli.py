@@ -15,7 +15,9 @@ import pytest
 import numpy as np
 
 from sedenion.cli import main
-from sedenion import CDElement, basis, cd_mul_recursive, format_real, ortho_decompose
+from sedenion import (CDElement, basis, cd_mul_recursive, format_real, ortho_decompose,
+                      parse_element)
+from sedenion._tol import DISPLAY_DUST
 
 from util import SEED, box_kite_diagonals
 
@@ -39,6 +41,16 @@ def test_table_verify_reports_full_agreement(capsys):
     rc, out, _ = run(capsys, ["table", "--verify"])
     assert rc == 0
     assert out == "256/256 entries match\n"
+
+
+def test_table_verify_json_is_a_json_object_with_the_same_exit_code(capsys, monkeypatch):
+    import sedenion.cli as cli
+
+    rc, out, _ = run(capsys, ["table", "--verify", "--format", "json"])
+    assert (rc, json.loads(out)) == (0, {"matches": 256, "total": 256})
+    monkeypatch.setattr(cli, "verify_table", lambda: (255, 256))
+    rc, out, _ = run(capsys, ["table", "--verify", "--format", "json"])
+    assert (rc, json.loads(out)) == (1, {"matches": 255, "total": 256})
 
 
 def test_table_json_is_the_csv_grid(capsys):
@@ -142,7 +154,8 @@ def test_zd_check_answers_alike_at_every_power_of_two_scale(capsys):
 def test_decompose_json_carries_the_library_parts_at_every_scale(capsys):
     # The 84 box-kite diagonals as p with a seeded x, both scaled by 2^k and
     # written out in full: `decompose --format json` exits 0 with the parts
-    # of `ortho_decompose` bit for bit (their scaling is checked there).
+    # of `ortho_decompose` after the dust rule, bit for bit: a coefficient
+    # below DISPLAY_DUST times the largest |coefficient| of x reads 0.
     x = CDElement(np.random.default_rng(SEED).normal(size=16))
     for p in box_kite_diagonals():
         for k in (0, 500, -500, 1000, -1000):
@@ -150,10 +163,54 @@ def test_decompose_json_carries_the_library_parts_at_every_scale(capsys):
                                         _exact_text(x, k), _exact_text(p, k)])
             assert (rc, err) == (0, ""), (str(p), k)
             data = json.loads(out)
-            lib = ortho_decompose(CDElement(np.ldexp(x.coeffs, k)),
-                                  CDElement(np.ldexp(p.coeffs, k)))
+            xk = np.ldexp(x.coeffs, k)
+            lib = ortho_decompose(CDElement(xk), CDElement(np.ldexp(p.coeffs, k)))
+            floor = DISPLAY_DUST * np.abs(xk).max()
             for name, part in zip(("o_part", "ker_part", "kerc_part"), lib):
-                assert np.array(data[name]).tobytes() == part.coeffs.tobytes(), (str(p), k)
+                want = np.where(np.abs(part.coeffs) < floor, 0.0, part.coeffs)
+                assert np.array(data[name]).tobytes() == want.tobytes(), (str(p), k)
+
+
+DECOMPOSE_PAIRS = [("e2+e3", "e1+e10"), ("1+e2+e5+e9", "e1+e10"), ("e4+e15", "e1+e10"),
+                   ("3e7-2e12", "e3-e13"), ("1+2e1+3e4", "e1-e10")]
+
+
+@pytest.mark.parametrize("k", [500, -500, 1000, -1000])
+def test_decompose_prints_2_to_the_k_times_its_unit_scale_parts(capsys, k):
+    # The parts are linear in x and depend only on the direction of p, and
+    # the dust floor is relative to x: scaling x and p by 2^k scales each
+    # printed part by 2^k with the same zero pattern, in text (to its 12
+    # digits) and in JSON (bit for bit while the parts stay normal; at
+    # 2^-1000 projector dust goes subnormal, and they agree to rounding).
+    rng = np.random.default_rng(SEED)
+    pairs = [(parse_element(x).promote(4), parse_element(p).promote(4))
+             for x, p in DECOMPOSE_PAIRS]
+    pairs += [(CDElement(rng.normal(size=16)), p) for p in box_kite_diagonals()[::7]]
+    for x, p in pairs:
+        texts, coeffs = [], []
+        for scale in (0, k):
+            argv = ["decompose", "--", _exact_text(x, scale), _exact_text(p, scale)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc, out, err = run(capsys, argv)
+                rc_js, out_js, _ = run(capsys, argv[:1] + ["--format", "json"] + argv[1:])
+            assert (rc, rc_js, err) == (0, 0, ""), (str(x), str(p))
+            texts.append(np.array([parse_element(line.split("=", 1)[1]).promote(4).coeffs
+                                   for line in out.splitlines()]))
+            coeffs.append(np.array(list(json.loads(out_js).values())))
+        unit_text, got_text = texts[0], np.ldexp(texts[1], -k)
+        assert ((unit_text != 0) == (got_text != 0)).all(), (str(x), str(p))
+        assert np.allclose(got_text, unit_text, rtol=1e-11, atol=0.0), (str(x), str(p))
+        unit, got = coeffs[0], np.ldexp(coeffs[1], -k)
+        assert ((unit != 0) == (got != 0)).all(), (str(x), str(p))
+        if k > -1000:
+            assert got.tobytes() == unit.tobytes(), (str(x), str(p))
+        else:
+            assert np.abs(got - unit).max() <= 1e-15 * np.abs(x.coeffs).max(), (str(x), str(p))
+    # e2 + e3 lies in O_p for p = e1 + e10: its kernel parts read 0 at every scale.
+    rc, out, _ = run(capsys, ["decompose", "--", _exact_text(pairs[0][0], k),
+                              _exact_text(pairs[0][1], k)])
+    assert out.splitlines()[1:] == ["ker_part=0", "kerc_part=0"]
 
 
 def test_kernel_json_keeps_its_basis_at_every_scale(capsys):
@@ -270,7 +327,7 @@ def test_cker_curve_refuses_more_samples_than_the_grid_limit(capsys, tmp_path, m
     # computed, so the limit itself never runs.
     import sedenion.cli as cli
 
-    monkeypatch.setattr(cli, "cker_curve_point", _never)
+    monkeypatch.setattr(cli, "cker_curve_points", _never)
     target = tmp_path / "curve.csv"
     rc, out, err = run(capsys, ["cker", "e1", "e10", "--curve", str(10**6 + 1),
                                 "--out", str(target)])
@@ -782,6 +839,57 @@ def test_non_finite_coordinates_exit_2(capsys, argv):
     assert (rc, out) == (2, "")
     assert err.startswith("error: coefficients must be finite")
     assert len(err.splitlines()) == 1
+
+
+SERIES_COMMANDS = [["radii"], ["contains", "e1"], ["eval", "e1"], ["scan", "--rstep", "1"],
+                   ["figure", "--n", "3"]]
+
+
+@pytest.mark.parametrize("seq", [
+    '{"kind":"lacunary","coeff":"e1","ratio":[2]}',
+    '{"kind":"lacunary","coeff":"e1","ratio":null}',
+    '{"kind":"lacunary","coeff":[[1]],"ratio":2}',
+    '{"kind":"geometric","terms":[{"coeff":"e1","ratio":{"r":2}}]}',
+    '{"kind":"table","values":[[1,null]]}',
+], ids=["ratio-list", "ratio-null", "coeff-list", "ratio-object", "table-null"])
+@pytest.mark.parametrize("command", SERIES_COMMANDS, ids=lambda c: c[0])
+def test_a_json_value_that_is_no_number_exits_2(capsys, tmp_path, monkeypatch, command, seq):
+    # float() raises TypeError on null, a list or an object: one error line, no traceback.
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, command[:1] + ["--seq", seq] + command[1:])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: not a number: ") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+HUGE_POINT = "1" + "0" * 300 + "e15"
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["contains", HUGE_POINT], "Exterior"),
+    (["contains", "--format", "json", HUGE_POINT], '{"membership": "Exterior"}'),
+    (["eval", HUGE_POINT], "verdict=Diverged terms=2 tail_norm=inf"),
+], ids=["contains", "contains-json", "eval"])
+def test_a_point_whose_norm_squared_overflows_gets_an_answer(capsys, argv, first):
+    # |q|^2 = 1e600 is past the float range, |q| = 1e300 is not: wpoint reads
+    # |im| through a power-of-two scaling, so the point is classified, not refused.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, argv)
+    assert (rc, out.splitlines()[0], err) == (0, first, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["hyper", "1" + "0" * 300 + "e1", "e10"],
+    ["cker", "1" + "0" * 300 + "e1", "e10", "e3"],
+    ["polar", "1" + "0" * 300 + "e1"],
+], ids=["hyper", "cker", "polar"])
+def test_a_300_digit_slice_unit_is_refused_with_one_line_and_no_warning(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err == f"error: not a slice unit: {argv[1]}\n"
 
 
 def test_numeral_beyond_the_float_range_exits_2(capsys):

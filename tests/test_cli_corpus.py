@@ -38,6 +38,8 @@ POINTS = ["1.5e1", "3e1", "0.5+1.5e10", "2", "-1.2e10"]
 BAND_SEQ = ('{"kind":"geometric","terms":[{"coeff":"1","ratio":3},'
             '{"coeff":"0.00000000001e2+e4+e15","ratio":2}]}')
 NINES = "9" * 300
+TINY = "0." + "0" * 299 + "1"  # 1e-300
+HUGE_E = "1" + "0" * 300  # 1e300: its square is past the float range
 HUGE = [0.0] * 16
 HUGE[4] = HUGE[15] = 1.5e308
 
@@ -80,7 +82,8 @@ def commands() -> list[list[str]]:
         out += [["kernel", s] + fmt for s in ["e1+e10", "e1", "e3-e13", "e1+e10+e4"]]
         out += [["decompose", x, p] + fmt for x, p in [
             ("1+e2+e5+e9", "e1+e10"), ("e4+e15", "e1+e10"), ("3e7-2e12", "e3-e13"),
-            (f"{NINES}e1+{NINES}e2+{NINES}e5", "e1+e10")]]
+            (f"{NINES}e1+{NINES}e2+{NINES}e5", "e1+e10"),
+            (f"{TINY}e2+{TINY}e3", f"{TINY}e1+{TINY}e10")]]
         out += [["zd-check", x, y] + fmt for x, y in [
             ("e1+e10", "e4+e15"), ("e1-e10", "e4+e15"), ("e1", "e2"),
             ("e3+e10", "e6-e15"), (f"{NINES}e1+{NINES}e10", f"{NINES}e4+{NINES}e15")]]
@@ -90,7 +93,9 @@ def commands() -> list[list[str]]:
         out += [["polar", "--alpha", "0.7", "--theta", "0.3", "--frame", "e1,e2"] + fmt,
                 ["polar", "--alpha", "1.2", "--theta", "2.5", "--jmath", "e5"] + fmt]
         out += [["cker", "e1", "e10", k] + fmt for k in ["-e1", "e3", "-e10"]]
-    out += [["table", "--verify"], ["cker", "e1", "e10", "--curve", "12"],
+    out += [["table", "--verify"], ["table", "--verify", "--format", "json"],
+            ["contains", f"{HUGE_E}e15"], ["eval", f"{HUGE_E}e15"],
+            ["cker", "e1", "e10", "--curve", "12"],
             ["cker", "e1", "e10", "--curve", "5", "--out", "curve.csv"]]
     bad = [
         ["mul", "e1", "e99"], ["mul", "e1", "2e"], ["mul", "1e400", "e1"], ["mul", "", "e1"],
@@ -112,6 +117,10 @@ def commands() -> list[list[str]]:
         ["cker", "e1", "e10"], ["cker", "e1", "e10", "--curve", "0"],
         ["cker", "e1", "e10", "--curve", "2000000"],
         ["cker", "e1", "e10", "--curve", "3", "--format", "json"], ["nosuch"], [],
+        ["radii", "--seq", '{"kind":"lacunary","coeff":"e1","ratio":[2]}'],
+        ["contains", "--seq", '{"kind":"lacunary","coeff":[[1]],"ratio":2}', "e1"],
+        ["eval", "--seq", '{"kind":"lacunary","coeff":"e1","ratio":null}', "e1"],
+        ["hyper", f"{HUGE_E}e1", "e10"], ["cker", f"{HUGE_E}e1", "e10", "e3"],
     ]
     return out + bad
 

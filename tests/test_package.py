@@ -72,6 +72,24 @@ def test_tolerances_live_only_in_the_tol_module():
     assert sorted(listed) == names
 
 
+def test_display_dust_is_read_only_by_the_element_writer():
+    # One dust rule for every printed coefficient, text and JSON alike: the
+    # one function that reads DISPLAY_DUST is cli._written.
+    src = pathlib.Path(sedenion.__file__).resolve().parent
+    readers = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "_tol.py":
+            continue
+        tree = ast.parse(path.read_text())
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if "DISPLAY_DUST" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                  getattr(node, "name", None)):
+                owners = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                readers.append((path.stem, owners[-1] if owners else None))
+    assert readers == [("cli", "_written")]
+
+
 def _mutable(value) -> bool:
     """A list, dict, set or writable array, also inside a tuple."""
     if isinstance(value, tuple):

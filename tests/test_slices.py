@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sedenion import (
     basis,
     cd_mul,
     cker_curve_point,
+    cker_curve_points,
     cker_membership,
     find_companion,
     from_polar,
@@ -31,7 +33,8 @@ from sedenion import (
     wpoint_from,
 )
 
-from util import imag_octonion_unit, orthonormal_frame
+from sedenion._tol import UNIT_EQ
+from util import SEED, imag_octonion_unit, orthonormal_frame
 
 
 # --- slice unit detection -----------------------------------------------------
@@ -278,6 +281,22 @@ def test_cker_curve_points_share_the_kernel(rng):
             assert is_hyper_solution(j1, k)
 
 
+def test_cker_curve_points_derive_one_frame_for_many_thetas(monkeypatch):
+    import sedenion.slices as slices
+
+    j1, j2 = random_hyper_pair(np.random.default_rng(3))
+    thetas = [math.pi * i / 40 for i in range(40)]
+    one_by_one = [cker_curve_point(j1, j2, t).s.coeffs.tobytes() for t in thetas]
+    frames = []
+    monkeypatch.setattr(slices, "iota_frame", lambda *a: frames.append(a) or iota_frame(*a))
+    points = list(cker_curve_points(j1, j2, thetas))
+    assert len(frames) == 1
+    assert [k.s.coeffs.tobytes() for k in points] == one_by_one
+    with pytest.raises(ValueError, match="theta out of"):  # before any frame is derived
+        cker_curve_points(SliceUnit("e1"), SliceUnit("e2"), [0.5, math.pi])
+    assert len(frames) == 1
+
+
 def test_cker_curve_point_range():
     j1, j2 = SliceUnit("e1"), SliceUnit("e10")
     with pytest.raises(ValueError):
@@ -374,6 +393,32 @@ def test_wpoint_rejects_a_non_finite_coefficient(k, bad):
     v[k] = bad
     with pytest.raises(ValueError, match="finite"):
         wpoint(CDElement(v))
+
+
+def test_wpoint_reads_im_through_a_power_of_two_scaling():
+    # |im| and the axis keep the bits of the unscaled formula where |im|^2 is
+    # a normal float, and a point whose |im|^2 overflows still gets its slice.
+    rng = np.random.default_rng(SEED)
+    for _ in range(300):
+        v = random_slice_unit(rng).s.coeffs.copy()
+        v[0] = rng.normal()
+        v *= 10.0 ** rng.uniform(-150, 150)
+        imvec = v.copy()
+        imvec[0] = 0.0
+        q = wpoint(CDElement(v))
+        im = float(np.linalg.norm(imvec))
+        if im <= UNIT_EQ * max(1.0, abs(v[0])):  # a real point
+            assert (q.re, q.im, q.axis) == (v[0], 0.0, I0)
+            continue
+        assert (q.re, q.im) == (v[0], im)
+        assert q.axis.s.coeffs.tobytes() == (imvec / im).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = wpoint("1" + "0" * 300 + "e15")
+        assert not is_slice_unit(CDElement(np.full(16, 1e300)))
+    assert (q.re, q.im, q.axis) == (0.0, 1e300, SliceUnit("e15"))
+    with pytest.raises(ValueError, match="finite"):  # |im| itself past the float range
+        wpoint(CDElement(np.full(16, 1e308)))
 
 
 def test_wpoint_rejects_points_off_the_cone():

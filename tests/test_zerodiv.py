@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -337,6 +338,37 @@ def test_ortho_decompose_depends_only_on_the_direction_of_p(k):
         else:
             assert np.abs(np.ldexp(got, -k) - unit).max() <= 1e-15 * top, str(p)
             assert np.abs(got[0]).max() > 0.0, str(p)
+
+
+@pytest.mark.parametrize("k", [500, -500, 1000, -1000])
+def test_every_direction_only_function_scales_its_own_input(k):
+    # Called directly on 2^k p, H_p and both rank decisions read the
+    # direction of p: H_p keeps its unit-scale basis bit for bit, and
+    # is_zero_divisor agrees with the kernel rank on the 84 box-kite
+    # diagonals (zero divisors) and on seeded elements and e9 (not).
+    rng = np.random.default_rng(SEED)
+    others = [basis(9, 4), parse_element("1+e1").promote(4)]
+    others += [CDElement(rng.normal(size=16)) for _ in range(6)]
+    for p, zd in [(p, True) for p in box_kite_diagonals()] + [(p, False) for p in others]:
+        pk = CDElement(np.ldexp(p.coeffs, k))
+        assert is_zero_divisor(pk) == (kernel_of_left_mult(pk).dim > 0) == zd, (str(p), k)
+        if zd:
+            h = quaternion_algebra_of(pk)
+            assert h.dim == 4, (str(p), k)
+            assert h.basis.tobytes() == quaternion_algebra_of(p).basis.tobytes(), (str(p), k)
+
+
+def test_ortho_decompose_keeps_its_bits_when_its_subspaces_scale_p():
+    # The parts of the 84 box-kite diagonals with a seeded x, both scaled by
+    # 2^k for k in {0, +-500, +-1000}, hash to the digest they had when
+    # ortho_decompose scaled p itself before building its subspaces.
+    x = np.random.default_rng(SEED).normal(size=16)
+    h = hashlib.sha256()
+    for p in box_kite_diagonals():
+        for k in (0, 500, -500, 1000, -1000):
+            for part in ortho_decompose(CDElement(np.ldexp(x, k)), CDElement(np.ldexp(p.coeffs, k))):
+                h.update(part.coeffs.tobytes())
+    assert h.hexdigest() == "dc3625e133518c94028b03b7792c82dd460e437ec6517f0aaed00be92b561cf2"
 
 
 def test_ortho_decompose_dimensions_8_4_4(rng):
