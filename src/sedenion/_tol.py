@@ -9,7 +9,7 @@ keep separate names, so moving one moves no other.  Only constants live here.
 # -- equality ---------------------------------------------------------------
 
 # Two slice units, or a point and a plane, are equal up to this (relative to
-# max(1, |x|) where a size is at hand): rounding of unit-norm arithmetic.
+# the size compared where a size is at hand): rounding of unit-norm arithmetic.
 UNIT_EQ = 1e-9
 # `CDElement.isclose`: coefficientwise agreement of two results of exact-up-to-
 # rounding arithmetic.
@@ -20,15 +20,15 @@ ELEMENT_CLOSE = 1e-12
 # A singular value of L_s at most this fraction of the largest is zero: the
 # rank rule of kernel_of_left_mult and is_zero_divisor.
 KERNEL_SV_CUTOFF = 1e-9
-# Subspace.from_span keeps singular values above this fraction of
-# max(1, largest): a spanning set is exact data, so only rounding is dropped.
+# Subspace.from_span keeps singular values above this, relative to the size
+# compared (the largest one): a spanning set is exact data, so only rounding goes.
 SPAN_RANK_CUTOFF = 1e-12
 # A Subspace basis is orthonormal when its Gram matrix is this close to the
 # identity in every entry.
 ORTHONORMAL = 1e-10
-# A ratio-group coefficient counts toward a radius when its size (its norm for
-# R_a, its distance from ker(I_p - J) for R_a^{p,J}) exceeds this fraction of
-# its norm.
+# A ratio-group coefficient or a nonzero table value counts toward a radius
+# when its size (its norm for R_a, its distance from ker(I_p - J) for
+# R_a^{p,J}) exceeds this fraction of its norm.
 PERP_THRESHOLD = 1e-10
 
 # -- slice geometry ---------------------------------------------------------

@@ -510,14 +510,14 @@ def complex_embed(z: complex, axis) -> CDElement:
 def complex_coords(x: CDElement, axis) -> complex:
     """Coordinates of x in the plane spanned by 1 and the unit I.
 
-    Raises if x does not lie on that plane within `UNIT_EQ * max(1, |x|)`.
+    Raises if x does not lie on that plane within `UNIT_EQ * |x|`.
     """
     v = _axis_vector(axis)
     c = x.promote(MAX_LEVEL).coeffs
     re = c[0]
     im = float(np.dot(c[1:], v[1:]))
     residual = np.linalg.norm(c - re * _EYE[0] - im * v)
-    if not residual <= _tol.UNIT_EQ * max(1.0, float(np.linalg.norm(c))):  # NaN fails
+    if not residual <= _tol.UNIT_EQ * float(np.linalg.norm(c)):  # NaN fails
         raise ValueError("element does not lie on the requested complex slice")
     return complex(re, im)
 
@@ -617,9 +617,11 @@ def element_to_json(a: CDElement) -> list[float]:
 
 
 def real_from_json(value) -> float:
-    """float(value); a JSON integer past the float range, or a value float()
-    cannot read (null, a list, an object), is a ValueError."""
+    """float(value); a JSON integer past the float range, a boolean, or a value
+    float() cannot read (null, a list, an object), is a ValueError."""
     try:
+        if isinstance(value, bool):  # float(True) is 1.0
+            raise TypeError
         return float(value)
     except OverflowError:
         raise ValueError(f"number out of the float range: an integer of "

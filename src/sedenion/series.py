@@ -371,7 +371,8 @@ def _radius(a: SeqSpec, size: Callable[[NDArray[np.float64]], float]) -> tuple[f
     CHANNEL_DUST: the first such group, as the ratios ascend.  c is first
     scaled by a power of two so that neither side underflows or overflows.
     Tables get the windowed estimate of `_table_radius` twice, on values
-    scaled the same way, with no floor.
+    scaled the same way: the back half of the l that count, l >= 1, where a
+    value counts when it is zero or passes the PERP_THRESHOLD floor.
     """
     if isinstance(a, TableSeq):
         return (_table_radius(a, size),) * 2
@@ -387,12 +388,16 @@ def _radius(a: SeqSpec, size: Callable[[NDArray[np.float64]], float]) -> tuple[f
 
 
 def _table_radius(a: TableSeq, size) -> float:
-    n = len(a.values)
-    radius = math.inf  # min of 1 / root over the back half, l >= 1: fl(1/x) is monotone
-    for ell in range(max(1, n - max(1, n // 2)), n):
-        v = np.asarray(a.values[ell])
+    kept = []  # (l, size, shift) of each a_l that is zero or passes the floor
+    for ell, v in enumerate(map(np.asarray, a.values)):
         shift = _pow2_exponent(v)
-        s = size(np.ldexp(v, -shift))  # _pow2_scaled(v)
+        c = np.ldexp(v, -shift)  # _pow2_scaled(v)
+        if (s := size(c)) > _tol.PERP_THRESHOLD * (n := math.sqrt(c @ c)) or not n:
+            kept.append((ell, s, shift))
+    radius = math.inf  # min of 1 / root: fl(1/x) is monotone
+    for ell, s, shift in kept[len(kept) - max(1, len(kept) // 2):]:
+        if ell == 0:
+            continue
         try:
             root = math.ldexp(s, shift) ** (1.0 / ell)
         except OverflowError:  # size(v) past the float range
@@ -414,19 +419,20 @@ def radius_RapJ(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
     ker(I_p - J) count, so it can only be larger (+inf when every
     coefficient sits inside the kernel).
     """
-    return radius_Ra(a) if _plane_sign(p, j) else _reflected_radius(a, p, j)[0]
+    return radius_Ra(a) if _plane_sign(p, j) else _reflected_radius(a, p, j, radius_Ra(a))[0]
 
 
-def _reflected_radius(a: SeqSpec, p: WPoint, j: SliceUnit) -> tuple[float, float]:
+def _reflected_radius(a: SeqSpec, p: WPoint, j: SliceUnit, ra: float) -> tuple[float, float]:
     """(r2, r2_in): R_a^{p,J} off the center plane of p, at both floors of `_radius`.
 
     r2_in <= r2, equal unless a group lies in the band between the floors.
-    Neither is below R_a, bit for bit: ratio groups give a later ratio than
-    R_a's, or +inf; a table term's kernel distance is read as at most its
-    norm, the size R_a reads.
+    Neither is below ra = R_a: ratio groups give R_a's ratio or a later one, but
+    a table's window over the l that count may start before R_a's (1/3 < 2^-0.25
+    on [1, 3e2, e4+e15, e4+e15] at e1, J = e10), so both are raised to ra.
     """
     distance = kernel_of_left_mult(p.axis.s - j.s).distance
-    return _radius(a, lambda v: min(distance(v), math.sqrt(v @ v)))
+    r2, r2_in = _radius(a, lambda v: min(distance(v), math.sqrt(v @ v)))
+    return max(r2, ra), max(r2_in, ra)
 
 
 def radius_Rap(a: SeqSpec, p: WPoint) -> tuple[float, SliceUnit | None]:
@@ -438,7 +444,8 @@ def radius_Rap(a: SeqSpec, p: WPoint) -> tuple[float, SliceUnit | None]:
     find_companion call on that coefficient realizes the supremum.  The
     witness is returned only when it beats R_a.  Table sequences scan
     companion candidates derived from every tabulated coefficient and stay
-    estimates.  A `Domain` hands its R_a to `_companion_radius` directly.
+    estimates: the first 8 or 20 demo terms hold no value in a kernel, so R_a^p
+    reads R_a, not 3.  A `Domain` hands its R_a to `_companion_radius`.
     """
     return _companion_radius(a, p, radius_Ra(a))
 
@@ -454,7 +461,7 @@ def _companion_radius(a: SeqSpec, p: WPoint, ra: float) -> tuple[float, SliceUni
     best, witness = ra, None
     for c in coeffs:
         k = find_companion(p.axis, CDElement(c))
-        if k is not None and (val := radius_RapJ(a, p, k)) > best:
+        if k is not None and (val := _reflected_radius(a, p, k, ra)[0]) > best:
             best, witness = val, k
     return best, witness
 
@@ -569,7 +576,7 @@ class Domain:
         pair = self._slices.get(j)
         if pair is None:
             pair = _slice_disks(self.p, self.report.r_a, j,
-                                lambda: _reflected_radius(self.a, self.p, j))
+                                lambda: _reflected_radius(self.a, self.p, j, self.report.r_a))
             if len(self._slices) >= _SLICE_MEMO:
                 self._slices.clear()
             self._slices[j] = pair
@@ -794,9 +801,9 @@ def _evaluate_chunk(steps, make_block, rows, max_terms, tol, gaps):
     Every term past `rows` is an exact zero, so a point still running there
     finishes in closed form: its sum stays, zero norms fill its window and
     it uses all max_terms terms.  With `gaps` (a gap series) each block's
-    rows off the support 1, 2, 4, ... are zeroed, and a point that uses every
-    term is Converged only if its last nonzero term was below tol.  Returns
-    one report per point.
+    rows off the support 1, 2, 4, ... are zeroed, a block with no support row
+    is not built, and a point that uses every term is Converged only if its
+    last nonzero term was below tol.  Returns one report per point.
     """
     out = [None] * len(steps)
     idx = np.arange(len(steps))
@@ -811,9 +818,13 @@ def _evaluate_chunk(steps, make_block, rows, max_terms, tol, gaps):
         chain[1:] = steps
         chain = np.multiply.accumulate(chain, axis=0)
         zetas = chain[n]
+        support = _on_support(np.arange(start, start + n))
+        if gaps and not support.any():  # n exact zeros: only the window moves
+            window = np.concatenate((window, np.zeros((n, len(idx)))))[-_tol.EVAL_WINDOW:]
+            continue
         block = make_block(start, chain[:n])
         if gaps:
-            block[~_on_support(np.arange(start, start + n))] = 0.0
+            block[~support] = 0.0
         norms = np.sqrt(np.matmul(block[..., None, :], block[..., :, None]))[..., 0, 0]
         stop, diverged, quiet = _block_stop(norms, quiet, tol)
         # The partial sums, in term order: total + row 0 + row 1 + ..., with
@@ -919,7 +930,7 @@ def evaluate_points(qs: Sequence[WPoint], p: WPoint, a: SeqSpec,
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
     center = p.key
-    gaps = isinstance(a, Lacunary)
+    gaps = isinstance(a, Lacunary) and any(a.coeff)  # the zero series has no gaps
     reports: list[EvalReport | None] = [None] * len(qs)
     slices: dict[tuple, list[int]] = {}  # (q real?, axis) -> point indices
     for i, q in enumerate(qs):

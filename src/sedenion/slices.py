@@ -541,7 +541,7 @@ def wpoint(value: CDElement | str) -> WPoint:
     """Wrap a sedenion as a point of W; raises when it lies on no slice.
 
     The imaginary part must be a positive multiple of a slice unit (or zero,
-    giving a real point on the base slice I0, within UNIT_EQ * max(1, |re|)).
+    giving a real point on the base slice I0, within UNIT_EQ * |re|).
     Raises on coefficients holding inf or NaN, or |im| past the float range;
     |im| is read through `_pow2_scaled`, so its square never overflows.
     """
@@ -557,7 +557,7 @@ def wpoint(value: CDElement | str) -> WPoint:
         im = float(np.ldexp(n, shift))
     if not math.isfinite(re + im):
         raise ValueError("point coefficients and norm must be finite")
-    if im <= _tol.UNIT_EQ * max(1.0, abs(re)):
+    if im <= _tol.UNIT_EQ * abs(re):
         return WPoint(re, 0.0, I0, value)
     return WPoint(re, im, SliceUnit(CDElement(unit / n)), value)
 

@@ -98,7 +98,7 @@ class Subspace:
             return cls(np.zeros((0, DIM)))
         m = np.vstack(rows)
         u, s, vh = np.linalg.svd(m, full_matrices=False)
-        rank = int(np.sum(s > _tol.SPAN_RANK_CUTOFF * max(1.0, s[0])))
+        rank = int(np.sum(s > _tol.SPAN_RANK_CUTOFF * s[0]))
         return cls(vh[:rank])
 
     @property
@@ -120,7 +120,7 @@ class Subspace:
 
     def contains(self, x) -> bool:
         v = x.promote(MAX_LEVEL).coeffs if isinstance(x, CDElement) else np.asarray(x, float)
-        return self.distance(v) <= _tol.UNIT_EQ * max(1.0, float(np.linalg.norm(v)))
+        return self.distance(v) <= _tol.UNIT_EQ * float(np.linalg.norm(v))
 
     def complement(self) -> "Subspace":
         if self.dim == 0:
@@ -245,9 +245,9 @@ def zero_product_characterization(
     side silently.  The decision is made on the factors scaled by powers of
     two, (a, b) by one and (c, d) by another, that put their largest
     coefficient in [0.5, 1), so no norm or product under- or overflows; norms
-    and products are compared within UNIT_EQ times the largest scaled norm
-    (at least 1).  `d_formula` and `product_norm` are scaled back, and a norm
-    past the float range reads as inf.
+    and products are compared within UNIT_EQ times the largest scaled norm.
+    `d_formula` and `product_norm` are scaled back, and a norm past the float
+    range reads as inf.
 
     Raises ValueError when a + b*e8 = 0 or c + d*e8 = 0 (with d as tested).
     """
@@ -260,7 +260,7 @@ def zero_product_characterization(
     if na == 0.0 and nb == 0.0:
         raise ValueError("left factor a+b*e8 is zero")
 
-    eps = _tol.UNIT_EQ * max(na, nb, nc, d.norm() if d is not None else 0.0, 1.0)
+    eps = _tol.UNIT_EQ * max(na, nb, nc, d.norm() if d is not None else 0.0)
 
     d_formula: CDElement | None = None
     if min(na, nb, nc) > 0.0:

@@ -851,15 +851,28 @@ SERIES_COMMANDS = [["radii"], ["contains", "e1"], ["eval", "e1"], ["scan", "--rs
     '{"kind":"lacunary","coeff":[[1]],"ratio":2}',
     '{"kind":"geometric","terms":[{"coeff":"e1","ratio":{"r":2}}]}',
     '{"kind":"table","values":[[1,null]]}',
-], ids=["ratio-list", "ratio-null", "coeff-list", "ratio-object", "table-null"])
+    '{"kind":"lacunary","coeff":"e1","ratio":true}',
+    '{"kind":"lacunary","coeff":[true],"ratio":2}',
+], ids=["ratio-list", "ratio-null", "coeff-list", "ratio-object", "table-null", "ratio-true",
+        "coeff-true"])
 @pytest.mark.parametrize("command", SERIES_COMMANDS, ids=lambda c: c[0])
 def test_a_json_value_that_is_no_number_exits_2(capsys, tmp_path, monkeypatch, command, seq):
-    # float() raises TypeError on null, a list or an object: one error line, no traceback.
+    # float() raises TypeError on null, a list or an object, and reads a
+    # boolean as 0 or 1: one error line, no traceback.
     monkeypatch.chdir(tmp_path)
     rc, out, err = run(capsys, command[:1] + ["--seq", seq] + command[1:])
     assert (rc, out) == (2, "")
     assert err.startswith("error: not a number: ") and len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_small_point_keeps_its_imaginary_part(capsys):
+    # 1e-9 e10 lies on the slice e10, not on the real axis: at 12 digits its
+    # value shows the e5, e10 and e14 terms of about 3e-10.
+    rc, out, _ = run(capsys, ["eval", "0.000000001e10", "--center=0.5"])
+    assert rc == 0
+    value = out.splitlines()[-1]
+    assert "+0.00000000032e5+0.000000000244897959184e10-0.00000000032e14+" in value
 
 
 HUGE_POINT = "1" + "0" * 300 + "e15"

@@ -40,6 +40,7 @@ BAND_SEQ = ('{"kind":"geometric","terms":[{"coeff":"1","ratio":3},'
 NINES = "9" * 300
 TINY = "0." + "0" * 299 + "1"  # 1e-300
 HUGE_E = "1" + "0" * 300  # 1e300: its square is past the float range
+ZERO_GAPS = '{"kind":"lacunary","coeff":"0","ratio":2}'
 HUGE = [0.0] * 16
 HUGE[4] = HUGE[15] = 1.5e308
 
@@ -96,7 +97,11 @@ def commands() -> list[list[str]]:
     out += [["table", "--verify"], ["table", "--verify", "--format", "json"],
             ["contains", f"{HUGE_E}e15"], ["eval", f"{HUGE_E}e15"],
             ["cker", "e1", "e10", "--curve", "12"],
-            ["cker", "e1", "e10", "--curve", "5", "--out", "curve.csv"]]
+            ["cker", "e1", "e10", "--curve", "5", "--out", "curve.csv"],
+            ["eval", "0.000000001e10", "--center=0.5"],
+            ["contains", "--center=0.5+0.3e1", "--seq", json.dumps(  # 1/3 < R_a^{p,e10} = R_a
+                {"kind": "table", "values": ["1", "3e2", "e4+e15", "e4+e15"]}), "--", "0.5+0.4e10"],
+            ["eval", "0.5e1", "--seq", ZERO_GAPS], ["scan", "--rstep", "1", "--seq", ZERO_GAPS]]
     bad = [
         ["mul", "e1", "e99"], ["mul", "e1", "2e"], ["mul", "1e400", "e1"], ["mul", "", "e1"],
         ["kernel", "x"], ["radii", "--center", "bad"], ["radii", "--center=1+e1+e10"],
@@ -121,6 +126,8 @@ def commands() -> list[list[str]]:
         ["contains", "--seq", '{"kind":"lacunary","coeff":[[1]],"ratio":2}', "e1"],
         ["eval", "--seq", '{"kind":"lacunary","coeff":"e1","ratio":null}', "e1"],
         ["hyper", f"{HUGE_E}e1", "e10"], ["cker", f"{HUGE_E}e1", "e10", "e3"],
+        ["radii", "--seq", '{"kind":"lacunary","coeff":"e1","ratio":true}'],
+        ["contains", "--seq", '{"kind":"lacunary","coeff":[true],"ratio":2}', "e1"],
     ]
     return out + bad
 

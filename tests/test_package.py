@@ -72,6 +72,35 @@ def test_tolerances_live_only_in_the_tol_module():
     assert sorted(listed) == names
 
 
+def _floored_tolerances(tree) -> list[int]:
+    """Lines of `_tol.NAME * max(..., 1, ...)`: a tolerance with an absolute floor."""
+    def is_tol(node):
+        return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "_tol")
+
+    def is_floor(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "max"
+                and any(isinstance(arg, ast.Constant) and arg.value == 1 for arg in node.args))
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and any(is_tol(x) and is_floor(y)
+                    for x, y in ((node.left, node.right), (node.right, node.left)))]
+
+
+def test_no_tolerance_has_an_absolute_floor():
+    # A size is negligible when it is at most a `_tol` fraction of the size
+    # it is compared with: a `max(1, |x|)` factor would make the test absolute
+    # below |x| = 1, so the same input scaled by 2^k could get another answer.
+    src = pathlib.Path(sedenion.__file__).resolve().parent
+    floored = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+               for line in _floored_tolerances(ast.parse(path.read_text()))]
+    assert floored == []
+    assert _floored_tolerances(ast.parse("e = _tol.UNIT_EQ * max(na, 1.0)\n"
+                                         "f = max(1, abs(x)) * _tol.DEGENERATE")) == [1, 2]
+
+
 def test_display_dust_is_read_only_by_the_element_writer():
     # One dust rule for every printed coefficient, text and JSON alike: the
     # one function that reads DISPLAY_DUST is cli._written.

@@ -423,7 +423,7 @@ def test_reflected_radius_agrees_with_the_surviving_channel_images(rng):
         for plus, j in ((False, j2), (True, -j2)):
             riding = min((ratio for on_plus, ratio in channels if on_plus is plus),
                          default=math.inf)
-            radius, inner = _reflected_radius(a, p, j)
+            radius, inner = _reflected_radius(a, p, j, radius_Ra(a))
             assert radius == radius_RapJ(a, p, j)
             assert inner <= riding <= radius, (n, plus)
             if plus in banded:
@@ -438,7 +438,9 @@ def test_reflected_radius_is_never_below_the_slice_radius():
     # radius_RapJ, so a real point (as far from z_p as from conj(z_p)) is
     # never decided by the reflected disk.  Tables whose values are
     # orthogonal to the kernel have dist(a_l, ker) = |a_l| up to rounding,
-    # which can put the computed distance an ulp above the norm.
+    # which can put the computed distance an ulp above the norm.  A table
+    # whose late values lie in the kernel counts fewer l than R_a reads, and
+    # its window starts earlier: [1, 3e2, k, k] reads 1/3 there, below R_a.
     rng = np.random.default_rng(2121)
     checked = Counter()
     for n in range(30):
@@ -455,7 +457,8 @@ def test_reflected_radius_is_never_below_the_slice_radius():
                 Lacunary.of(CDElement(kv), 2.0), Lacunary.of(CDElement(g), 2.0),
                 TableSeq.of([CDElement(v) for v in orth]),
                 TableSeq.of([CDElement(v) for v in vals]),
-                TableSeq.of(["1"] + [CDElement(kv * 0.5 ** k + perp * 1e-3) for k in range(5)]))
+                TableSeq.of(["1"] + [CDElement(kv * 0.5 ** k + perp * 1e-3) for k in range(5)]),
+                TableSeq.of(["1", "3e2", CDElement(kv), CDElement(kv)]))
         slices = (j2, -j2, cker_curve_point(j1, j2, float(rng.uniform(0.2, 2.9))),
                   random_slice_unit(rng), I0, -I0)
         for a in seqs:
@@ -583,6 +586,59 @@ def test_table_radius_is_a_windowed_estimate():
 def test_table_radius_edge_cases():
     assert radius_Ra(TableSeq.of(["1"])) == math.inf
     assert radius_Ra(TableSeq.of(["0", "0"])) == math.inf
+    # a value inside the kernel is skipped like a ratio group, not read as dust
+    table = TableSeq.of(["1", "e4+e15", "e4+e15", "e4+e15"])
+    assert radius_RapJ(table, center(), E10) == radius_Rap(table, center())[0] == math.inf
+    assert radius_RapJ(TableSeq.of(["e4+e15", "0"]), center(), E10) == math.inf
+    # the window over l = 0, 1 reads 1/3; R_a^{p,J} >= R_a holds it at R_a
+    table = TableSeq.of(["1", "3e2", "e4+e15", "e4+e15"])
+    assert radius_RapJ(table, center(), E10) == radius_Ra(table) == pytest.approx(2 ** -0.25)
+
+
+def _sampled(a, n):
+    return TableSeq(tuple(tuple(a.term(ell).tolist()) for ell in range(n)))
+
+
+def test_table_radius_reads_the_ratio_group_radii_of_a_sampled_sum(rng):
+    # Oracle: a table of the first n terms of a geometric sum estimates the
+    # sum's exact radii, which the ratio-group rule gives.  Seeded hyper
+    # centers p on I, a companion J, the slowest group in ker(I - J) (off it
+    # in one case of four) and a faster-decaying group off it.  The
+    # coefficients have unit norm, since the window reads |c|^(1/l) too, and
+    # the ratios stay at most 2, so every value of 1000 terms is a normal
+    # float (a tail that underflows to exact zeros reads +inf).  Without the
+    # floor, R_a^{p,e10} of the demo sum read 2.38 and 2.07 at lengths 200
+    # and 1000; the exact value is 3.
+    unit = lambda v: CDElement(v / np.linalg.norm(v))
+    above = 0
+    for case in range(16):
+        j1, j2 = random_hyper_pair(rng)
+        p = wpoint_from(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 1.5)), j1)
+        ker = kernel_of_left_mult(j1.s - j2.s)
+        g = rng.normal(size=(2, 16))
+        kv = rng.normal(size=ker.dim) @ ker.basis
+        perp = g[0] - ker.basis.T @ (ker.basis @ g[0])
+        r1 = float(rng.uniform(1.1, 2.0))
+        r2 = r1 * float(rng.uniform(1.2, 2.0))
+        a = GeometricSum.of([(unit(kv if case % 4 else g[1]), r1), (unit(perp), r2)])
+        ra, (rap, witness) = radius_Ra(a), radius_Rap(a, p)
+        above += rap > ra
+        for n in (60, 200, 1000):
+            table = _sampled(a, n)
+            assert radius_Ra(table) == pytest.approx(ra, rel=0.01), (case, n)
+            got = radius_RapJ(table, p, j2 if witness is None else witness)
+            assert got == pytest.approx(rap, rel=0.01), (case, n)
+    assert above == 12
+    demo, p = demo_sequence(), center()
+    for n in (60, 200, 1000):
+        assert radius_RapJ(_sampled(demo, n), p, E10) == pytest.approx(3.0, rel=0.01), n
+    for n in (60, 200):  # the companion search reads the witness from the table
+        assert radius_Rap(_sampled(demo, n), p)[0] == pytest.approx(3.0, rel=0.01), n
+    # The known limit: in a short table every value mixes both groups, no
+    # value lies in a kernel, the search finds no companion and R_a^p reads R_a.
+    for n in (8, 20):
+        table = _sampled(demo, n)
+        assert radius_Rap(table, p) == (radius_Ra(table), None), n
 
 
 @pytest.mark.parametrize("scale, n", [
@@ -770,7 +826,7 @@ def test_membership_work_runs_once_per_slice_not_per_point(monkeypatch, tmp_path
     import sedenion.series as series
     from sedenion.cli import main
 
-    names = ("radius_RapJ", "axis_sign", "kernel_of_left_mult")
+    names = ("_reflected_radius", "axis_sign", "kernel_of_left_mult")
     counts = Counter()
     for name in names:
         monkeypatch.setattr(series, name, _counting(counts, name, getattr(series, name)))
@@ -1325,6 +1381,34 @@ def test_evaluation_handles_gap_sequences():
     assert inside.verdict is Verdict.CONVERGED
     outside = evaluate_series(wpoint("2.5e1"), p, lac, max_terms=200)
     assert outside.verdict is Verdict.DIVERGED
+
+
+def test_a_gap_series_builds_only_blocks_that_hold_a_support_term(monkeypatch):
+    # Of the 15,625 blocks of 64 terms in 10^6 terms, 15 hold a power of two.
+    import sedenion.series as series
+
+    built = []
+    blocks = series._geometric_blocks
+
+    def counting(*args):
+        channels, block = blocks(*args)
+        return channels, lambda start, zetas: built.append(start) or block(start, zetas)
+
+    monkeypatch.setattr(series, "_geometric_blocks", counting)
+    a = Lacunary.of("e4+e15", 2.0)
+    rep = evaluate_series(wpoint("0.3+0.2e1"), center(), a, max_terms=10**6)
+    support = [1 << k for k in range(20)]  # l < 10^6
+    assert built == sorted({ell // 64 * 64 for ell in support})
+    assert rep.terms_used == 10**6
+
+
+def test_the_zero_gap_series_answers_as_the_zero_geometric_sum():
+    p, q = center(), wpoint("0.5e1")
+    gap = evaluate_series(q, p, Lacunary.of("0", 2.0))
+    zero = evaluate_series(q, p, GeometricSum.of([("0", 2.0)]))
+    assert gap == zero and gap.verdict is Verdict.CONVERGED
+    res = convergence_scan(p, Lacunary.of("0", 2.0), E1, [1.0, 2.0], [0.5, 2.0])
+    assert res.agreement == 1.0
 
 
 def test_evaluation_validates_max_terms():

@@ -407,7 +407,7 @@ def test_wpoint_reads_im_through_a_power_of_two_scaling():
         imvec[0] = 0.0
         q = wpoint(CDElement(v))
         im = float(np.linalg.norm(imvec))
-        if im <= UNIT_EQ * max(1.0, abs(v[0])):  # a real point
+        if im <= UNIT_EQ * abs(v[0]):  # a real point
             assert (q.re, q.im, q.axis) == (v[0], 0.0, I0)
             continue
         assert (q.re, q.im) == (v[0], im)

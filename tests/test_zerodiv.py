@@ -537,3 +537,68 @@ def test_box_kites_of_the_42_assessors():
             seen |= part
             components.append(len(part))
     assert sorted(components) == [6] * 7
+
+
+# --- one relative floor --------------------------------------------------------
+
+
+def test_every_relative_floor_decides_alike_at_every_power_of_two_scale():
+    # Each negligible-value test compares a size with the size it is measured
+    # against, so scaling the input by 2^k moves no decision.  Seeded inputs
+    # of sizes 10^-20 .. 10^5 put a defect at 10^-11 or 10^-7 of their size
+    # (UNIT_EQ is 1e-9), and singular values at 10^-14 or 10^-10 of the
+    # largest (SPAN_RANK_CUTOFF is 1e-12), so every floor sees both answers.
+    from sedenion import complex_coords
+
+    def on_plane(x, j):
+        try:
+            complex_coords(CDElement(x), j)
+            return True
+        except ValueError:
+            return False
+
+    rng = np.random.default_rng(SEED)
+    ker = kernel_of_left_mult(parse_element("e1+e10"))
+    seen = set()
+    for case in range(40):
+        j = random_slice_unit(rng)
+        size = 10.0 ** rng.uniform(-20, 5)
+        defect = (1e-11, 1e-7)[case % 2]
+        off = rng.normal(size=16)
+        off -= off[0] * np.eye(16)[0] + (off @ j.s.coeffs) * j.s.coeffs  # off the plane of j
+        off /= np.linalg.norm(off)
+        re, im = rng.normal(size=2)
+        point = size * np.array([re] + [0.0] * 15) + size * defect * abs(re) * j.s.coeffs
+        plane = size * (re * np.eye(16)[0] + im * j.s.coeffs + defect * np.hypot(re, im) * off)
+        inside = rng.normal(size=ker.dim) @ ker.basis
+        perp = rng.normal(size=16)
+        perp -= ker.basis.T @ (ker.basis @ perp)
+        kernel = size * (inside + defect * np.linalg.norm(inside) / np.linalg.norm(perp) * perp)
+        rows = rng.normal(size=(3, 16))
+        rows[2] = rows[:2].T @ rng.normal(size=2) + (1e-14, 1e-10)[case % 2] * rows[2]
+        decide = {
+            "wpoint": lambda k: wpoint(CDElement(np.ldexp(point, k))).is_real,
+            "complex_coords": lambda k: on_plane(np.ldexp(plane, k), j),
+            "contains": lambda k: ker.contains(np.ldexp(kernel, k)),
+            "from_span": lambda k: Subspace.from_span(np.ldexp(size * rows, k)).dim,
+        }
+        for name, f in decide.items():
+            want = f(0)
+            seen.add((name, want))
+            assert [f(k) for k in (30, -30, 200, -200)] == [want] * 4, (name, case)
+    assert len(seen) == 8, seen  # both answers of every test
+    # 1e-9 e10 has re = 0: it lies on the slice e10, however small it is.
+    assert not wpoint("0.000000001e10").is_real
+    # zd-check's decision on (2^k x)(2^-k y) and (2^k x)(2^k y): the 336 zero
+    # products of box-kite diagonals and seeded nonzero ones.
+    diagonals = box_kite_diagonals()
+    pairs = [(x, y) for x in diagonals for y in diagonals]
+    zero = [(x, y) for x, y in pairs if cd_mul_recursive(x, y).is_zero()]
+    pairs = zero + [pairs[i] for i in rng.choice(len(pairs), size=64, replace=False)]
+    for x, y in pairs:
+        want = zero_product_characterization(o_left(x), o_right(x), o_left(y), o_right(y))[1][:4]
+        for kx, ky in ((500, 500), (-500, -500), (1000, 1000), (-1000, -1000),
+                       (500, -500), (-1000, 1000)):
+            xs, ys = CDElement(np.ldexp(x.coeffs, kx)), CDElement(np.ldexp(y.coeffs, ky))
+            got = zero_product_characterization(o_left(xs), o_right(xs), o_left(ys), o_right(ys))
+            assert got[1][:4] == want, (str(x), str(y), kx, ky)
