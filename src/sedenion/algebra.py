@@ -540,12 +540,11 @@ _TERM_RE = re.compile(
 def parse_element(text: str) -> CDElement:
     """Parse sedenion text like `e1-e10`, `0.5+2e4`, or `-3`.
 
-    The result uses the smallest level containing every mentioned basis
-    element.  Raises ValueError on malformed input and on a numeral (or a
-    sum of terms) beyond the float range.
+    Text only: `parse_any` is the reader that also takes a coefficient array
+    or an element.  The result uses the smallest level containing every
+    mentioned basis element.  Raises ValueError on malformed input and on a
+    numeral (or a sum of terms) beyond the float range.
     """
-    if isinstance(text, CDElement):
-        return text
     s = text.strip()
     if not s:
         raise ValueError("empty element text")
@@ -631,13 +630,12 @@ def real_from_json(value) -> float:
 
 
 def element_from_json(data) -> CDElement:
-    """Accept sedenion text or a coefficient array (length a power of two <= 16).
+    """Build an element from a coefficient array (length a power of two <= 16).
 
-    Array coefficients must be finite: JSON input may spell NaN or Infinity,
-    and one such coordinate would poison every radius, distance and sum.
+    Arrays only: `parse_any` dispatches text to `parse_element`.  Array
+    coefficients must be finite: JSON input may spell NaN or Infinity, and
+    one such coordinate would poison every radius, distance and sum.
     """
-    if isinstance(data, str):
-        return parse_element(data)
     if isinstance(data, (list, tuple)):
         values = [real_from_json(v) for v in data]
         if not all(map(math.isfinite, values)):

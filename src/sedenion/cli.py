@@ -28,7 +28,7 @@ from .algebra import (
     element_to_json,
     format_element,
     format_real,
-    parse_element,
+    parse_any,
     table_csv,
     verify_table,
 )
@@ -115,12 +115,17 @@ def _outdir() -> str:
     return os.environ.get("SEDENION_OUTDIR", ".")
 
 
-def _check_writable(path: str) -> None:
-    """Raise the OSError that `_write(path, ...)` would raise; no new file is left."""
+def _out_file(path: str | None) -> str | None:
+    """The --out file under SEDENION_OUTDIR (an absolute path stays as given), or None;
+    checked before any work for the OSError that `_write` would raise, leaving no file."""
+    if not path:
+        return None
+    path = os.path.join(_outdir(), path)
     existed = os.path.exists(path)
     open(path, "a", encoding="utf-8").close()
     if not existed:
         os.remove(path)
+    return path
 
 
 def _write(path: str, text: str) -> str:
@@ -175,13 +180,13 @@ def cmd_table(args) -> int:
 
 
 def cmd_mul(args) -> int:
-    text, js, coeffs = _written(parse_element(args.a) * parse_element(args.b))
+    text, js, coeffs = _written(parse_any(args.a) * parse_any(args.b))
     _emit(args, [text], {"text": js, "coeffs": coeffs})
     return 0
 
 
 def cmd_kernel(args) -> int:
-    ker = kernel_of_left_mult(parse_element(args.s))
+    ker = kernel_of_left_mult(parse_any(args.s))
     rows = [_written(v, 1.0) for v in ker.vectors()]  # unit rows: dust is absolute
     _emit(args, [f"dim={ker.dim}"] + [text for text, _, _ in rows],
           {"dim": ker.dim, "basis": [coeffs for _, _, coeffs in rows]})
@@ -189,8 +194,8 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    x = parse_element(args.x)
-    dec = ortho_decompose(x, parse_element(args.p))
+    x = parse_any(args.x)
+    dec = ortho_decompose(x, parse_any(args.p))
     scale = float(np.abs(x.coeffs).max())  # the parts are linear in x, and so is their dust
     parts = {k: _written(part, scale) for k, part in zip(dec._fields, dec)}
     _emit(args, [f"{k}={text}" for k, (text, _, _) in parts.items()],
@@ -199,7 +204,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_zd_check(args) -> int:
-    x, y = parse_element(args.x), parse_element(args.y)
+    x, y = parse_any(args.x), parse_any(args.y)
     a, b, c, d = o_left(x), o_right(x), o_left(y), o_right(y)
     is_zero, cert = zero_product_characterization(a, b, c, d)
     yn = lambda f: "yes" if f else "no"
@@ -241,9 +246,9 @@ def cmd_polar(args) -> int:
             if len(names) != 2:
                 raise ValueError("--frame wants two comma-separated units")
             s = psi(args.alpha, args.theta,
-                    (parse_element(names[0]), parse_element(names[1])))
+                    (parse_any(names[0]), parse_any(names[1])))
         elif args.jmath is not None:
-            s = from_polar(args.alpha, args.theta, parse_element(args.jmath))
+            s = from_polar(args.alpha, args.theta, parse_any(args.jmath))
         else:
             raise ValueError("construction needs --frame or --jmath")
         text, _, coeffs = _written(s.s)
@@ -268,12 +273,13 @@ def cmd_cker(args) -> int:
         if n < 1:
             raise ValueError("--curve wants a positive sample count")
         _check_grid_size(n)
+        out = _out_file(args.out)
         lines = ["theta," + ",".join(f"c{k}" for k in range(16))]
         thetas = [math.pi * i / n for i in range(n)]
         for theta, pt in zip(thetas, cker_curve_points(j1, j2, thetas)):
             row = ",".join(format_real(c) for c in pt.s.coeffs)
             lines.append(f"{format_real(theta)},{row}")
-        _print_or_write("\n".join(lines) + "\n", args.out)
+        _print_or_write("\n".join(lines) + "\n", out)
         return 0
     if args.k is None:
         raise ValueError("give a candidate unit K, or --curve N to sample")
@@ -333,14 +339,20 @@ def _default_slices(dom: Domain) -> list[tuple[str, SliceUnit]]:
     return out
 
 
+def _listed(text: str | None, flag: str, what: str) -> list[str] | None:
+    """The nonempty entries of the comma list given to flag, at least one; None without it."""
+    if text is None:
+        return None
+    entries = [entry for entry in text.split(",") if entry]
+    if not entries:
+        raise ValueError(f"{flag} names no {what}")
+    return entries
+
+
 def _slices(args, p, a) -> list[tuple[str, SliceUnit]]:
     """The named slices of --slices, at least one; the defaults of domain(p, a) without it."""
-    if args.slices is None:
-        return _default_slices(domain(p, a))
-    slices = [(name, SliceUnit(name)) for name in args.slices.split(",") if name]
-    if not slices:
-        raise ValueError("--slices names no slice unit")
-    return slices
+    names = _listed(args.slices, "--slices", "slice unit")
+    return _default_slices(domain(p, a)) if names is None else [(n, SliceUnit(n)) for n in names]
 
 
 def cmd_scan(args) -> int:
@@ -348,17 +360,15 @@ def cmd_scan(args) -> int:
         raise ValueError("--rmin, --rmax and --rstep must be finite")
     if args.rstep <= 0:
         raise ValueError("--rstep wants a positive step")
-    angular = [float(t) for t in args.thetas.split(",")] if args.thetas \
-        else [math.pi / 2]
+    thetas = _listed(args.thetas, "--thetas", "angle")
+    angular = [math.pi / 2] if thetas is None else [float(t) for t in thetas]
     if not all(map(math.isfinite, angular)):
         raise ValueError("--thetas must be finite")
     p, a = _series(args)
     slices = _slices(args, p, a)
     steps = (args.rmax - args.rmin) / args.rstep
     _check_grid_size((steps + 1) * len(angular) * len(slices))
-    out = args.out and os.path.join(_outdir(), args.out)
-    if out:
-        _check_writable(out)
+    out = _out_file(args.out)
     nsteps = int(round(steps))
     radial = [round(args.rmin + k * args.rstep, 12) for k in range(nsteps + 1)]
     radial = [r for r in radial if r > 0]

@@ -436,34 +436,12 @@ def _reflected_radius(a: SeqSpec, p: WPoint, j: SliceUnit, ra: float) -> tuple[f
 
 
 def radius_Rap(a: SeqSpec, p: WPoint) -> tuple[float, SliceUnit | None]:
-    """The supremum radius R_a^p over companion slice units, with a witness.
-
-    The value set {R_a^{p,K}} has at most two elements {R_a, R_a^p}, and a
-    strictly larger value requires the slowest-decaying coefficient to lie in
-    ker(I_p - K); that kernel determines K up to curve membership, so one
-    find_companion call on that coefficient realizes the supremum.  The
-    witness is returned only when it beats R_a.  Table sequences scan
-    companion candidates derived from every tabulated coefficient and stay
-    estimates: the first 8 or 20 demo terms hold no value in a kernel, so R_a^p
-    reads R_a, not 3.  A `Domain` hands its R_a to `_companion_radius`.
-    """
-    return _companion_radius(a, p, radius_Ra(a))
-
-
-def _companion_radius(a: SeqSpec, p: WPoint, ra: float) -> tuple[float, SliceUnit | None]:
-    """`radius_Rap` with R_a already known (ra)."""
-    if p.is_real:
-        return ra, None
-    if isinstance(a, (GeometricSum, Lacunary)):
-        coeffs = [c for _, c in _ratio_groups(a)[:1]]  # the slowest-decaying group
-    else:
-        coeffs = [v for v in map(np.asarray, a.values) if np.any(v != 0.0)]
-    best, witness = ra, None
-    for c in coeffs:
-        k = find_companion(p.axis, CDElement(c))
-        if k is not None and (val := _reflected_radius(a, p, k, ra)[0]) > best:
-            best, witness = val, k
-    return best, witness
+    """R_a^p, the supremum over companion slice units, and its witness (None
+    unless it beats R_a): `domain(p, a).report`, the one companion search, read
+    through the domain memo.  Tables give estimates: the first 8 or 20 demo
+    terms hold no value in a kernel, so R_a^p reads R_a, not 3."""
+    rep = domain(p, a).report
+    return rep.r_ap, rep.witness
 
 
 # ---------------------------------------------------------------------------
@@ -550,20 +528,32 @@ class Domain:
     """The convergence domain of the series a around the center p.
 
     Built once per (center, sequence); `report` holds the radii, witness and
-    case.  On each slice C_J the domain is two disks that depend only on (p, a,
-    J), so a memo `dict[SliceUnit, _Disks]` (a unit keeps its hash) keeps the
-    disks of each slice: one axis test and, off the center plane, one kernel
-    for the reflected radius R_a^{p,J}.  A point reads the disks of its slice;
-    a real one (on I0) is as far from z_p as from conj(z_p), and R_a^{p,J} >=
-    R_a, so the reflected disk never decides it.  At most `_SLICE_MEMO` units
-    are kept: the only state a Domain changes after construction.
+    case.  It is the one companion search for R_a^p: R_a^{p,K} takes at most
+    two values {R_a, R_a^p}, the larger only with the slowest-decaying
+    coefficient in ker(I_p - K), which fixes K up to curve membership; so one
+    `find_companion` on it (on each nonzero value of a table) realizes the
+    supremum.  On each slice C_J the domain is two disks that depend only on
+    (p, a, J), so a memo `dict[SliceUnit, _Disks]` (a unit keeps its hash)
+    keeps the disks of each slice: one axis test and, off the center plane,
+    one kernel for the reflected radius R_a^{p,J}.  A point reads the disks of
+    its slice; a real one (on I0) is as far from z_p as from conj(z_p), and
+    R_a^{p,J} >= R_a, so the reflected disk never decides it.  At most
+    `_SLICE_MEMO` units are kept: the only state a Domain changes after
+    construction.
     """
 
     __slots__ = ("p", "a", "report", "_slices")
 
     def __init__(self, p: WPoint, a: SeqSpec):
         ra = radius_Ra(a)
-        rap, witness = _companion_radius(a, p, ra)  # a witness exactly when rap > ra
+        rap, witness = ra, None  # a witness exactly when rap > ra
+        if not p.is_real:
+            coeffs = ([v for v in map(np.asarray, a.values) if np.any(v != 0.0)]
+                      if isinstance(a, TableSeq) else [c for _, c in _ratio_groups(a)[:1]])
+            for c in coeffs:
+                k = find_companion(p.axis, CDElement(c))
+                if k is not None and (val := _reflected_radius(a, p, k, ra)[0]) > rap:
+                    rap, witness = val, k
         case = (DomainCase.REAL_CENTER if p.is_real else DomainCase.SIGMA_BALL_ONLY
                 if witness is None else DomainCase.HYPER_INTERSECTION)
         self.p, self.a = p, a

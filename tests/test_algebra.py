@@ -22,6 +22,7 @@ from sedenion import (
     multiplication_table,
     norm,
     one,
+    parse_any,
     parse_element,
     right_mult_matrix,
     verify_table,
@@ -453,3 +454,55 @@ def test_a_real_on_either_side_of_plus_and_minus(e1):
     assert e1 - 1 == CDElement([-1.0, 1.0] + pad)
     assert 1 - e1 == CDElement([1.0, -1.0] + pad)
     assert 0.5 - e1 + e1 == CDElement([0.5, 0.0] + pad)
+
+
+# --- argument errors and foreign operands ------------------------------------
+
+
+def test_elements_are_immutable_and_leave_foreign_operands_to_python():
+    a = basis(1, 2)
+    with pytest.raises(AttributeError, match="immutable"):
+        a.coeffs = np.zeros(4)
+    with pytest.raises(ValueError, match="demote"):
+        a.promote(1)
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__eq__"):
+        assert getattr(a, op)("e1") is NotImplemented, op
+    assert a != "e1" and a != [0.0, 1.0, 0.0, 0.0]
+    with pytest.raises(TypeError):
+        a * "e1"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: basis(16), ValueError, "out of range"),
+    (lambda: basis(-1), ValueError, "out of range"),
+    (lambda: basis(9, level=3), ValueError, "does not fit"),
+    (lambda: cd_mul(basis(1), [0.0, 1.0]), TypeError, "CDElement operands"),
+    (lambda: cd_mul(basis(1, 2), basis(1, 3)), ValueError, "level"),
+    (lambda: cd_mul_recursive(basis(1, 2), basis(1, 3)), ValueError, "level mismatch"),
+    (lambda: mul_batch(np.zeros((2, 4)), np.zeros((3, 4))), ValueError, "matching"),
+    (lambda: mul_batch(np.zeros((2, 3)), np.zeros((2, 3))), ValueError, "bad dimension"),
+    (lambda: mul_batch(np.zeros((2, 32)), np.zeros((2, 32))), ValueError, "bad dimension"),
+    (lambda: inner(basis(1, 2), basis(1, 3)), ValueError, "level mismatch"),
+    (lambda: multiplication_table(5), ValueError, "unsupported level"),
+    (lambda: complex_embed(0.5 + 1j, "e1"), TypeError, "slice unit"),
+], ids=["basis-16", "basis-negative", "basis-level", "cd_mul-type", "cd_mul-level",
+        "recursive-level", "batch-shapes", "batch-dim-3", "batch-dim-32", "inner-level",
+        "table-level", "embed-axis"])
+def test_argument_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_each_element_reader_reads_one_kind_and_parse_any_dispatches():
+    # parse_element reads text, element_from_json arrays; parse_any is the one
+    # place that looks at the kind of input.
+    want = basis(1, 4) + basis(10, 4)
+    array = [0.0, 1.0] + [0.0] * 8 + [1.0] + [0.0] * 5
+    assert parse_element("e1+e10") == element_from_json(array) == want
+    with pytest.raises(AttributeError):
+        parse_element(want)
+    for data in ("e1+e10", {"e1": 1.0}, 1.0, None):
+        with pytest.raises(ValueError, match=f"from {type(data).__name__}"):
+            element_from_json(data)
+    for data in (" e1+e10 ", "[0,1,0,0,0,0,0,0,0,0,1,0,0,0,0,0]", array, tuple(array), want):
+        assert parse_any(data) == want

@@ -71,6 +71,37 @@ def test_table_prints_a_16_by_16_grid(capsys):
     assert all(len(line.split(",")) == 17 for line in lines)
 
 
+E1_PLUS_E10 = "[0,1,0,0,0,0,0,0,0,0,1,0,0,0,0,0]"
+E4_PLUS_E15 = "[0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,1]"
+
+
+@pytest.mark.parametrize("text_argv, array_argv", [
+    (["mul", "e1", "e2"], ["mul", "[0,1]", "[0,0,1,0]"]),
+    (["mul", "e1+e10", "e4+e15"], ["mul", E1_PLUS_E10, E4_PLUS_E15]),
+    (["kernel", "e1+e10"], ["kernel", E1_PLUS_E10]),
+    (["decompose", "1+e2+e5+e9", "e1+e10"],
+     ["decompose", "[1,0,1,0,0,1,0,0,0,1,0,0,0,0,0,0]", E1_PLUS_E10]),
+    (["zd-check", "e1+e10", "e4+e15"], ["zd-check", E1_PLUS_E10, E4_PLUS_E15]),
+    (["polar", "--alpha", "1.2", "--theta", "2.5", "--jmath", "e5"],
+     ["polar", "--alpha", "1.2", "--theta", "2.5", "--jmath", "[0,0,0,0,0,1,0,0]"]),
+], ids=["mul-basis", "mul", "kernel", "decompose", "zd-check", "polar-jmath"])
+def test_every_element_argument_reads_a_json_coefficient_array(capsys, text_argv, array_argv):
+    # One element reader, parse_any, as for --center, points and slice units.
+    for fmt in ([], ["--format", "json"]):
+        want = run(capsys, text_argv + fmt)
+        assert want[0] in (0, 1) and want[2] == ""
+        assert run(capsys, array_argv + fmt) == want
+    assert run(capsys, ["mul", "[0,1]", "e1"]) == (0, "-1\n", "")
+
+
+def test_polar_frame_units_stay_text(capsys):
+    # --frame splits on commas, so an array there is cut into pieces.
+    rc, out, err = run(capsys, ["polar", "--alpha", "0.7", "--theta", "0.3",
+                                "--frame", "[0,1],[0,0,1,0]"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_mul_basis_elements(capsys):
     rc, out, _ = run(capsys, ["mul", "e1", "e2"])
     assert (rc, out) == (0, "e3\n")
@@ -336,6 +367,30 @@ def test_cker_curve_refuses_more_samples_than_the_grid_limit(capsys, tmp_path, m
     assert not target.exists()
 
 
+def test_cker_curve_writes_csv_under_the_output_dir(capsys, tmp_path, monkeypatch):
+    # The one --out rule of scan: a relative path resolves under SEDENION_OUTDIR.
+    monkeypatch.setenv("SEDENION_OUTDIR", str(tmp_path))
+    rc, out, _ = run(capsys, ["cker", "e1", "e10", "--curve", "4", "--out", "curve.csv"])
+    path = tmp_path / "curve.csv"
+    assert (rc, out) == (0, f"wrote {path}\n")
+    assert len(path.read_text().splitlines()) == 5
+
+
+def test_cker_curve_refuses_an_unwritable_out_before_any_sample(capsys, tmp_path, monkeypatch):
+    import sedenion.cli as cli
+
+    monkeypatch.setenv("SEDENION_OUTDIR", str(tmp_path))
+    monkeypatch.setattr(cli, "cker_curve_points", _never)
+    rc, out, err = run(capsys, ["cker", "e1", "e10", "--curve", "20000", "--out", "nodir/c.csv"])
+    assert (rc, out) == (2, "")
+    path = tmp_path / "nodir" / "c.csv"
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+    assert list(tmp_path.iterdir()) == []
+    # without --curve there is no file to write, and --out is not read
+    rc, out, err = run(capsys, ["cker", "e1", "e10", "e3", "--out", "nodir/c.csv"])
+    assert (rc, out, err) == (1, "member=no\n", "")
+
+
 # ---------------------------------------------------------------------------
 # series commands
 # ---------------------------------------------------------------------------
@@ -520,6 +575,16 @@ def test_option_values_with_a_leading_minus_take_the_equals_form(capsys):
     assert rc == 0 and out.startswith("R_a=2 ")
     rc, out, _ = run(capsys, ["scan", "--slices", "e1", "--thetas=-0.5", "--rstep", "1"])
     assert rc == 0 and out.splitlines()[1].startswith("e1,-0.5,")
+
+
+def test_list_flags_skip_empty_entries(capsys):
+    # --slices and --thetas share one comma-list reader.
+    base = ["scan", "--rstep", "1", "--slices", "e10"]
+    want = run(capsys, base + ["--thetas=1,2"])
+    assert want[0] == 0 and [row.split(",")[1] for row in want[1].splitlines()[1:3]] == ["1", "1"]
+    assert run(capsys, base + ["--thetas=1,,2"]) == run(capsys, base + ["--thetas=,1,2,"]) == want
+    want = run(capsys, ["scan", "--rstep", "1", "--slices=e10,e3"])
+    assert want[0] == 0 and run(capsys, ["scan", "--rstep", "1", "--slices=e10,,e3"]) == want
 
 
 def test_scan_writes_csv_under_the_output_dir(capsys, tmp_path, monkeypatch):
@@ -1013,11 +1078,14 @@ def test_figure_n_below_1_exits_2(capsys, tmp_path, n):
     (["scan", "--slices="], "--slices names no slice unit"),
     (["figure", "--slices=,"], "--slices names no slice unit"),
     (["figure", "--slices=", "--format", "svg"], "--slices names no slice unit"),
+    (["scan", "--thetas="], "--thetas names no angle"),
+    (["scan", "--thetas=,", "--out", "rows.csv"], "--thetas names no angle"),
 ], ids=["scan-too-many-points", "figure-too-many-points", "scan-zero-step",
         "scan-negative-step", "scan-nan-rmin", "scan-inf-rmax", "scan-inf-step",
         "scan-nan-theta", "scan-inf-theta", "figure-nan-rmax", "figure-inf-rmax",
         "figure-negative-rmax", "figure-zero-rmax", "scan-no-slice", "scan-out-no-slice",
-        "scan-empty-slices", "figure-no-slice", "figure-svg-empty-slices"])
+        "scan-empty-slices", "figure-no-slice", "figure-svg-empty-slices",
+        "scan-empty-thetas", "scan-no-theta"])
 def test_bad_grids_exit_2_before_any_work(capsys, tmp_path, monkeypatch, argv, message):
     # The grid is refused from its requested size, so even the 4e12-point
     # scan returns at once and nothing is written.

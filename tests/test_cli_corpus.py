@@ -101,7 +101,10 @@ def commands() -> list[list[str]]:
             ["eval", "0.000000001e10", "--center=0.5"],
             ["contains", "--center=0.5+0.3e1", "--seq", json.dumps(  # 1/3 < R_a^{p,e10} = R_a
                 {"kind": "table", "values": ["1", "3e2", "e4+e15", "e4+e15"]}), "--", "0.5+0.4e10"],
-            ["eval", "0.5e1", "--seq", ZERO_GAPS], ["scan", "--rstep", "1", "--seq", ZERO_GAPS]]
+            ["eval", "0.5e1", "--seq", ZERO_GAPS], ["scan", "--rstep", "1", "--seq", ZERO_GAPS],
+            # every element argument reads a JSON coefficient array; lists skip empty entries
+            ["mul", "[0,1]", "e1"], ["kernel", "[0,1,0,0,0,0,0,0,0,0,1,0,0,0,0,0]"],
+            ["scan", "--thetas=1,,2", "--rstep", "1", "--slices", "e10"]]
     bad = [
         ["mul", "e1", "e99"], ["mul", "e1", "2e"], ["mul", "1e400", "e1"], ["mul", "", "e1"],
         ["kernel", "x"], ["radii", "--center", "bad"], ["radii", "--center=1+e1+e10"],
@@ -128,6 +131,8 @@ def commands() -> list[list[str]]:
         ["hyper", f"{HUGE_E}e1", "e10"], ["cker", f"{HUGE_E}e1", "e10", "e3"],
         ["radii", "--seq", '{"kind":"lacunary","coeff":"e1","ratio":true}'],
         ["contains", "--seq", '{"kind":"lacunary","coeff":[true],"ratio":2}', "e1"],
+        ["scan", "--thetas="], ["scan", "--thetas=,"],
+        ["cker", "e1", "e10", "--curve", "3", "--out", "nodir/c.csv"],
     ]
     return out + bad
 

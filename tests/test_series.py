@@ -1122,6 +1122,36 @@ def test_memoised_membership_equals_the_unmemoised_rule():
     assert all(real[m] > 10 for m in Membership), real
 
 
+def test_classify_equals_contains_at_the_last_bit(rng):
+    # Seeded points whose distance to a disk center rounds within 4 ulps of
+    # r - band or r + band, for every finite radius of the disks and each of
+    # the three bands in use.  contains takes abs(complex) and classify
+    # np.hypot, which round alike; np.abs of a complex array differs from
+    # np.hypot in the last bit on about a third of pairs and fails here.
+    band_seq = GeometricSum.of([("1", 3.0), ("0.00000000001e2+e4+e15", 2.0)])
+    flips = 0
+    for a in (demo_sequence(), band_seq):
+        dom = Domain(center(), a)
+        for j in (E10, -E10):
+            c1, r1, c2, r2, r2_in = dom.disks(j)
+            for band in (0.0, 1e-9, 0.05):
+                x, y = [], []
+                for c in (c1, c2):
+                    for t in {r1 - band, r1 + band, r2 - band, r2 + band, r2_in - band,
+                              r2_in + band}:
+                        theta = rng.uniform(0.0, 2.0 * math.pi, 500)
+                        for z, step in ((c.real + t * np.cos(theta), x),
+                                        (c.imag + t * np.sin(theta), y)):
+                            step.append(z + rng.integers(-4, 5, z.size) * np.spacing(z))
+                x, y = np.concatenate(x), np.concatenate(y)
+                codes = dom.classify(x, y, j, band).tolist()
+                assert [Membership.of(c) for c in codes] == \
+                    [dom.contains(wpoint_from(re, im, j), band)
+                     for re, im in zip(x.tolist(), y.tolist())]
+                flips += len(set(codes)) > 1
+    assert flips == 12  # every case straddles a threshold
+
+
 def test_sigma_ball_membership_fixtures():
     p = center()
     q_in = wpoint_from(0.0, 1.8, E10)       # dists 0.8 and 2.8

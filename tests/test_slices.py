@@ -492,3 +492,68 @@ def test_lazy_wpoint_value_is_bitwise_the_eager_expression(rng):
 def test_random_slice_unit_is_valid(rng):
     for _ in range(300):
         assert is_slice_unit(random_slice_unit(rng).s)
+
+
+# --- argument errors and rarely taken branches -------------------------------
+
+
+def test_units_and_points_are_immutable_and_compare_only_with_their_kind():
+    u, q = SliceUnit("e1"), wpoint("0.5+2e1")
+    with pytest.raises(AttributeError, match="immutable"):
+        u.s = basis(2, 4)
+    with pytest.raises(AttributeError, match="immutable"):
+        q.re = 1.0
+    assert u.__eq__("e1") is NotImplemented and q.__eq__((0.5, 2.0)) is NotImplemented
+    assert u != "e1" and q != (0.5, 2.0, u)
+
+
+def test_construction_refuses_sedenion_frames_and_angles_past_pi():
+    with pytest.raises(ValueError, match="jmath must be an octonion"):
+        from_polar(1.0, 0.3, basis(9, 4))
+    with pytest.raises(ValueError, match="i2 must be an octonion"):
+        psi(1.0, 0.3, (basis(1, 3), basis(9, 4)))
+    with pytest.raises(ValueError, match="alpha out of"):
+        psi(4.0, 0.3, (basis(1, 3), basis(2, 3)))
+
+
+def test_iota_frame_refuses_coinciding_thetas(monkeypatch):
+    # A hyper pair with one theta would be one unit, which same_unit refuses
+    # first (distinct units are UNIT_EQ apart, so |det| stays near 1e-9 or
+    # more); the guard is reached here with the hyper test waved through.
+    import sedenion.slices as slices
+
+    e1, e2 = SliceUnit("e1"), SliceUnit("e2")
+    assert e1.theta == e2.theta == 0.0
+    monkeypatch.setattr(slices, "is_hyper_solution", lambda j1, j2: True)
+    with pytest.raises(ValueError, match="theta coordinates coincide"):
+        iota_frame(e1, e2)
+
+
+def test_find_companion_gives_none_when_the_companion_is_no_unit():
+    # A candidate 5e-9 off the curve passes CURVE_ACCEPT, but the unit it
+    # assembles is 5e-9 off the sphere, past UNIT_EQ: no companion.
+    e1 = SliceUnit("e1")
+    c = np.zeros(16)
+    c[4] = c[15] = 1.0
+    assert same_unit(find_companion(e1, CDElement(c)), SliceUnit("e10"))
+    c[15] += 5e-9
+    assert find_companion(e1, CDElement(c)) is None
+
+
+class _Scripted(np.random.Generator):
+    """A generator whose first normal draws are given."""
+
+    def __init__(self, draws):
+        super().__init__(np.random.PCG64(SEED))
+        self.draws = list(draws)
+
+    def normal(self, *args, **kwargs):
+        return np.asarray(self.draws.pop(0)) if self.draws else super().normal(*args, **kwargs)
+
+
+def test_random_frames_resample_degenerate_normal_draws():
+    # a = 0 first, then b parallel to a: both are drawn again.
+    e = np.eye(7)[0]
+    rng = _Scripted([np.zeros(7), e, e, 3.0 * e])
+    j1, j2 = random_hyper_pair(rng)
+    assert rng.draws == [] and is_hyper_solution(j1, j2)
