@@ -616,10 +616,11 @@ def element_to_json(a: CDElement) -> list[float]:
 
 
 def real_from_json(value) -> float:
-    """float(value); a JSON integer past the float range, a boolean, or a value
-    float() cannot read (null, a list, an object), is a ValueError."""
+    """float(value) of a JSON number; a JSON integer past the float range, a
+    boolean, a string, or a value float() cannot read (null, a list, an
+    object), is a ValueError."""
     try:
-        if isinstance(value, bool):  # float(True) is 1.0
+        if isinstance(value, (bool, str)):  # float(True) is 1.0, float("2") is 2.0
             raise TypeError
         return float(value)
     except OverflowError:

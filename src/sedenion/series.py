@@ -232,20 +232,33 @@ def _field(obj, name: str, what: str):
     return obj[name]
 
 
+def _array(obj, name: str, what: str) -> list:
+    """The field obj[name] that must be a JSON array; ValueError otherwise."""
+    value = _field(obj, name, what)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} needs a JSON array as {name!r}, not {json.dumps(value)}")
+    return value
+
+
 def seq_from_json(data) -> SeqSpec:
-    """Parse `{"kind": "geometric"|"lacunary"|"table", ...}` (dict or JSON text)."""
+    """Parse `{"kind": "geometric"|"lacunary"|"table", ...}` (dict or JSON text).
+
+    `terms` (an array of objects with `coeff` and `ratio`) and `values` are
+    JSON arrays; a ratio is a JSON number; a coefficient is element text or a
+    JSON array of numbers.  Anything else is a ValueError.
+    """
     if isinstance(data, str):
         data = json.loads(data)
     kind = _field(data, "kind", "sequence JSON")
     if kind == "geometric":
         return GeometricSum.of(
             (_field(t, "coeff", "geometric term"), _field(t, "ratio", "geometric term"))
-            for t in _field(data, "terms", "geometric sequence"))
+            for t in _array(data, "terms", "geometric sequence"))
     if kind == "lacunary":
         return Lacunary.of(_field(data, "coeff", "lacunary sequence"),
                            _field(data, "ratio", "lacunary sequence"))
     if kind == "table":
-        return TableSeq.of(_field(data, "values", "table sequence"))
+        return TableSeq.of(_array(data, "values", "table sequence"))
     raise ValueError(f"unknown sequence kind: {kind!r}")
 
 
@@ -419,18 +432,19 @@ def radius_RapJ(a: SeqSpec, p: WPoint, j: SliceUnit) -> float:
     ker(I_p - J) count, so it can only be larger (+inf when every
     coefficient sits inside the kernel).
     """
-    return radius_Ra(a) if _plane_sign(p, j) else _reflected_radius(a, p, j, radius_Ra(a))[0]
+    return radius_Ra(a) if _plane_sign(p, j) else _reflected_radius(a, p.axis, j, radius_Ra(a))[0]
 
 
-def _reflected_radius(a: SeqSpec, p: WPoint, j: SliceUnit, ra: float) -> tuple[float, float]:
-    """(r2, r2_in): R_a^{p,J} off the center plane of p, at both floors of `_radius`.
+def _reflected_radius(a: SeqSpec, i: SliceUnit, j: SliceUnit, ra: float) -> tuple[float, float]:
+    """(r2, r2_in): R_a^{p,J} off the center plane, for a center p on the slice of i = I_p.
 
+    The radius reads p only through its slice unit, through ker(I_p - J).
     r2_in <= r2, equal unless a group lies in the band between the floors.
     Neither is below ra = R_a: ratio groups give R_a's ratio or a later one, but
     a table's window over the l that count may start before R_a's (1/3 < 2^-0.25
     on [1, 3e2, e4+e15, e4+e15] at e1, J = e10), so both are raised to ra.
     """
-    distance = kernel_of_left_mult(p.axis.s - j.s).distance
+    distance = kernel_of_left_mult(i.s - j.s).distance
     r2, r2_in = _radius(a, lambda v: min(distance(v), math.sqrt(v @ v)))
     return max(r2, ra), max(r2_in, ra)
 
@@ -438,8 +452,9 @@ def _reflected_radius(a: SeqSpec, p: WPoint, j: SliceUnit, ra: float) -> tuple[f
 def radius_Rap(a: SeqSpec, p: WPoint) -> tuple[float, SliceUnit | None]:
     """R_a^p, the supremum over companion slice units, and its witness (None
     unless it beats R_a): `domain(p, a).report`, the one companion search, read
-    through the domain memo.  Tables give estimates: the first 8 or 20 demo
-    terms hold no value in a kernel, so R_a^p reads R_a, not 3."""
+    through the domain memo, and through the sequence's memo for the slice of
+    p, so any center of one slice reuses it.  Tables give estimates: the first
+    8 or 20 demo terms hold no value in a kernel, so R_a^p reads R_a, not 3."""
     rep = domain(p, a).report
     return rep.r_ap, rep.witness
 
@@ -487,10 +502,10 @@ class DomainReport(NamedTuple):
     approximate: bool = False
 
 
-# Bound of the domain memo and of each domain's slice memo.  A CLI command
-# uses one (center, sequence) pair and a grid run three, and each visits its
-# slices one after another, so a few entries serve them; a stream of fresh
-# centers or axes keeps memory flat.
+# Bound of the domain memo, of each domain's slice memo and of each
+# sequence's memo of center slices.  A CLI command uses one (center, sequence)
+# pair and a grid run three, and each visits its slices one after another, so
+# a few entries serve them; a stream of fresh centers or axes keeps memory flat.
 _SLICE_MEMO = 16
 
 
@@ -532,14 +547,17 @@ class Domain:
     two values {R_a, R_a^p}, the larger only with the slowest-decaying
     coefficient in ker(I_p - K), which fixes K up to curve membership; so one
     `find_companion` on it (on each nonzero value of a table) realizes the
-    supremum.  On each slice C_J the domain is two disks that depend only on
-    (p, a, J), so a memo `dict[SliceUnit, _Disks]` (a unit keeps its hash)
-    keeps the disks of each slice: one axis test and, off the center plane,
-    one kernel for the reflected radius R_a^{p,J}.  A point reads the disks of
-    its slice; a real one (on I0) is as far from z_p as from conj(z_p), and
-    R_a^{p,J} >= R_a, so the reflected disk never decides it.  At most
-    `_SLICE_MEMO` units are kept: the only state a Domain changes after
-    construction.
+    supremum.  The search reads p only through its slice unit I_p, so the
+    sequence keeps its (R_a^p, witness) per unit I_p, at most `_SLICE_MEMO` of
+    them: a new center on a known slice gets the same pair, bit for bit,
+    without a search, and a real center needs none.  On each slice C_J the
+    domain is two disks that depend only on (p, a, J), so a memo
+    `dict[SliceUnit, _Disks]` (a unit keeps its hash) keeps the disks of each
+    slice: one axis test and, off the center plane, one kernel for the
+    reflected radius R_a^{p,J}.  A point reads the disks of its slice; a real
+    one (on I0) is as far from z_p as from conj(z_p), and R_a^{p,J} >= R_a, so
+    the reflected disk never decides it.  At most `_SLICE_MEMO` units are
+    kept: the only state a Domain changes after construction.
     """
 
     __slots__ = ("p", "a", "report", "_slices")
@@ -548,12 +566,18 @@ class Domain:
         ra = radius_Ra(a)
         rap, witness = ra, None  # a witness exactly when rap > ra
         if not p.is_real:
-            coeffs = ([v for v in map(np.asarray, a.values) if np.any(v != 0.0)]
-                      if isinstance(a, TableSeq) else [c for _, c in _ratio_groups(a)[:1]])
-            for c in coeffs:
-                k = find_companion(p.axis, CDElement(c))
-                if k is not None and (val := _reflected_radius(a, p, k, ra)[0]) > rap:
-                    rap, witness = val, k
+            memo = vars(a).setdefault("_companions", {})  # kept on the (frozen) sequence
+            if (hit := memo.get(p.axis)) is None:
+                coeffs = ([v for v in map(np.asarray, a.values) if np.any(v != 0.0)]
+                          if isinstance(a, TableSeq) else [c for _, c in _ratio_groups(a)[:1]])
+                for c in coeffs:
+                    k = find_companion(p.axis, CDElement(c))
+                    if k is not None and (val := _reflected_radius(a, p.axis, k, ra)[0]) > rap:
+                        rap, witness = val, k
+                if len(memo) >= _SLICE_MEMO:
+                    memo.clear()
+                hit = memo[p.axis] = rap, witness
+            rap, witness = hit
         case = (DomainCase.REAL_CENTER if p.is_real else DomainCase.SIGMA_BALL_ONLY
                 if witness is None else DomainCase.HYPER_INTERSECTION)
         self.p, self.a = p, a
@@ -566,7 +590,7 @@ class Domain:
         pair = self._slices.get(j)
         if pair is None:
             pair = _slice_disks(self.p, self.report.r_a, j,
-                                lambda: _reflected_radius(self.a, self.p, j, self.report.r_a))
+                                lambda: _reflected_radius(self.a, self.p.axis, j, self.report.r_a))
             if len(self._slices) >= _SLICE_MEMO:
                 self._slices.clear()
             self._slices[j] = pair

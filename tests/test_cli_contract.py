@@ -49,7 +49,10 @@ EXPLICIT = [
     (["mul", "[1,2,3]", "e1"], 2), (["mul", "[]", "e1"], 2), (["mul", "[", "e1"], 2),
     (["kernel", "[[1]]"], 2), (["kernel", "[true]"], 2), (["mul", "[1e-320,1]", "e1"], 0),
     # --seq JSON with wrong types and extreme ratios
-    (["radii", "--seq", '{"kind":"lacunary","coeff":"e1","ratio":"2"}'], 0),
+    (["radii", "--seq", '{"kind":"lacunary","coeff":"e1","ratio":"2"}'], 2),
+    (["radii", "--seq", '{"kind":"table","values":"12"}'], 2),
+    (["radii", "--seq", '{"kind":"table","values":{}}'], 2),
+    (["radii", "--seq", '{"kind":"geometric","terms":{"coeff":"e1","ratio":2}}'], 2),
     (["radii", "--seq", '{"kind":"lacunary","coeff":"e1","ratio":{}}'], 2),
     (["radii", "--seq", '{"kind":"geometric","terms":"x"}'], 2),
     (["radii", "--seq", '{"kind":"table","values":[1]}'], 2),

@@ -423,7 +423,7 @@ def test_reflected_radius_agrees_with_the_surviving_channel_images(rng):
         for plus, j in ((False, j2), (True, -j2)):
             riding = min((ratio for on_plus, ratio in channels if on_plus is plus),
                          default=math.inf)
-            radius, inner = _reflected_radius(a, p, j, radius_Ra(a))
+            radius, inner = _reflected_radius(a, p.axis, j, radius_Ra(a))
             assert radius == radius_RapJ(a, p, j)
             assert inner <= riding <= radius, (n, plus)
             if plus in banded:
@@ -504,6 +504,32 @@ def test_supremum_radius_sampled_over_all_hyper_partners(rng):
     assert set(values) <= {2.0, 3.0}
     assert max(values) == rap == 3.0
     assert radius_RapJ(a, p, witness) == 3.0
+
+    # The two-radius theorem over many centers: seeded hyper centers on J1,
+    # each with {1 at ratio 3, c at ratio 2}, c a unit vector of ker(J1 - J2)
+    # (a generic one in the first case), at three positions on the slice of
+    # J1.  radius_RapJ builds its own kernel per partner and reads no memo,
+    # so it checks by another route that R_a^p reads the center only
+    # through its slice.
+    from sedenion.slices import cker_curve_points
+
+    rng = np.random.default_rng(2902)
+    for case in range(5):
+        j1, j2 = random_hyper_pair(rng)
+        ker = kernel_of_left_mult(j1.s - j2.s)
+        c = rng.normal(size=ker.dim) @ ker.basis if case else rng.normal(size=16)
+        a = GeometricSum.of([("1", 3.0), (CDElement(c / np.linalg.norm(c)), 2.0)])
+        ra = radius_Ra(a)
+        partners = list(cker_curve_points(j1, j2, rng.uniform(0.0, math.pi, size=200).tolist()))
+        raps = set()
+        for _ in range(3):
+            p = wpoint_from(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 1.5)), j1)
+            rap, witness = radius_Rap(a, p)
+            values = {radius_RapJ(a, p, k) for k in partners}
+            assert values <= {ra, rap} and max(values) == rap, (case, values)
+            assert witness is None or radius_RapJ(a, p, witness) == rap
+            raps.add(rap)
+        assert raps == ({3.0} if case else {ra}), case
 
 
 def test_domains_and_evaluation_are_equivariant_under_g2():
@@ -783,6 +809,56 @@ def test_domain_cache_stays_bounded():
         dom = domain(wpoint_from(1.0, 1.0 + k / maxsize, E1), a)
         assert domain.cache_info().currsize <= maxsize
     assert domain(wpoint_from(1.0, 1.0 + k / maxsize, E1), a) is dom
+
+
+def test_companion_memo_gives_a_cold_build_at_every_center_of_a_slice(monkeypatch):
+    # The sequence keeps (R_a^p, witness) per center slice unit, so every
+    # center after the first on a slice runs no companion search.  Each
+    # report must still equal, bit for bit, a cold Domain built on an equal
+    # sequence constructed apart (with its own, empty memo): 4 centers on J
+    # and 4 on -J, reached through a negative im.
+    import sedenion.series as series
+
+    rng = np.random.default_rng(2901)
+    builds = []  # (J, a builder)
+    for n in range(5):
+        if n < 3:  # hyper pairs with a kernel vector, then generic slices
+            j, j2 = random_hyper_pair(rng)
+            ker = kernel_of_left_mult(j.s - j2.s)
+            c = rng.normal(size=ker.dim) @ ker.basis
+        else:
+            j, c = random_slice_unit(rng), rng.normal(size=16)
+        builds.append((j, lambda c=c: GeometricSum.of([("1", 3.0), (CDElement(c), 2.0)])))
+    builds += [(E1, lambda: Lacunary.of("e4+e15", 2.0)),
+               (E1, lambda: TableSeq.of(["1", "e4+e15", "e4+e15", "e4+e15"]))]
+    counts = Counter()
+    monkeypatch.setattr(series, "find_companion",
+                        _counting(counts, "search", series.find_companion))
+    bits = lambda w: None if w is None else w.s.coeffs.tobytes()
+    cases = Counter()
+    for j, build in builds:
+        a = build()
+        for k in range(8):
+            side = j if k < 4 else -j
+            y = float(rng.uniform(0.5, 1.5))
+            p = wpoint_from(float(rng.uniform(-1, 1)), y if k < 4 else -y, j)
+            assert p.axis is side
+            before = counts["search"]
+            got = domain_report(p, a)
+            assert (counts["search"] == before) is (k % 4 > 0), (j, k)  # a memo hit
+            cold = Domain(p, build()).report
+            assert float.hex(got.r_a) == float.hex(cold.r_a)
+            assert float.hex(got.r_ap) == float.hex(cold.r_ap)
+            assert bits(got.witness) == bits(cold.witness)
+            assert (got.case, got.approximate) == (cold.case, cold.approximate)
+            cases[got.case] += 1
+        assert set(vars(a)["_companions"]) == {j, -j}
+    assert set(cases) == {DomainCase.SIGMA_BALL_ONLY, DomainCase.HYPER_INTERSECTION}, cases
+
+    a = demo_sequence()
+    for _ in range(3 * series._SLICE_MEMO):
+        domain_report(wpoint_from(0.3, 1.2, random_slice_unit(rng)), a)
+        assert len(vars(a)["_companions"]) <= series._SLICE_MEMO
 
 
 def test_slice_memo_stays_bounded_on_a_stream_of_fresh_axes():
