@@ -31,10 +31,9 @@ table radii are windowed estimates and explicitly flagged approximate.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -103,13 +102,30 @@ def _coeff_key(c) -> tuple[float, ...]:
     return parse_any(c).key
 
 
-def _cached_hash(self) -> int:
-    """The dataclass hash of a sequence (of its field tuple), kept after first use."""
-    try:
-        return self._hash
-    except AttributeError:
-        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
-        return self._hash
+_SLICE_MEMO = 16  # bound of the memos of slices, which a command visits one by one
+
+
+class _Memo(dict):
+    """The one memo rule: a missing key k reads make(k, *args), stored after a
+    full memo (`size` entries) is emptied, so fresh keys keep memory flat.  Each
+    memo lives on the object it describes, a sequence or a Domain."""
+
+    __slots__ = ("size", "make", "args")
+
+    def __init__(self, size: int, make: Callable, *args):
+        self.size, self.make, self.args = size, make, args
+
+    def __missing__(self, key):
+        if len(self) >= self.size:
+            self.clear()
+        value = self[key] = self.make(key, *self.args)
+        return value
+
+
+def _keep_memos(a: SeqSpec) -> None:
+    """Give the new (frozen) sequence a its memos (`domain`, `_companion_search`)."""
+    vars(a).update(_domains=_Memo(1, Domain, a),
+                   _companions=_Memo(_SLICE_MEMO, _companion_search, a))
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +135,15 @@ def _cached_hash(self) -> int:
 
 @dataclass(frozen=True)
 class GeometricSum:
-    """a_l = sum_i c_i * r_i^(-l) for terms (c_i, r_i) with r_i > 0."""
+    """a_l = sum_i c_i * r_i^(-l) for terms (c_i, r_i) with 0 < r_i < inf."""
 
     terms: tuple[tuple[tuple[float, ...], float], ...]
-    __hash__ = _cached_hash
 
     def __post_init__(self):
         for _, ratio in self.terms:
-            if not ratio > 0.0:
-                raise ValueError("geometric ratios must be strictly positive")
+            if not 0.0 < ratio < math.inf:
+                raise ValueError("geometric ratios must be finite and strictly positive")
+        _keep_memos(self)
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[object, float]]) -> "GeometricSum":
@@ -177,11 +193,11 @@ class Lacunary:
 
     coeff: tuple[float, ...]
     ratio: float
-    __hash__ = _cached_hash
 
     def __post_init__(self):
-        if not self.ratio > 0.0:
-            raise ValueError("lacunary ratio must be strictly positive")
+        if not 0.0 < self.ratio < math.inf:
+            raise ValueError("lacunary ratio must be finite and strictly positive")
+        _keep_memos(self)
 
     @classmethod
     def of(cls, coeff, ratio: float) -> "Lacunary":
@@ -205,7 +221,7 @@ class TableSeq:
     """
 
     values: tuple[tuple[float, ...], ...]
-    __hash__ = _cached_hash
+    __post_init__ = _keep_memos
 
     @classmethod
     def of(cls, values: Iterable) -> "TableSeq":
@@ -451,9 +467,7 @@ def _reflected_radius(a: SeqSpec, i: SliceUnit, j: SliceUnit, ra: float) -> tupl
 
 def radius_Rap(a: SeqSpec, p: WPoint) -> tuple[float, SliceUnit | None]:
     """R_a^p, the supremum over companion slice units, and its witness (None
-    unless it beats R_a): `domain(p, a).report`, the one companion search, read
-    through the domain memo, and through the sequence's memo for the slice of
-    p, so any center of one slice reuses it.  Tables give estimates: the first
+    unless it beats R_a): `domain(p, a).report`.  Tables give estimates: the first
     8 or 20 demo terms hold no value in a kernel, so R_a^p reads R_a, not 3."""
     rep = domain(p, a).report
     return rep.r_ap, rep.witness
@@ -502,14 +516,20 @@ class DomainReport(NamedTuple):
     approximate: bool = False
 
 
-# Bound of the domain memo, of each domain's slice memo and of each
-# sequence's memo of center slices.  A CLI command uses one (center, sequence)
-# pair and a grid run three, and each visits its slices one after another, so
-# a few entries serve them; a stream of fresh centers or axes keeps memory flat.
-_SLICE_MEMO = 16
-
-
 _Disks = tuple[complex, float, complex, float, float]
+
+
+def _companion_search(i: SliceUnit, a: SeqSpec) -> tuple[float, float, SliceUnit | None]:
+    """(R_a, R_a^p, witness) for every center on the slice of i = I_p (`Domain`)."""
+    ra = radius_Ra(a)
+    rap, witness = ra, None
+    coeffs = ([v for v in map(np.asarray, a.values) if np.any(v != 0.0)]
+              if isinstance(a, TableSeq) else [c for _, c in _ratio_groups(a)[:1]])
+    for c in coeffs:
+        k = find_companion(i, CDElement(c))
+        if k is not None and (val := _reflected_radius(a, i, k, ra)[0]) > rap:
+            rap, witness = val, k
+    return ra, rap, witness
 
 
 def _plane_sign(p: WPoint, j: SliceUnit) -> int:
@@ -539,62 +559,42 @@ def _slice_disks(p: WPoint, r: float, j: SliceUnit,
     return c, r, c, math.inf, math.inf
 
 
+def _domain_disks(j: SliceUnit, p: WPoint, a: SeqSpec, ra: float) -> _Disks:
+    """The disks of the domain of a around p on the slice of J (`_slice_disks`)."""
+    return _slice_disks(p, ra, j, lambda: _reflected_radius(a, p.axis, j, ra))
+
+
 class Domain:
     """The convergence domain of the series a around the center p.
 
-    Built once per (center, sequence); `report` holds the radii, witness and
-    case.  It is the one companion search for R_a^p: R_a^{p,K} takes at most
-    two values {R_a, R_a^p}, the larger only with the slowest-decaying
-    coefficient in ker(I_p - K), which fixes K up to curve membership; so one
+    `report` holds the radii, witness and case.  R_a^{p,K} takes at most two
+    values {R_a, R_a^p}, the larger only with the slowest-decaying coefficient
+    in ker(I_p - K), which fixes K up to curve membership; so one
     `find_companion` on it (on each nonzero value of a table) realizes the
-    supremum.  The search reads p only through its slice unit I_p, so the
-    sequence keeps its (R_a^p, witness) per unit I_p, at most `_SLICE_MEMO` of
-    them: a new center on a known slice gets the same pair, bit for bit,
-    without a search, and a real center needs none.  On each slice C_J the
-    domain is two disks that depend only on (p, a, J), so a memo
-    `dict[SliceUnit, _Disks]` (a unit keeps its hash) keeps the disks of each
-    slice: one axis test and, off the center plane, one kernel for the
-    reflected radius R_a^{p,J}.  A point reads the disks of its slice; a real
-    one (on I0) is as far from z_p as from conj(z_p), and R_a^{p,J} >= R_a, so
-    the reflected disk never decides it.  At most `_SLICE_MEMO` units are
-    kept: the only state a Domain changes after construction.
+    supremum.  It reads p only through I_p, so the sequence keeps it per unit
+    I_p (`_companion_search`): a new center on a known slice gets the same
+    result, bit for bit, and a real center needs none.  On each slice C_J the
+    domain is two disks that depend only on (p, a, J), kept in a slice memo
+    (the only state a Domain changes): one axis test and, off the center
+    plane, one kernel for R_a^{p,J}.  A point reads the disks of its slice; a
+    real one (on I0) is as far from z_p as from conj(z_p), and R_a^{p,J} >=
+    R_a, so the reflected disk never decides it.
     """
 
     __slots__ = ("p", "a", "report", "_slices")
 
     def __init__(self, p: WPoint, a: SeqSpec):
-        ra = radius_Ra(a)
-        rap, witness = ra, None  # a witness exactly when rap > ra
-        if not p.is_real:
-            memo = vars(a).setdefault("_companions", {})  # kept on the (frozen) sequence
-            if (hit := memo.get(p.axis)) is None:
-                coeffs = ([v for v in map(np.asarray, a.values) if np.any(v != 0.0)]
-                          if isinstance(a, TableSeq) else [c for _, c in _ratio_groups(a)[:1]])
-                for c in coeffs:
-                    k = find_companion(p.axis, CDElement(c))
-                    if k is not None and (val := _reflected_radius(a, p.axis, k, ra)[0]) > rap:
-                        rap, witness = val, k
-                if len(memo) >= _SLICE_MEMO:
-                    memo.clear()
-                hit = memo[p.axis] = rap, witness
-            rap, witness = hit
+        ra, rap, witness = (r := radius_Ra(a), r, None) if p.is_real else a._companions[p.axis]
         case = (DomainCase.REAL_CENTER if p.is_real else DomainCase.SIGMA_BALL_ONLY
                 if witness is None else DomainCase.HYPER_INTERSECTION)
         self.p, self.a = p, a
         self.report = DomainReport(r_a=ra, r_ap=rap, witness=witness, case=case,
                                    approximate=isinstance(a, TableSeq))
-        self._slices: dict[SliceUnit, _Disks] = {}
+        self._slices: dict[SliceUnit, _Disks] = _Memo(_SLICE_MEMO, _domain_disks, p, a, ra)
 
     def disks(self, j: SliceUnit) -> _Disks:
         """The disks (c1, r1, c2, r2, r2_in) of the domain on the slice of J (`_slice_disks`)."""
-        pair = self._slices.get(j)
-        if pair is None:
-            pair = _slice_disks(self.p, self.report.r_a, j,
-                                lambda: _reflected_radius(self.a, self.p.axis, j, self.report.r_a))
-            if len(self._slices) >= _SLICE_MEMO:
-                self._slices.clear()
-            self._slices[j] = pair
-        return pair
+        return self._slices[j]
 
     def contains(self, q: WPoint, band: float = _tol.MEMBERSHIP_BAND) -> Membership:
         """Classify q by the two-disk rule of its slice (`_two_disk_rule`).
@@ -624,14 +624,10 @@ class Domain:
         return out
 
 
-@functools.lru_cache(maxsize=_SLICE_MEMO)
 def domain(p: WPoint, a: SeqSpec) -> Domain:
-    """The Domain of a around p, shared by every caller.
-
-    Memoised for the last `_SLICE_MEMO` (center, sequence) pairs, so that
-    the scalar `domain_report` and `domain_contains` stay warm.
-    """
-    return Domain(p, a)
+    """The Domain of a around p, kept on the sequence object for the last center
+    asked about, so the scalar `domain_report` and `domain_contains` stay warm."""
+    return a._domains[p]
 
 
 def domain_report(p: WPoint, a: SeqSpec) -> DomainReport:
@@ -735,19 +731,21 @@ def _geometric_blocks(a: GeometricSum | Lacunary, mp, live):
     Each ratio group has fixed images in each live channel (of the
     coefficient and of its rotation by mp), so a term is Re(zeta) * image +
     Im(zeta) * image summed over them, with zeta the channel step divided by
-    the ratio to the power l.  An image below CHANNEL_DUST of its input is a
-    formal annihilation seen through rounding and is dropped (None).  A gap
-    series is one group (`_evaluate_chunk` zeroes its rows off the support).
+    the ratio to the power l.  An image below CHANNEL_DUST of its input, both
+    read at the scale of `_pow2_scaled(input)`, is a formal annihilation seen
+    through rounding and is dropped (None).  A gap series is one group
+    (`_evaluate_chunk` zeroes its rows off the support).
     Returns the (plus channel?, ratio) of each channel kept and a function
     (start, zetas) -> terms over a (n, points, channels) stack of powers.
     """
     channels, images = [], []
     for ratio, coeff in _ratio_groups(a):
         vs = (coeff, mp @ coeff)
+        shifts = [-_pow2_exponent(v) for v in vs]  # the scale of _pow2_scaled(v)
         for plus, op in live:
             imgs = [v if op is None else op @ v for v in vs]
-            imgs = [img if np.linalg.norm(img) > _tol.CHANNEL_DUST * np.linalg.norm(v)
-                    else None for img, v in zip(imgs, vs)]
+            imgs = [img if np.linalg.norm(np.ldexp(img, k)) > _tol.CHANNEL_DUST * np.linalg.norm(
+                np.ldexp(v, k)) else None for img, v, k in zip(imgs, vs, shifts)]
             if any(img is not None for img in imgs):
                 channels.append((plus, ratio))
                 images.append(imgs)
@@ -923,11 +921,11 @@ def evaluate_points(qs: Sequence[WPoint], p: WPoint, a: SeqSpec,
 
     Geometric sums and gap series go through their ratio groups, whose four
     channel images (C_pm of the coefficient and of its I_p rotation) are
-    computed once; an image below 1e-13 of its input is rounding dust of a
-    formally dead direction (every kernel-curve slice has these) and is
-    dropped, so it cannot ride a growing power.  The ratio is folded into
-    the step, never raised to a power alone, and a gap series zeroes the
-    terms off its support 1, 2, 4, ....  A table is a finite sum: only its
+    computed once; an image that is rounding dust of a formally dead direction
+    (every kernel-curve slice has these) is dropped (`_geometric_blocks`), so
+    it cannot ride a growing power.  The ratio is folded into the step, never
+    raised to a power alone, and a gap series zeroes the terms off its
+    support 1, 2, 4, ....  A table is a finite sum: only its
     len(values) terms are computed, and a point still running after them
     keeps its sum, gets zero norms in its window and reports terms_used =
     max_terms, as if the zero terms had been added.

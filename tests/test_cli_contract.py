@@ -60,7 +60,7 @@ EXPLICIT = [
     (["eval", "0.5", "--seq", '{"kind":"geometric","terms":[{"coeff":"e1","ratio":1e308}]}',
       "--format", "json"], 0),
     (["contains", "0.5", "--seq", '{"kind":"lacunary","coeff":[1e300,1e300],"ratio":1e-300}'], 0),
-    (["radii", "--seq", '{"kind":"geometric","terms":[{"coeff":"e1","ratio":Infinity}]}'], 0),
+    (["radii", "--seq", '{"kind":"geometric","terms":[{"coeff":"e1","ratio":Infinity}]}'], 2),
     (["radii", "--seq", '{"kind":"geometric","terms":[{"coeff":"e1","ratio":NaN}]}'], 2),
     # list flags with empty entries
     (["scan", "--thetas=", "--rstep", "1"], 2), (["scan", "--thetas=,", "--rstep", "1"], 2),

@@ -133,6 +133,9 @@ def commands() -> list[list[str]]:
         ["contains", "--seq", '{"kind":"lacunary","coeff":[true],"ratio":2}', "e1"],
         ["scan", "--thetas="], ["scan", "--thetas=,"],
         ["cker", "e1", "e10", "--curve", "3", "--out", "nodir/c.csv"],
+        ["radii", "--seq", '{"kind":"lacunary","coeff":"e1","ratio":1e400}'],
+        ["eval", "0.5+0.5e1", "--seq", '{"kind":"lacunary","coeff":"e1","ratio":1e400}'],
+        ["radii", "--seq", '{"kind":"geometric","terms":[{"coeff":"e1","ratio":Infinity}]}'],
     ]
     return out + bad
 

@@ -129,10 +129,10 @@ def _mutable(value) -> bool:
 
 def test_no_module_holds_mutable_state():
     # Module-level names hold constants: no list, dict, set or writable
-    # array (`__all__` and the interpreter's own dunders aside), and the one
-    # memo is the bounded `series.domain`.
+    # array (`__all__` and the interpreter's own dunders aside), and no memo:
+    # every memo lives on the sequence or Domain it describes.
     src = pathlib.Path(sedenion.__file__).resolve().parent
-    stray, memos = [], set()
+    stray, memos, decorated = [], set(), []
     for path in sorted(src.glob("*.py")):
         name = "sedenion" if path.stem == "__init__" else f"sedenion.{path.stem}"
         for attr, value in vars(importlib.import_module(name)).items():
@@ -142,8 +142,14 @@ def test_no_module_holds_mutable_state():
                 stray.append(f"{name}.{attr}")
             if hasattr(value, "cache_info"):
                 memos.add(f"{value.__module__}.{value.__qualname__}")
+        for node in ast.walk(ast.parse(path.read_text())):
+            for deco in getattr(node, "decorator_list", ()):
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                if getattr(target, "attr", getattr(target, "id", None)) in ("lru_cache", "cache"):
+                    decorated.append(f"{name}.{node.name}")
     assert stray == []
-    assert memos == {"sedenion.series.domain"}
+    assert memos == set()
+    assert decorated == []
 
 
 # Each result record: its fields in order, a keyword construction and the

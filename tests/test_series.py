@@ -143,6 +143,23 @@ def test_nonpositive_ratios_are_rejected():
         Lacunary.of("1", 0.0)
 
 
+def test_infinite_ratios_are_rejected():
+    # JSON reads 1e400 and Infinity as inf, which is positive but no ratio:
+    # r^-l would be 0 for every l >= 1.
+    for text in ('{"kind":"lacunary","coeff":"e1","ratio":1e400}',
+                 '{"kind":"lacunary","coeff":"e1","ratio":Infinity}',
+                 '{"kind":"geometric","terms":[{"coeff":"1","ratio":2},'
+                 '{"coeff":"e1","ratio":1e400}]}'):
+        with pytest.raises(ValueError, match="must be finite and strictly positive"):
+            seq_from_json(text)
+    for ratio in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            GeometricSum.of([("1", ratio)])
+        with pytest.raises(ValueError):
+            Lacunary.of("1", ratio)
+    assert Lacunary.of("e1", 1.7976931348623157e308).ratio == 1.7976931348623157e308
+
+
 def test_sequence_json_roundtrips():
     for a in (demo_sequence(), Lacunary.of("e4+e15", 2.0),
               TableSeq.of(["1", "2e1", "0.25e4"])):
@@ -720,6 +737,35 @@ def test_domain_is_unchanged_when_a_coefficient_is_scaled_by_a_power_of_two(rng,
         assert np.array_equal(got.witness.s.coeffs, want.witness.s.coeffs)
 
 
+def _scaled_sequence(a, k: int):
+    """The geometric sum or gap series a with every coefficient times 2**k."""
+    scale = lambda c: tuple(np.ldexp(np.asarray(c), k).tolist())
+    if isinstance(a, Lacunary):
+        return Lacunary(scale(a.coeff), a.ratio)
+    return GeometricSum(tuple((scale(c), r) for c, r in a.terms))
+
+
+@pytest.mark.parametrize("a", [demo_sequence(), Lacunary.of("e4+e15", 2.0)],
+                         ids=["geometric", "gap"])
+def test_evaluation_commutes_with_a_power_of_two_scaling(a):
+    # Which channel images are dust depends only on the direction of each
+    # coefficient, so 2**-700 a (whose squared norms underflow) sums to
+    # 2**-700 times the value of a, bit for bit, and 2**700 a blows up at its
+    # first nonzero term instead of losing every channel.  tol = 0 keeps
+    # every point running to max_terms.
+    first = 0 if isinstance(a, GeometricSum) else 1
+    for text in ("0.5+0.5e1", "0.3+1.2e10", "-0.4+0.7e3"):
+        q = wpoint(text)
+        base = evaluate_series(q, center(), a, tol=0.0)
+        tiny = evaluate_series(q, center(), _scaled_sequence(a, -700), tol=0.0)
+        huge = evaluate_series(q, center(), _scaled_sequence(a, 700), tol=0.0)
+        assert base.terms_used == tiny.terms_used == 200, text
+        assert np.ldexp(base.partial_sum.coeffs, -700).tobytes() == \
+            tiny.partial_sum.coeffs.tobytes(), text
+        assert np.any(tiny.partial_sum.coeffs != 0.0), text
+        assert (huge.verdict, huge.terms_used) == (Verdict.DIVERGED, first + 1), text
+
+
 def _pin_sequences(c):
     """A two-ratio sum and a gap series on the coefficient c."""
     return (GeometricSum.of([("1", 3.0), (CDElement(c), 2.0)]),
@@ -800,15 +846,34 @@ def test_domain_report_cases_and_caching():
 
 
 def test_domain_cache_stays_bounded():
-    import sedenion.series as series
-
+    # The sequence keeps the Domain of the last center asked about: a repeat
+    # (or an equal point built apart) gets that object, and a stream of
+    # fresh centers leaves one Domain on the sequence and memory flat.
     a = GeometricSum.of([("1", 2.0)])
-    maxsize = domain.cache_parameters()["maxsize"]
-    assert maxsize == series._SLICE_MEMO
-    for k in range(2 * maxsize):
-        dom = domain(wpoint_from(1.0, 1.0 + k / maxsize, E1), a)
-        assert domain.cache_info().currsize <= maxsize
-    assert domain(wpoint_from(1.0, 1.0 + k / maxsize, E1), a) is dom
+    p = wpoint_from(1.0, 1.0, E1)
+    dom = domain(p, a)
+    assert domain(p, a) is dom and domain(wpoint_from(1.0, 1.0, E1), a) is dom
+    assert list(vars(a)["_domains"].values()) == [dom]
+    rng = np.random.default_rng(30)
+
+    def stream(count):
+        for _ in range(count):
+            q = wpoint_from(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 1.5)), E1)
+            assert domain(q, a) is domain(q, a)
+            assert len(vars(a)["_domains"]) == 1
+
+    stream(1000)
+    tracemalloc.start()
+    try:
+        stream(1000)
+        before = tracemalloc.get_traced_memory()[0]
+        stream(1000)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # a kept Domain costs about 1 kB; a memo of every center would keep 1 MB more
+    assert after - before < 64 * 1024
+    assert domain(p, a) is not dom and domain(p, a).report == dom.report
 
 
 def test_companion_memo_gives_a_cold_build_at_every_center_of_a_slice(monkeypatch):
@@ -1063,24 +1128,29 @@ def test_equal_units_share_one_memo_entry_and_one_evaluation_group(monkeypatch):
     assert counts["_channels"] == 1
 
 
-def test_equal_sequences_hash_alike_and_share_one_domain():
-    # Hashes are kept per object but keep the value of the field-tuple hash,
-    # so equal sequences built apart hit the same domain memo entry.
+def test_equal_sequences_hash_alike_and_get_equal_domains():
+    # The hash of a sequence is the dataclass hash of its field tuple.  Each
+    # sequence object keeps its own Domain memo, so equal sequences built
+    # apart get separate Domains, whose reports agree bit for bit.
     p = wpoint_from(-0.45, 0.55, E10)
     makers = (
         (lambda: GeometricSum.of([("1", 3.0), ("e4+e15", 2.0)]), lambda s: (s.terms,)),
         (lambda: Lacunary.of("e4+e15", 2.0), lambda s: (s.coeff, s.ratio)),
         (lambda: TableSeq.of(["1", "e4+e15", "0.5e1"]), lambda s: (s.values,)),
     )
+    bits = lambda w: None if w is None else w.s.coeffs.tobytes()
     for make, field_tuple in makers:
         a, b = make(), make()
         assert a is not b and a == b
-        assert hash(a) == hash(b) == hash(field_tuple(a)) == hash(a)
-        before = domain.cache_info()
-        d = domain(p, a)
-        assert domain(p, b) is d
-        after = domain.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        assert hash(a) == hash(b) == hash(field_tuple(a))
+        d, e = domain(p, a), domain(p, b)
+        assert d is not e and domain(p, a) is d and domain(p, b) is e
+        assert hash(a) == hash(field_tuple(a))  # the memo leaves the hash alone
+        got, want = e.report, d.report
+        assert float.hex(got.r_a) == float.hex(want.r_a)
+        assert float.hex(got.r_ap) == float.hex(want.r_ap)
+        assert bits(got.witness) == bits(want.witness)
+        assert (got.case, got.approximate) == (want.case, want.approximate)
 
 
 def test_one_sedenion_is_one_point_to_the_memo_and_the_rule():
