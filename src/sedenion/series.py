@@ -45,7 +45,6 @@ from .algebra import (
     DIM,
     MAX_LEVEL,
     _pow2_exponent,
-    _pow2_scaled,
     cd_mul,
     complex_embed,
     format_element,
@@ -53,7 +52,7 @@ from .algebra import (
     real_from_json,
 )
 from . import _tol
-from .zerodiv import kernel_of_left_mult
+from .zerodiv import Subspace, kernel_of_left_mult
 from .slices import (
     SliceUnit,
     WPoint,
@@ -123,8 +122,16 @@ class _Memo(dict):
 
 
 def _keep_memos(a: SeqSpec) -> None:
-    """Give the new (frozen) sequence a its memos (`domain`, `_companion_search`)."""
-    vars(a).update(_domains=_Memo(1, Domain, a),
+    """Give the new (frozen) sequence a its memos (`domain`, `_companion_search`)
+    and its coefficient rows: one read-only (m, 16) array `rows`, built here
+    once, of a table's values or of the ratio-group coefficients beside their
+    `ratios` (`_ratio_groups`)."""
+    if isinstance(a, TableSeq):
+        rows = np.array(a.values).reshape(-1, DIM)
+    else:
+        vars(a)["ratios"], rows = _ratio_groups(a)
+    rows.flags.writeable = False
+    vars(a).update(rows=rows, _domains=_Memo(1, Domain, a),
                    _companions=_Memo(_SLICE_MEMO, _companion_search, a))
 
 
@@ -217,7 +224,9 @@ class TableSeq:
     """Finitely many explicit coefficients a_0..a_{n-1}; zero beyond.
 
     Radii for tables are windowed limsup estimates, flagged approximate in
-    every report built from them.
+    every report built from them.  Known limits: a back half that underflows
+    to exact zeros reads +inf, and a short table whose values each mix several
+    decay rates has none in a kernel, so no companion: R_a^p reads R_a.
     """
 
     values: tuple[tuple[float, ...], ...]
@@ -289,15 +298,13 @@ def seq_to_json(a: SeqSpec) -> dict:
     raise TypeError(f"not a sequence spec: {type(a).__name__}")
 
 
-def _ratio_groups(a: GeometricSum | Lacunary) -> tuple[tuple[float, NDArray[np.float64]], ...]:
-    """Distinct ratios, ascending, with their exactly-summed coefficients; zero sums dropped.
+def _ratio_groups(a: GeometricSum | Lacunary) -> tuple[tuple[float, ...], NDArray[np.float64]]:
+    """Distinct ratios, ascending, and the rows of their summed coefficients; zero sums dropped.
 
     Terms sharing a ratio cancel as one coefficient; a pair (c, r), (-c, r)
-    contributes nothing to any a_l and must not shrink a radius.  Kept on the
-    (frozen) sequence after first use, with read-only coefficient arrays.
+    contributes nothing to any a_l and must not shrink a radius.  Read once,
+    at construction, into the sequence's `ratios` and `rows` (`_keep_memos`).
     """
-    if hasattr(a, "_groups"):
-        return a._groups
     if isinstance(a, Lacunary):
         pairs = [(a.ratio, np.asarray(a.coeff))]
     else:
@@ -306,11 +313,8 @@ def _ratio_groups(a: GeometricSum | Lacunary) -> tuple[tuple[float, NDArray[np.f
             cur = sums.setdefault(ratio, np.zeros(DIM))
             cur += np.asarray(coeff)
         pairs = sorted(sums.items())
-    groups = tuple((r, c) for r, c in pairs if np.any(c != 0.0))
-    for _, c in groups:
-        c.flags.writeable = False
-    object.__setattr__(a, "_groups", groups)
-    return groups
+    groups = [(r, c) for r, c in pairs if c.any()]
+    return tuple(r for r, _ in groups), np.array([c for _, c in groups]).reshape(-1, DIM)
 
 
 # ---------------------------------------------------------------------------
@@ -388,43 +392,40 @@ def eval_poly(poly: Polynomial, q: WPoint) -> CDElement:
 
 def radius_Ra(a: SeqSpec) -> float:
     """Slice radius 1 / limsup |a_l|^(1/l); +inf for the zero sequence."""
-    # math.sqrt(v @ v) is np.linalg.norm's formula, without its overhead
-    return _radius(a, lambda v: math.sqrt(v @ v))[0]
+    return _radius(a)[0]
 
 
-def _radius(a: SeqSpec, size: Callable[[NDArray[np.float64]], float]) -> tuple[float, float]:
-    """1 / limsup size(a_l)^(1/l): R_a for the norm, R_a^{p,J} for dist(., ker(I_p - J)).
+def _radius(a: SeqSpec, ker: Subspace | None = None) -> tuple[float, float]:
+    """1 / limsup size(a_l)^(1/l): R_a for the norm, R_a^{p,J} for the distance
+    from ker = ker(I_p - J), capped at the norm.
 
-    For ratio groups, the smallest ratio whose coefficient c has size(c) >
-    floor * |c| (+inf if none), for the floors PERP_THRESHOLD and
-    CHANNEL_DUST: the first such group, as the ratios ascend.  c is first
-    scaled by a power of two so that neither side underflows or overflows.
-    Tables get the windowed estimate of `_table_radius` twice, on values
-    scaled the same way: the back half of the l that count, l >= 1, where a
-    value counts when it is zero or passes the PERP_THRESHOLD floor.
+    Every row of `a.rows` is scaled by its power of two (`_pow2_exponent`), so
+    no norm or distance underflows or overflows, and one stacked pass takes
+    them all, with the rounding of one row at a time (`_matvecs`, `_dots`).
+    Ratio groups give the smallest ratio whose coefficient c has size(c) >
+    floor * |c| (+inf if none), for the floors PERP_THRESHOLD and CHANNEL_DUST;
+    tables give the windowed estimate of `_table_radius`, twice.
     """
+    shifts = np.frexp(np.abs(a.rows).max(axis=1))[1]  # `_pow2_exponent` of each row
+    c = np.ldexp(a.rows, -shifts[:, None])
+    sizes = norms = np.sqrt(_dots(c))
+    if ker is not None:
+        r = c - _matvecs(ker.basis.T, _matvecs(ker.basis, c))  # `Subspace.distance`
+        sizes = np.minimum(np.sqrt(_dots(r)), norms)
     if isinstance(a, TableSeq):
-        return (_table_radius(a, size),) * 2
-    inner = math.inf
-    for ratio, coeff in _ratio_groups(a):
-        c = _pow2_scaled(coeff)
-        s, n = size(c), math.sqrt(c @ c)
-        if s > _tol.CHANNEL_DUST * n:
-            inner = min(inner, ratio)
-            if s > _tol.PERP_THRESHOLD * n:
-                return ratio, inner
-    return math.inf, inner
+        return (_table_radius(sizes, norms, shifts),) * 2
+    return tuple(next((r for r, hit in zip(a.ratios, sizes > floor * norms) if hit), math.inf)
+                 for floor in (_tol.PERP_THRESHOLD, _tol.CHANNEL_DUST))
 
 
-def _table_radius(a: TableSeq, size) -> float:
-    kept = []  # (l, size, shift) of each a_l that is zero or passes the floor
-    for ell, v in enumerate(map(np.asarray, a.values)):
-        shift = _pow2_exponent(v)
-        c = np.ldexp(v, -shift)  # _pow2_scaled(v)
-        if (s := size(c)) > _tol.PERP_THRESHOLD * (n := math.sqrt(c @ c)) or not n:
-            kept.append((ell, s, shift))
+def _table_radius(sizes, norms, shifts) -> float:
+    """1 / max ldexp(size, shift)^(1/l) over the back half of the l that count,
+    l >= 1, from the sizes, norms and shifts of the scaled values: a value
+    counts when it is zero or passes the PERP_THRESHOLD floor."""
+    kept = np.flatnonzero((sizes > _tol.PERP_THRESHOLD * norms) | (norms == 0.0))
+    window = kept[len(kept) - max(1, len(kept) // 2):]
     radius = math.inf  # min of 1 / root: fl(1/x) is monotone
-    for ell, s, shift in kept[len(kept) - max(1, len(kept) // 2):]:
+    for ell, s, shift in zip(window.tolist(), sizes[window].tolist(), shifts[window].tolist()):
         if ell == 0:
             continue
         try:
@@ -460,8 +461,7 @@ def _reflected_radius(a: SeqSpec, i: SliceUnit, j: SliceUnit, ra: float) -> tupl
     a table's window over the l that count may start before R_a's (1/3 < 2^-0.25
     on [1, 3e2, e4+e15, e4+e15] at e1, J = e10), so both are raised to ra.
     """
-    distance = kernel_of_left_mult(i.s - j.s).distance
-    r2, r2_in = _radius(a, lambda v: min(distance(v), math.sqrt(v @ v)))
+    r2, r2_in = _radius(a, kernel_of_left_mult(i.s - j.s))
     return max(r2, ra), max(r2_in, ra)
 
 
@@ -523,9 +523,8 @@ def _companion_search(i: SliceUnit, a: SeqSpec) -> tuple[float, float, SliceUnit
     """(R_a, R_a^p, witness) for every center on the slice of i = I_p (`Domain`)."""
     ra = radius_Ra(a)
     rap, witness = ra, None
-    coeffs = ([v for v in map(np.asarray, a.values) if np.any(v != 0.0)]
-              if isinstance(a, TableSeq) else [c for _, c in _ratio_groups(a)[:1]])
-    for c in coeffs:
+    rows = a.rows if isinstance(a, TableSeq) else a.rows[:1]
+    for c in rows[rows.any(axis=1)]:
         k = find_companion(i, CDElement(c))
         if k is not None and (val := _reflected_radius(a, i, k, ra)[0]) > rap:
             rap, witness = val, k
@@ -725,6 +724,11 @@ def _matvecs(m, rows):
     return np.matmul(m, rows[..., None])[..., 0]
 
 
+def _dots(rows):
+    """row @ row for every row of a stack, with the rounding of one product each."""
+    return np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0]
+
+
 def _geometric_blocks(a: GeometricSum | Lacunary, mp, live):
     """Channels and block maker of a geometric sum or a gap series.
 
@@ -739,7 +743,7 @@ def _geometric_blocks(a: GeometricSum | Lacunary, mp, live):
     (start, zetas) -> terms over a (n, points, channels) stack of powers.
     """
     channels, images = [], []
-    for ratio, coeff in _ratio_groups(a):
+    for ratio, coeff in zip(a.ratios, a.rows):
         vs = (coeff, mp @ coeff)
         shifts = [-_pow2_exponent(v) for v in vs]  # the scale of _pow2_scaled(v)
         for plus, op in live:
@@ -764,8 +768,6 @@ def _geometric_blocks(a: GeometricSum | Lacunary, mp, live):
 
 def _table_blocks(values, mp, live):
     """Channels and block maker of a table: rows from `values`, rotated by mp."""
-    values = np.array(values)
-
     def block(start, zetas):
         coeffs = values[start:start + len(zetas), None, :]
         rotated = _matvecs(mp, coeffs)
@@ -837,7 +839,7 @@ def _evaluate_chunk(steps, make_block, rows, max_terms, tol, gaps):
         block = make_block(start, chain[:n])
         if gaps:
             block[~support] = 0.0
-        norms = np.sqrt(np.matmul(block[..., None, :], block[..., :, None]))[..., 0, 0]
+        norms = np.sqrt(_dots(block))
         stop, diverged, quiet = _block_stop(norms, quiet, tol)
         # The partial sums, in term order: total + row 0 + row 1 + ..., with
         # each point's rows past its stop zeroed.  A sum that starts at +0.0
@@ -954,7 +956,7 @@ def evaluate_points(qs: Sequence[WPoint], p: WPoint, a: SeqSpec,
         for members in slices.values():
             mp, live = _channels(qs[members[0]], p)
             if isinstance(a, TableSeq):
-                channels, make_block = _table_blocks(a.values, mp, live)
+                channels, make_block = _table_blocks(a.rows, mp, live)
                 rows = min(max_terms, len(a.values))
             else:
                 channels, make_block = _geometric_blocks(a, mp, live)

@@ -6,11 +6,13 @@ text output holds no `nan`; and each command finishes in time.
 """
 
 import collections
+import json
 import random
 
 import pytest
 
 from fuzz_cli import NINES, SUBNORMAL, HUGE, fuzz, random_argv, run, violations
+from sedenion import GeometricSum, SliceUnit, same_unit
 
 SUBCOMMANDS = {"table", "mul", "kernel", "decompose", "zd-check", "hyper", "polar", "cker",
                "radii", "contains", "eval", "scan", "figure"}
@@ -81,6 +83,22 @@ def test_hostile_inputs_keep_the_contract(argv, code):
     result = run(argv)
     assert violations(argv, result) == []
     assert result["exit"] == code, result["stderr"]
+
+
+def test_a_long_table_finds_its_companion_in_time(tmp_path):
+    # The first 2,000 terms of 1/1.1^l + (e4+e15)/1.05^l.  The companion search
+    # tries every nonzero value, and each try reads the whole table: one array
+    # pass each keeps the command inside the time limit.
+    a = GeometricSum.of([("1", 1.1), ("e4+e15", 1.05)])
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"kind": "table",
+                                "values": [a.term(ell).tolist() for ell in range(2000)]}))
+    argv = ["radii", "--center=0.5+2e1", "--seq", str(path)]
+    result = run(argv)
+    assert violations(argv, result) == [] and result["exit"] == 0, result
+    fields = dict(f.split("=", 1) for f in result["stdout"].split())
+    assert fields["R_a^p"] == "1.1" and fields["case"] == "HyperIntersection"
+    assert same_unit(SliceUnit(fields["witness"]), SliceUnit("e10"))
 
 
 @pytest.mark.parametrize("change, clause", [

@@ -66,6 +66,7 @@ from util import (
     pow2_scaled,
     reference_companion,
     reference_report,
+    reference_table_radius,
 )
 
 E1 = SliceUnit("e1")
@@ -675,13 +676,69 @@ def test_table_radius_reads_the_ratio_group_radii_of_a_sampled_sum(rng):
     demo, p = demo_sequence(), center()
     for n in (60, 200, 1000):
         assert radius_RapJ(_sampled(demo, n), p, E10) == pytest.approx(3.0, rel=0.01), n
-    for n in (60, 200):  # the companion search reads the witness from the table
+    for n in (60, 200, 1000):  # the companion search reads the witness from the table
         assert radius_Rap(_sampled(demo, n), p)[0] == pytest.approx(3.0, rel=0.01), n
     # The known limit: in a short table every value mixes both groups, no
     # value lies in a kernel, the search finds no companion and R_a^p reads R_a.
     for n in (8, 20):
         table = _sampled(demo, n)
         assert radius_Rap(table, p) == (radius_Ra(table), None), n
+
+
+def test_table_radii_match_the_per_value_oracle_bit_for_bit(rng):
+    # Oracle: the windowed estimate read one value at a time, each size from
+    # Subspace.distance and math.sqrt(v @ v) (`reference_table_radius`).  The
+    # package takes every norm and distance of a table in one stacked pass, so
+    # both must agree by float.hex.  The seeded tables mix zero rows, rows in
+    # ker(I_p - J) of a tested slice J and magnitudes 10^+-200 and 10^+-300.
+    centers = [center(), wpoint("0.5+2e1"), wpoint("0.1+0.6e2+0.8e10"), wpoint("0.3+e10")]
+    kinds = Counter()
+    for case in range(40):
+        j1, j2 = random_hyper_pair(rng)
+        p = centers[case % 4] if case % 5 else wpoint_from(0.3, 1.2, j1)
+        slices = [E10, SliceUnit("e3"), SliceUnit("e5"), j2]
+        n = int(rng.integers(1, 41))
+        rows = rng.normal(size=(n, 16))
+        for ell in np.flatnonzero(rng.random(n) < 0.4):
+            ker = kernel_of_left_mult(p.axis.s - slices[ell % 4].s)
+            if ker.dim:
+                rows[ell] = rng.normal(size=ker.dim) @ ker.basis
+        rows[rng.random(n) < 0.15] = 0.0
+        rows *= 10.0 ** rng.choice([0, 200, -200, 300, -300], size=(n, 1))
+        table = TableSeq.of(rows.tolist())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ra, got = radius_Ra(table), [radius_RapJ(table, p, j) for j in slices]
+        want_ra = reference_table_radius(table.values)
+        assert ra.hex() == want_ra.hex(), case
+        for j, rj in zip(slices, got):
+            want = want_ra if axis_sign(j, p.axis) else max(
+                reference_table_radius(table.values, kernel_of_left_mult(p.axis.s - j.s)), want_ra)
+            assert rj.hex() == want.hex(), (case, j)
+            kinds["inf" if rj == math.inf else "above" if rj > ra else "R_a"] += 1
+    assert set(kinds) == {"inf", "above", "R_a"}, kinds
+
+
+def test_the_row_exponent_of_the_radii_is_the_scalar_pow2_exponent(rng):
+    # `_radius` reads the power of two of every row at once, by np.frexp over
+    # the row maxima; the kernels read it row by row through `_pow2_exponent`
+    # (math.frexp, cheaper on one row).  Both forms must agree on every
+    # magnitude, subnormals and zero rows included, and scale rows alike.
+    from sedenion.algebra import _pow2_exponent, _pow2_scaled
+
+    rows = np.copysign(10.0 ** rng.uniform(-320, 308, size=(1000, 16)), rng.normal(size=(1000, 16)))
+    rows[rng.random((1000, 16)) < 0.3] = 0.0
+    rows[::97] = 0.0
+    edges = [5e-324, -5e-324, 2.0 ** -1022, np.nextafter(2.0 ** -1022, 0.0), 0.5,
+             np.nextafter(1.0, 0.0), 1.0, 1.7976931348623157e308]
+    edges += (2.0 ** np.arange(-1074, 1024, 7)).tolist()
+    single = np.zeros((len(edges), 16))
+    single[:, 5] = edges
+    rows = np.vstack([rows, single, np.zeros((1, 16))])
+    shifts = np.frexp(np.abs(rows).max(axis=1))[1]  # the form of `_radius`
+    assert shifts.tolist() == [_pow2_exponent(v) for v in rows]
+    scaled = np.ldexp(rows, -shifts[:, None])
+    assert scaled.tobytes() == np.array([_pow2_scaled(v) for v in rows]).tobytes()
 
 
 @pytest.mark.parametrize("scale, n", [
@@ -1694,7 +1751,7 @@ def _reference_generic_terms(a, mp, c_plus, c_minus, step_p, step_m):
 
 def reference_evaluate(q, p, a, max_terms, tol=1e-8):
     """evaluate_series as one numpy step per term, kept as the bitwise oracle."""
-    from sedenion.series import EvalReport, _ratio_groups
+    from sedenion.series import EvalReport
     from sedenion.slices import axis_sign
 
     a0 = a.term(0)
@@ -1715,7 +1772,7 @@ def reference_evaluate(q, p, a, max_terms, tol=1e-8):
     step_p = w - z
     step_m = w.conjugate() - z
     if isinstance(a, (GeometricSum, Lacunary)):
-        terms_iter = _reference_geometric_terms(_ratio_groups(a), mp, c_plus,
+        terms_iter = _reference_geometric_terms(zip(a.ratios, a.rows), mp, c_plus,
                                                 c_minus, step_p, step_m,
                                                 gaps=isinstance(a, Lacunary))
     else:
@@ -2123,8 +2180,6 @@ def test_scan_verdicts_respect_the_channel_moduli(seq):
     # so it is never Diverged.  The moduli come from plain complex numbers and
     # the kernel test from exact rationals, not from the channel images the
     # evaluation uses.
-    from sedenion.series import _ratio_groups
-
     a = MODULUS_SEQUENCES[seq]
     p = center()
     rng = np.random.default_rng(31)
@@ -2133,7 +2188,7 @@ def test_scan_verdicts_respect_the_channel_moduli(seq):
     checked = Counter()
     for name in ("e1", "e10", "-e10", "e3"):
         j = SliceUnit(name)
-        groups = [(r, _exactly_in_the_kernel(p, j, c)) for r, c in _ratio_groups(a)]
+        groups = [(r, _exactly_in_the_kernel(p, j, c)) for r, c in zip(a.ratios, a.rows)]
         for row in convergence_scan(p, a, j, radial, thetas).rows:
             w = complex(row.re, row.im)
             zeta = max(abs((w if dead else w.conjugate()) - p.z) / r for r, dead in groups)

@@ -155,6 +155,40 @@ def reference_radius(groups, size):
     return best
 
 
+def reference_table_radius(values, ker=None):
+    """The windowed estimate of a table, one value at a time.
+
+    Each value v is scaled by its power of two (`pow2_scaled`); its size is
+    math.sqrt(v @ v), or min(ker.distance(v), math.sqrt(v @ v)) with a kernel.
+    A value counts when it is zero or its size passes PERP_THRESHOLD times its
+    norm; the estimate is 1 / max |a_l|^(1/l) over the back half of the l >= 1
+    that count, the root taken before the scale when |a_l| leaves the float range.
+    """
+    kept = []
+    for ell, v in enumerate(map(np.asarray, values)):
+        shift = math.frexp(float(np.max(np.abs(v))))[1]
+        c = np.ldexp(v, -shift)
+        n = math.sqrt(c @ c)
+        s = n if ker is None else min(ker.distance(c), n)
+        if s > PERP_THRESHOLD * n or not n:
+            kept.append((ell, s, shift))
+    radius = math.inf
+    for ell, s, shift in kept[len(kept) - max(1, len(kept) // 2):]:
+        if ell == 0:
+            continue
+        try:
+            root = math.ldexp(s, shift) ** (1.0 / ell)
+        except OverflowError:
+            if ell == 1:
+                radius = min(radius, math.ldexp(1.0 / s, -shift))
+                continue
+            q, r = divmod(shift, ell)
+            root = math.ldexp(s ** (1.0 / ell) * 2.0 ** (r / ell), q)
+        if root > 0.0:
+            radius = min(radius, 1.0 / root)
+    return radius
+
+
 def reference_report(p, a):
     """(r_a, r_ap, witness, case value) of the domain of a around p."""
     from sedenion import axis_sign, kernel_of_left_mult
