@@ -74,5 +74,7 @@ CHANNEL_DUST = 1e-13
 
 # -- display ----------------------------------------------------------------
 
-# kernel and decompose print a coefficient below this times their scale as 0.
+# The CLI prints a coefficient below this times the command's scale as 0: kernel
+# rows and every printed unit (witness, slice names, i1/i2, jmath) at scale 1,
+# decompose parts at the largest coefficient magnitude of x.
 DISPLAY_DUST = 1e-12

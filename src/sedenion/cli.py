@@ -230,10 +230,9 @@ def cmd_hyper(args) -> int:
         _emit(args, ["hyper=no"], {"hyper": False})
         return 1
     i1, i2, alpha = iota_frame(j1, j2)
-    lines = [f"hyper=yes alpha={format_real(alpha)} "
-             f"i1={format_element(i1)} i2={format_element(i2)}"]
-    _emit(args, lines, {"hyper": True, "alpha": alpha,
-                        "i1": format_element(i1), "i2": format_element(i2)})
+    i1, i2 = (_written(u, 1.0)[0] for u in (i1, i2))  # unit vectors: dust is absolute
+    lines = [f"hyper=yes alpha={format_real(alpha)} i1={i1} i2={i2}"]
+    _emit(args, lines, {"hyper": True, "alpha": alpha, "i1": i1, "i2": i2})
     return 0
 
 
@@ -257,10 +256,9 @@ def cmd_polar(args) -> int:
     if args.s is None:
         raise ValueError("give a slice unit, or --alpha/--theta to construct one")
     u = SliceUnit(args.s)
-    lines = [f"alpha={format_real(u.alpha)} theta={format_real(u.theta)} "
-             f"jmath={format_element(u.jmath)}"]
-    _emit(args, lines, {"alpha": u.alpha, "theta": u.theta,
-                        "jmath": format_element(u.jmath)})
+    jmath = _written(u.jmath, 1.0)[0]
+    lines = [f"alpha={format_real(u.alpha)} theta={format_real(u.theta)} jmath={jmath}"]
+    _emit(args, lines, {"alpha": u.alpha, "theta": u.theta, "jmath": jmath})
     return 0
 
 
@@ -291,7 +289,7 @@ def cmd_cker(args) -> int:
 def cmd_radii(args) -> int:
     p, a = _series(args)
     rep = domain(p, a).report
-    witness = format_element(rep.witness.s) if rep.witness else "none"
+    witness = _written(rep.witness.s, 1.0)[0] if rep.witness else "none"
     lines = [f"R_a={format_real(rep.r_a)} R_a^p={format_real(rep.r_ap)} witness={witness}",
              f"case={rep.case.value}" + (" approximate=yes" if rep.approximate else "")]
     _emit(args, lines, {"R_a": rep.r_a, "R_ap": rep.r_ap, "witness": witness,
@@ -324,12 +322,12 @@ def cmd_eval(args) -> int:
 def _default_slices(dom: Domain) -> list[tuple[str, SliceUnit]]:
     """Center axis, a kernel-curve witness, its negative, and a generic unit."""
     axis = dom.p.axis
-    out = [(format_element(axis.s), axis)]
+    out = [(_written(axis.s, 1.0)[0], axis)]
     if dom.report.witness is None:
         return out
     k = dom.report.witness
-    out.append((format_element(k.s), k))
-    out.append((format_element((-k).s), -k))
+    out.append((_written(k.s, 1.0)[0], k))
+    out.append((_written((-k).s, 1.0)[0], -k))
     for name in ("e3", "e2", "e5", "e4", "e6"):
         cand = SliceUnit(name)
         taken = any(axis_sign(cand, s) for _, s in out)

@@ -43,11 +43,7 @@ from numpy.typing import NDArray
 from .algebra import (
     CDElement,
     DIM,
-    MAX_LEVEL,
     _pow2_exponent,
-    cd_mul,
-    complex_embed,
-    format_element,
     parse_any,
     real_from_json,
 )
@@ -68,7 +64,6 @@ __all__ = [
     "Lacunary",
     "TableSeq",
     "SeqSpec",
-    "Polynomial",
     "Membership",
     "Verdict",
     "DomainCase",
@@ -77,9 +72,6 @@ __all__ = [
     "EvalReport",
     "ScanRow",
     "ScanResult",
-    "star_mul",
-    "star_pow_center",
-    "eval_poly",
     "radius_Ra",
     "radius_RapJ",
     "radius_Rap",
@@ -315,75 +307,6 @@ def _ratio_groups(a: GeometricSum | Lacunary) -> tuple[tuple[float, ...], NDArra
         pairs = sorted(sums.items())
     groups = [(r, c) for r, c in pairs if c.any()]
     return tuple(r for r, _ in groups), np.array([c for _, c in groups]).reshape(-1, DIM)
-
-
-# ---------------------------------------------------------------------------
-# star polynomials
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Polynomial in q with sedenion coefficients on the right of the powers.
-
-    Trailing zero coefficients are trimmed at construction; the zero
-    polynomial has an empty coefficient tuple and degree -1.
-    """
-
-    coeffs: tuple[CDElement, ...]
-
-    def __post_init__(self):
-        cs = [c.promote(MAX_LEVEL) for c in self.coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def of(cls, coeffs: Iterable) -> "Polynomial":
-        return cls(tuple(parse_any(c) for c in coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __str__(self):
-        return " | ".join(f"q^{i}: {format_element(c)}"
-                          for i, c in enumerate(self.coeffs)) or "0"
-
-
-def star_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Cauchy product: coefficient n is sum_k p_k * q_{n-k} (sedenion products)."""
-    if not p.coeffs or not q.coeffs:
-        return Polynomial(())
-    out = [CDElement(np.zeros(DIM)) for _ in range(len(p.coeffs) + len(q.coeffs) - 1)]
-    for i, a in enumerate(p.coeffs):
-        for j, b in enumerate(q.coeffs):
-            out[i + j] = out[i + j] + cd_mul(a, b)
-    return Polynomial(tuple(out))
-
-
-def star_pow_center(p: WPoint, ell: int) -> Polynomial:
-    """(q - p)^{*ell} expanded in powers of q.
-
-    Coefficient m is binom(ell, m) (-p)^(ell - m), the power taken inside the
-    commutative plane through p and the binomial an exact integer rounded
-    once to float (correctly rounded for every ell).  The rounding raises
-    OverflowError from ell = 1030 on, where binom(ell, ell // 2) > 1.8e308.
-    """
-    if ell < 0:
-        raise ValueError("star power wants a nonnegative exponent")
-    return Polynomial(tuple(float(math.comb(ell, j)) * complex_embed((-p.z) ** j, p.axis.s)
-                            for j in range(ell, -1, -1)))
-
-
-def eval_poly(poly: Polynomial, q: WPoint) -> CDElement:
-    """sum_i q^i * c_i with q^i computed in the commutative plane through q."""
-    acc = CDElement(np.zeros(DIM))
-    w = 1.0 + 0.0j
-    for c in poly.coeffs:
-        acc = acc + cd_mul(complex_embed(w, q.axis.s), c)
-        w *= q.z
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import numpy as np
 from sedenion import (
     CDElement,
     Membership,
-    Polynomial,
     SliceUnit,
     Subspace,
     cd_mul,
@@ -36,14 +35,12 @@ from sedenion import (
     radius_Rap,
     random_hyper_pair,
     random_slice_unit,
-    star_mul,
-    star_pow_center,
     verify_table,
     wpoint,
     wpoint_from,
 )
 
-from util import SEED
+from util import SEED, Polynomial, star_mul, star_pow_center
 
 E1 = SliceUnit("e1")
 E10 = SliceUnit("e10")

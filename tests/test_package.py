@@ -119,6 +119,64 @@ def test_display_dust_is_read_only_by_the_element_writer():
     assert readers == [("cli", "_written")]
 
 
+# What the oracles of tests/util.py take from the package; its docstring says
+# why each name is trusted.
+ORACLE_IMPORTS = {
+    "sedenion": {"CDElement", "DIM", "Lacunary", "MAX_LEVEL", "SliceUnit", "WPoint",
+                 "axis_sign", "basis", "cd_mul", "complex_embed", "format_element",
+                 "kernel_of_left_mult", "left_mult_matrix", "one", "parse_any"},
+    "sedenion._tol": {"CURVE_ACCEPT", "DEGENERATE", "PERP_THRESHOLD"},
+}
+STAR_ROUTE = ("Polynomial", "star_mul", "star_pow_center", "eval_poly")
+
+
+def test_the_oracles_import_only_their_trust_list():
+    util = pathlib.Path(__file__).resolve().parent / "util.py"
+    tree = ast.parse(util.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "sedenion":
+            imported.setdefault(node.module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "sedenion" for a in node.names)
+    assert imported == ORACLE_IMPORTS
+    doc = ast.get_docstring(tree)
+    assert [n for names in imported.values() for n in sorted(names) if f"`{n}`" not in doc] == []
+    # The star route of the definition oracles lives in the tests only.
+    assert [name for name in STAR_ROUTE if hasattr(sedenion, name)] == []
+    src = pathlib.Path(sedenion.__file__).resolve().parent
+    defined = [f"{path.name}:{node.name}" for path in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in STAR_ROUTE]
+    assert defined == []
+
+
+def test_every_public_name_has_a_caller_or_a_place_in_the_map_of_the_paper():
+    # A name of a layer's __all__ is loaded by src/ outside its own definition,
+    # named in a perfbench/*.py file, or listed in README's map of the paper.
+    # A reference-only name, one that only tests call, belongs in tests/.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    loaded = set()
+    for path in (root / "src" / "sedenion").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        own = {node.name: node for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                d = own.get(node.id)
+                if d is None or not d.lineno <= node.lineno <= d.end_lineno:
+                    loaded.add(node.id)
+    bench = set(re.findall(r"\w+", " ".join(p.read_text() for p in root.glob("perfbench/*.py"))))
+    readme = (root / "README.md").read_text()
+    table = readme.split("| paper notion | public name |\n", 1)[1].split("\n\n", 1)[0]
+    mapped = {name for row in table.splitlines()[1:]
+              for name in re.findall(r"`(\w+)`", row.split("|")[2])}
+    public = [name for layer in ("algebra", "zerodiv", "slices", "series")
+              for name in importlib.import_module(f"sedenion.{layer}").__all__]
+    assert sorted(mapped - set(public)) == []
+    assert [name for name in public if name not in loaded | bench | mapped] == []
+
+
 def _mutable(value) -> bool:
     """A list, dict, set or writable array, also inside a tuple."""
     if isinstance(value, tuple):

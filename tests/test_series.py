@@ -19,7 +19,6 @@ from sedenion import (
     I0,
     Lacunary,
     Membership,
-    Polynomial,
     SliceUnit,
     TableSeq,
     Verdict,
@@ -33,7 +32,6 @@ from sedenion import (
     domain,
     domain_contains,
     domain_report,
-    eval_poly,
     evaluate_points,
     evaluate_series,
     find_companion,
@@ -53,20 +51,22 @@ from sedenion import (
     seq_from_json,
     seq_to_json,
     sigma_contains,
-    star_mul,
-    star_pow_center,
     wpoint,
     wpoint_from,
 )
 
 from util import (
     PERP_THRESHOLD,
+    Polynomial,
+    eval_poly,
     g2_automorphism,
     imag_octonion_unit,
     pow2_scaled,
     reference_companion,
     reference_report,
     reference_table_radius,
+    star_mul,
+    star_pow_center,
 )
 
 E1 = SliceUnit("e1")

@@ -1,10 +1,51 @@
-"""Shared random generators and reference computations for the test suite."""
+"""Shared random generators and reference computations for the test suite.
+
+The reference computations are oracles for the package, so each name this
+module imports from `sedenion` is one that other tests pin to something the
+oracles do not share:
+
+- `CDElement`, `DIM`, `MAX_LEVEL`, `one`, `basis`: the element class (sums,
+  scalar multiples, norms, promotion) and its basis; `test_algebra.py` checks
+  the class's arithmetic and errors on its own.
+- `cd_mul`: pinned in `test_algebra.py` to the doubling recursion
+  `cd_mul_recursive` and to the bundled table, so the oracles' products rest
+  on the recursion and not only on the `_SIGN` gathers the channel matrices
+  also read.
+- `complex_embed`: x + y I, one line by its definition; pinned by the round
+  trip through `complex_coords`.
+- `parse_any`, `format_element`: the element text, pinned by the parse and
+  format examples of `test_algebra.py` and the round trip on dyadics.
+- `WPoint`: an annotation; the star route reads only its `z` and `axis.s`.
+- `SliceUnit`, `axis_sign`: pinned by the polar fixtures and the sign table
+  of `test_slices.py`.
+- `left_mult_matrix`: pinned column by column to the doubling recursion.
+- `kernel_of_left_mult`: pinned to the exact rank of `test_zerodiv.py` and
+  to the products of its members.
+- `Lacunary`: read for its `ratio` and `coeff` fields only.
+- `CURVE_ACCEPT`, `DEGENERATE`, `PERP_THRESHOLD` (from `sedenion._tol`): the
+  package's thresholds, shared on purpose, since the oracles must decide at
+  the same thresholds to match the package bit for bit.
+
+`tests/test_package.py` pins this import list.
+"""
 
 import math
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from sedenion import CDElement, one
+from sedenion import (
+    CDElement,
+    DIM,
+    MAX_LEVEL,
+    WPoint,
+    cd_mul,
+    complex_embed,
+    format_element,
+    one,
+    parse_any,
+)
 from sedenion._tol import CURVE_ACCEPT, DEGENERATE, PERP_THRESHOLD
 
 SEED = 20210
@@ -46,7 +87,7 @@ def g2_automorphism(rng):
     It acts the same on both octonion halves of a sedenion (Brown 1967:
     Aut(S) = Aut(O) x S3).
     """
-    from sedenion import basis, cd_mul
+    from sedenion import basis
 
     i, j, k = special_triple(rng)
     images = {0: one(3), 1: i, 2: j, 4: k}
@@ -93,7 +134,7 @@ def pow2_scaled(v):
 
 def reference_companion(i, c):
     """The companion K of the unit i for the candidate c (an element), or None."""
-    from sedenion import SliceUnit, cd_mul, left_mult_matrix
+    from sedenion import SliceUnit, left_mult_matrix
 
     v = pow2_scaled(c.promote(4).coeffs)
     nc = np.linalg.norm(v)
@@ -208,3 +249,74 @@ def reference_report(p, a):
         if val > best:
             best, witness = val, k
     return ra, best, witness, "SigmaBallOnly" if witness is None else "HyperIntersection"
+
+
+# --- star polynomials: the definition route ---------------------------------
+#
+# The package evaluates sum_l (q - p)^{*l} a_l only through its two-channel
+# form.  This route expands (q - p)^{*l} by the star (slice) product of
+# Ghiloni and Perotti (Adv. Math. 226, 2011) and shares none of that code.
+
+
+@dataclass(frozen=True)
+class Polynomial:
+    """Polynomial in q with sedenion coefficients on the right of the powers.
+
+    Trailing zero coefficients are trimmed at construction; the zero
+    polynomial has an empty coefficient tuple and degree -1.
+    """
+
+    coeffs: tuple[CDElement, ...]
+
+    def __post_init__(self):
+        cs = [c.promote(MAX_LEVEL) for c in self.coeffs]
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def of(cls, coeffs: Iterable) -> "Polynomial":
+        return cls(tuple(parse_any(c) for c in coeffs))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __str__(self):
+        return " | ".join(f"q^{i}: {format_element(c)}"
+                          for i, c in enumerate(self.coeffs)) or "0"
+
+
+def star_mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Cauchy product: coefficient n is sum_k p_k * q_{n-k} (sedenion products)."""
+    if not p.coeffs or not q.coeffs:
+        return Polynomial(())
+    out = [CDElement(np.zeros(DIM)) for _ in range(len(p.coeffs) + len(q.coeffs) - 1)]
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] = out[i + j] + cd_mul(a, b)
+    return Polynomial(tuple(out))
+
+
+def star_pow_center(p: WPoint, ell: int) -> Polynomial:
+    """(q - p)^{*ell} expanded in powers of q.
+
+    Coefficient m is binom(ell, m) (-p)^(ell - m), the power taken inside the
+    commutative plane through p and the binomial an exact integer rounded
+    once to float (correctly rounded for every ell).  The rounding raises
+    OverflowError from ell = 1030 on, where binom(ell, ell // 2) > 1.8e308.
+    """
+    if ell < 0:
+        raise ValueError("star power wants a nonnegative exponent")
+    return Polynomial(tuple(float(math.comb(ell, j)) * complex_embed((-p.z) ** j, p.axis.s)
+                            for j in range(ell, -1, -1)))
+
+
+def eval_poly(poly: Polynomial, q: WPoint) -> CDElement:
+    """sum_i q^i * c_i with q^i computed in the commutative plane through q."""
+    acc = CDElement(np.zeros(DIM))
+    w = 1.0 + 0.0j
+    for c in poly.coeffs:
+        acc = acc + cd_mul(complex_embed(w, q.axis.s), c)
+        w *= q.z
+    return acc
